@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, bounds, envsim, svgplot
 from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
                        pseudodim_lower_bound)
-from .erm import (SearchBudget, default_workers, enumerate_candidates, erm_fit,
+from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import BudgetError, InputError, NumericError
 from .kernels import load_family, pd_upper_bound
@@ -81,7 +81,7 @@ def _cmd_learn(args) -> int:
     sample = load_multitask_sample(args.data)
     params = MarginParams(gamma=args.gamma, max_iters=args.max_iters)
     budget = _budget_from_args(args)
-    solution = erm_fit(family, sample, params, budget, workers=args.workers)
+    solution = erm_fit(family, sample, params, budget)
 
     out_dir = _ensure_out_dir(args)
     kernel_params = solution.kernel_params
@@ -94,6 +94,7 @@ def _cmd_learn(args) -> int:
             "kernel_params": kernel_params,
             "avg_empirical_margin_error": solution.avg_empirical_margin_error,
             "budget_exhausted": solution.budget_exhausted,
+            "nonconverged_fits": solution.nonconverged_fits,
             "alphas": [p.alphas.tolist() for p in solution.predictors],
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -362,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default="mtkl-out")
-        p.add_argument("--workers", type=int, default=default_workers(),
-                       help="candidate-evaluation threads (env MTKL_WORKERS)")
 
     p = sub.add_parser("learn", help="multi-task ERM over a kernel family")
     common(p)

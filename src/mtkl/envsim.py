@@ -26,8 +26,11 @@ from .errors import InputError, NumericError
 from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
+# enumerate_candidates and fit_candidate are not called here: run_trial
+# searches through erm_search. perfbench/tracer.py wraps these bindings.
 from .erm import (LINEAR_COMBO_SCALES, MultiTaskSample, MultiTaskSolution,
-                  SearchBudget, enumerate_candidates, erm_fit, fit_candidate)
+                  SearchBudget, enumerate_candidates, erm_fit, erm_search,
+                  fit_candidate)
 
 MAX_REJECTION_ROUNDS = 1000
 
@@ -317,10 +320,11 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               budget: SearchBudget = SearchBudget(),
               fit_params: Optional[MarginParams] = None,
               evaluate_guarantee: bool = True) -> TrialOutcome:
-    """One seeded end-to-end trial: sample tasks and data, run ERM, Monte
-    Carlo the true risks, evaluate the deviation bound, and check the
-    two-sided sandwich (and optionally the ERM guarantee against the best
-    grid candidate under the double-margin risk)."""
+    """One seeded end-to-end trial: sample tasks and data, run ERM (the same
+    search as ``erm_fit``, budget included), Monte Carlo the true risks,
+    evaluate the deviation bound, and check the two-sided sandwich (and
+    optionally the ERM guarantee against the best grid candidate under the
+    double-margin risk)."""
     root = as_seed_sequence(seed)
     ss_tasks, ss_data, ss_mc = root.spawn(3)
     if isinstance(source, TaskEnvironment):
@@ -334,16 +338,8 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     if params.gamma != gamma:
         raise InputError("fit_params.gamma must match the trial margin")
 
-    candidates = enumerate_candidates(family, budget)
-    fits = [fit_candidate(c.kernel, sample, params) for c in candidates]
-    avg_train = [float(np.mean(errs)) for _, errs in fits]
-    pick = int(np.argmin(avg_train))
-    predictors, errors = fits[pick]
-    solution = MultiTaskSolution(
-        kernel_params=candidates[pick].params, kernel=candidates[pick].kernel,
-        predictors=predictors, avg_empirical_margin_error=avg_train[pick],
-        per_task_errors=errors, candidate_index=pick,
-        candidate_label=candidates[pick].label)
+    solution, _, grid_fits = erm_search(family, sample, params, budget)
+    predictors = solution.predictors
 
     mc_data = _mc_datasets(distributions, mc_samples, ss_mc)
     chosen_scores = _mc_scores(predictors, mc_data)
@@ -354,20 +350,20 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
         n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
         B=searched_family_bound(family), gamma=gamma, delta=delta))
     eps = eps_res.epsilon
+    er_hat = solution.avg_empirical_margin_error
     report = TrialReport(
-        n=n, m=m, gamma=gamma, er_hat=avg_train[pick], er=er, er_2gamma=er_2g,
-        epsilon=eps,
-        sandwich_ok=bool(er_2g + eps >= avg_train[pick] >= er - eps),
+        n=n, m=m, gamma=gamma, er_hat=er_hat, er=er, er_2gamma=er_2g,
+        epsilon=eps, sandwich_ok=bool(er_2g + eps >= er_hat >= er - eps),
         epsilon_valid=eps_res.valid)
 
     guarantee = None
     if evaluate_guarantee:
-        best_2g = er_2g
-        for idx, (preds, _) in enumerate(fits):
-            if idx == pick:
-                continue
-            best_2g = min(best_2g,
-                          _avg_error(_mc_scores(preds, mc_data), 2.0 * gamma))
+        # the grid argmin's predictors are the solution's own unless
+        # refinement replaced them; its scores are then already known
+        best_2g = min(
+            er_2g if preds is predictors
+            else _avg_error(_mc_scores(preds, mc_data), 2.0 * gamma)
+            for preds, _ in grid_fits)
         guarantee = ErmGuaranteeReport(
             n=n, m=m, gamma=gamma, epsilon=eps, er_erm=er,
             er_2gamma_best=best_2g, holds=bool(er <= best_2g + 2.0 * eps),

@@ -15,6 +15,7 @@ the downstream deviation checks require.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -95,6 +96,15 @@ def margin_error_from_scores(scores: np.ndarray, gamma: float) -> float:
     return float(np.mean(scores < gamma))
 
 
+def _training_problem(kernel: Kernel, data: TaskData):
+    """The PSD-checked training Gram and a feasible start for the solver."""
+    G = kernel.gram(data.X)
+    if psd_defect(G) > 0:
+        raise NumericError("training Gram matrix indefinite beyond tolerance")
+    # feasible start: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
+    return G, data.y / (data.m * np.sqrt(kernel.bound_b))
+
+
 def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Predictor:
     """Minimize hinge-at-gamma over the kernel's unit ball.
 
@@ -102,17 +112,30 @@ def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Pre
     A run that exhausts max_iters while still improving returns the best
     iterate with ``converged=False``.
     """
-    G = kernel.gram(data.X)
-    if psd_defect(G) > 0:
-        raise NumericError("training Gram matrix indefinite beyond tolerance")
-    m = data.m
-    # feasible start: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
-    alpha0 = data.y / (m * np.sqrt(kernel.bound_b))
+    G, alpha0 = _training_problem(kernel, data)
     alpha, _obj, _iters, converged = _accel.hinge_pgd(
         G, data.y, params.gamma, alpha0, params.max_iters,
         params.tolerance, params.step_size)
     return Predictor(alphas=alpha, support_sample=data.X, kernel=kernel,
                      converged=bool(converged))
+
+
+def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
+              params: MarginParams) -> list[Predictor]:
+    """``fit_single_task`` on every (kernel, task) pair, solved as one stack.
+
+    The tasks must share one sample size. Each predictor is bit-identical to
+    the one ``fit_single_task`` returns for its pair.
+    """
+    grams, starts = zip(*(_training_problem(kernel, task)
+                          for kernel, task in problems))
+    alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
+        np.stack(grams), np.stack([task.y for _, task in problems]),
+        params.gamma, np.stack(starts), params.max_iters, params.tolerance,
+        params.step_size)
+    return [Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
+                      converged=bool(ok))
+            for (kernel, task), alpha, ok in zip(problems, alphas, converged)]
 
 
 def true_margin_error(predictor: Predictor, distribution, gamma: float,

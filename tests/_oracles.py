@@ -3,10 +3,13 @@
 These deliberately share no code with the package: bound formulas are
 re-evaluated term by term in mpmath arbitrary precision, covers are found by
 exhaustive subset search, shattering by naive pattern enumeration, and tiny
-fits by dense grids over the dual coefficients.
+fits by dense grids over the dual coefficients. The scalar hinge solver is
+the one-problem, one-trial-step-at-a-time loop that the vectorised solver in
+``mtkl._accel`` must reproduce bit for bit.
 """
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -187,3 +190,61 @@ def grid_best_margin_error(K: np.ndarray, y: np.ndarray, gamma: float,
     margins = (feasible @ K) * y[None, :]
     errors = np.mean(margins < gamma, axis=1)
     return float(errors.min())
+
+
+# ---------------------------------------------------------------------------
+# solver oracle
+# ---------------------------------------------------------------------------
+
+
+def hinge_pgd_reference(K, y, gamma, alpha0, max_iters, tol, step0):
+    """Projected subgradient descent on (1/m) sum_j max(0, 1 - y_j (K a)_j /
+    gamma) over a^T K a <= 1, backtracking one halving at a time from
+    ``step0`` (at most 60). Returns (alpha, objective, iterations, converged)."""
+    m = K.shape[0]
+    alpha = alpha0.copy()
+    v = K @ alpha
+    aKa = float(alpha @ v)
+
+    def hinge(values):
+        return float(np.mean(np.maximum(0.0, 1.0 - y * values / gamma)))
+
+    obj = hinge(v)
+    it = 0
+    converged = False
+    for it in range(1, max_iters + 1):
+        active = (1.0 - y * v / gamma) > 0.0
+        if not active.any():
+            converged = True
+            break
+        g = K @ (-(y * active) / (m * gamma))
+        Kg = K @ g
+        gKg = float(g @ Kg)
+        gKa = float(g @ v)
+
+        step = step0
+        improved = False
+        scale = 1.0
+        new_obj = obj
+        for _bt in range(60):
+            q = max(aKa - 2.0 * step * gKa + step * step * gKg, 0.0)
+            scale = 1.0 / math.sqrt(q) if q > 1.0 else 1.0
+            v_cand = scale * (v - step * Kg)
+            cand_obj = hinge(v_cand)
+            if cand_obj <= obj:
+                improved = True
+                new_obj = cand_obj
+                break
+            step *= 0.5
+        if not improved:
+            converged = True
+            break
+        alpha = scale * (alpha - step * g)
+        v = v_cand
+        aKa = scale * scale * max(aKa - 2.0 * step * gKa + step * step * gKg, 0.0)
+        gain = obj - new_obj
+        obj = new_obj
+        if gain < tol:
+            converged = True
+            break
+    return alpha, obj, it, converged

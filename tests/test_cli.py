@@ -77,9 +77,18 @@ class TestLearnCommand:
                                             "manifest.json"}
         solution = json.loads((tmp_path / "out" / "solution.json").read_text())
         assert len(solution["alphas"]) == 2
+        assert solution["nonconverged_fits"] == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert "config_sha256" in manifest
+
+    def test_nonconverged_fits_reported(self, family_file, data_file, tmp_path):
+        out_dir = tmp_path / "out"
+        rc = main(["learn", "--family", family_file, "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(out_dir), "--max-iters", "1"])
+        assert rc == 0
+        solution = json.loads((out_dir / "solution.json").read_text())
+        assert solution["nonconverged_fits"] == 2
 
     def test_rerun_bitwise_identical(self, family_file, data_file, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

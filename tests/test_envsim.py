@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtkl import (InputError, InputLaw, KernelFamily, MarginParams, NumericError,
-                  TaskCluster, TaskEnvironment, empirical_margin_error,
+                  SearchBudget, TaskCluster, TaskEnvironment, empirical_margin_error,
                   make_planted_distribution, overhead_curve, rbf_kernel, run_trial,
                   run_sandwich_trial, sample_lifelong, sample_multitask)
 from mtkl.envsim import environment_from_dict
@@ -176,6 +176,27 @@ class TestTrials:
         direct = erm_fit(self.family, sample, MarginParams(gamma=0.1))
         assert outcome.report.er_hat == direct.avg_empirical_margin_error
         assert outcome.solution.candidate_index == direct.candidate_index
+
+    def test_refinement_matches_erm_fit(self):
+        from mtkl.erm import erm_fit
+        from mtkl.seeding import as_seed_sequence
+        budget = SearchBudget(grid_resolution=2, refine_rounds=1)
+        outcome = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
+                            delta=0.05, seed=87, mc_samples=1_000, budget=budget)
+        assert outcome.solution.candidate_label.startswith("refined")
+        ss_tasks, ss_data, _ = as_seed_sequence(87).spawn(3)
+        sample = sample_multitask(sample_lifelong(self.env, 3, ss_tasks), 16,
+                                  ss_data)
+        direct = erm_fit(self.family, sample, MarginParams(gamma=0.1), budget)
+        np.testing.assert_array_equal(outcome.solution.kernel_params,
+                                      direct.kernel_params)
+        assert outcome.solution.candidate_label == direct.candidate_label
+        assert outcome.report.er_hat == direct.avg_empirical_margin_error
+        # the guarantee still compares against the best grid candidate
+        grid = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
+                         delta=0.05, seed=87, mc_samples=1_000,
+                         budget=SearchBudget(grid_resolution=2))
+        assert outcome.guarantee.er_2gamma_best == grid.guarantee.er_2gamma_best
 
     def test_distribution_list_source(self):
         dists = sample_lifelong(self.env, 2, seed=82)

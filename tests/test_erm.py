@@ -9,6 +9,7 @@ from mtkl import (BudgetError, InputError, KernelFamily, MarginParams,
                   MultiTaskSample, SearchBudget, TaskData, erm_fit,
                   empirical_margin_error, fit_single_task,
                   load_multitask_sample, rbf_kernel)
+from mtkl import erm
 from mtkl.erm import enumerate_candidates
 
 
@@ -141,16 +142,28 @@ class TestErmFit:
         assert sol.candidate_index == 1
         assert sol.avg_empirical_margin_error == 0.0
 
-    def test_workers_do_not_change_result(self):
+    def test_stacking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(6)
         sample = make_tasks(rng, n=2, m=12)
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
-        a = erm_fit(fam, sample, PARAMS, SearchBudget(grid_resolution=1), workers=1)
-        b = erm_fit(fam, sample, PARAMS, SearchBudget(grid_resolution=1), workers=3)
-        assert a.candidate_index == b.candidate_index
-        assert a.avg_empirical_margin_error == b.avg_empirical_margin_error
-        for pa, pb in zip(a.predictors, b.predictors):
+        budget = SearchBudget(grid_resolution=2, refine_rounds=1)
+        stacked = erm_fit(fam, sample, PARAMS, budget)
+        monkeypatch.setattr(erm, "STACK_BYTES", 1)  # one problem per solve
+        alone = erm_fit(fam, sample, PARAMS, budget)
+        assert alone.candidate_label == stacked.candidate_label
+        assert alone.avg_empirical_margin_error == stacked.avg_empirical_margin_error
+        for pa, pb in zip(alone.predictors, stacked.predictors):
             np.testing.assert_array_equal(pa.alphas, pb.alphas)
+
+    def test_nonconverged_fits_counted(self):
+        rng = np.random.default_rng(8)
+        sample = make_tasks(rng, n=3, m=24, flip=0.5)
+        fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
+        capped = erm_fit(fam, sample, MarginParams(gamma=0.2, max_iters=1,
+                                                   tolerance=1e-16))
+        assert capped.nonconverged_fits == sum(
+            not p.converged for p in capped.predictors) == 3
+        assert erm_fit(fam, sample, PARAMS).nonconverged_fits == 0
 
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(7)
@@ -167,6 +180,69 @@ class TestErmFit:
             MultiTaskSample(tasks=(
                 TaskData(X=np.zeros((2, 1)), y=np.array([1.0, -1.0])),
                 TaskData(X=np.zeros((3, 1)), y=np.array([1.0, -1.0, 1.0]))))
+
+
+class StepClock:
+    """time.monotonic stand-in: 0 when first read, then ``step`` later on
+    every read."""
+
+    def __init__(self, step):
+        self.now, self.step = 0.0, step
+
+    def __call__(self):
+        now = self.now
+        self.now += self.step
+        return now
+
+
+class TestWallClockCap:
+    FAM = KernelFamily(variant="convex_combo", dictionary=DICT3)
+
+    def test_cap_cuts_grid_between_stacks(self, monkeypatch):
+        sample = make_tasks(np.random.default_rng(9), n=2, m=12)
+        budget = SearchBudget(grid_resolution=2)  # 6 candidates
+        full = erm_fit(self.FAM, sample, PARAMS, budget)
+        assert not full.budget_exhausted
+        # four problems per stack: two candidates per solve
+        monkeypatch.setattr(erm, "STACK_BYTES", 4 * 8 * 12 ** 2)
+        monkeypatch.setattr(erm.time, "monotonic", StepClock(1.0))
+        capped, cands, fits = erm.erm_search(
+            self.FAM, sample, PARAMS,
+            SearchBudget(grid_resolution=2, wall_clock_cap=0.5))
+        assert capped.budget_exhausted
+        # the clock passes the deadline before the second stack
+        assert len(cands) == 6 and len(fits) == 2
+        cands = cands[:2]
+        errs = [np.mean([empirical_margin_error(fit_single_task(c.kernel, t, PARAMS),
+                                                t, PARAMS.gamma)
+                         for t in sample.tasks]) for c in cands]
+        assert capped.candidate_index == int(np.argmin(errs))
+        assert capped.avg_empirical_margin_error == min(errs)
+
+    def test_cap_stops_refinement(self, monkeypatch):
+        sample = make_tasks(np.random.default_rng(10), n=2, m=12)
+        grid = erm_fit(self.FAM, sample, PARAMS, SearchBudget(grid_resolution=2))
+        monkeypatch.setattr(erm.time, "monotonic", StepClock(10.0))
+        capped = erm_fit(self.FAM, sample, PARAMS, SearchBudget(
+            grid_resolution=2, refine_rounds=3, wall_clock_cap=5.0))
+        # one stack holds the whole grid; the first refinement move is late
+        assert capped.budget_exhausted
+        assert capped.candidate_label == grid.candidate_label
+        assert capped.avg_empirical_margin_error == grid.avg_empirical_margin_error
+
+    def test_cap_applies_to_trials(self, monkeypatch):
+        from mtkl import InputLaw, TaskCluster, TaskEnvironment, run_trial
+        env = TaskEnvironment(dictionary=DICT3, input_law=InputLaw(dim=2),
+                              clusters=(TaskCluster(weight=1.0, kernel_index=1),))
+        kwargs = dict(n=2, m=12, gamma=0.15, delta=0.05, seed=11, mc_samples=500)
+        monkeypatch.setattr(erm, "STACK_BYTES", 1)
+        monkeypatch.setattr(erm.time, "monotonic", StepClock(1.0))
+        outcome = run_trial(env, self.FAM, budget=SearchBudget(
+            grid_resolution=2, wall_clock_cap=0.5), **kwargs)
+        assert outcome.solution.budget_exhausted
+        # one problem per solve: the deadline passes once candidate 0 is fit
+        assert outcome.solution.candidate_index == 0
+        assert outcome.guarantee.er_2gamma_best == outcome.report.er_2gamma
 
 
 class TestAvgTrueError:
