@@ -1,28 +1,16 @@
-"""Hot numeric kernels.
-
-The Gram builders, pairwise sup-distances and the shattering scan exist
-twice: a numba ``@njit`` build of the loop-style source (suffix ``_src``) and
-a vectorized pure-numpy build (suffix ``_np``). The unsuffixed module-level
-name is an alias for whichever path is active.
-
-Path selection happens once, at import time:
-
-* ``MTKL_DISABLE_NUMBA=1`` in the environment forces the numpy path;
-* if numba cannot be imported the numpy path is used automatically.
-
-The hinge solver (``hinge_pgd`` and its stacked form ``hinge_pgd_batch``) is
-numpy only. Everything here is deterministic for a fixed input.
+"""Hot numeric kernels, in numpy: the Gram and cross-Gram builders, the hinge
+solver (``hinge_pgd`` and its stacked form ``hinge_pgd_batch``), pairwise
+sup-distances and the shattering scan. Gram builders mirror the upper
+triangle, so symmetry is exact. Everything here is deterministic for a fixed
+input; ``tests/test_accel.py`` checks each function against an independent
+oracle.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "rbf_gram",
     "rbf_cross",
     "linear_gram",
@@ -35,222 +23,11 @@ __all__ = [
     "hinge_pgd_batch",
     "chebyshev_pdist",
     "shatter_scan",
-    "implementations",
 ]
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("MTKL_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-if _numba_disabled_by_env():
-    _njit = None
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-
-NUMBA_ENABLED = _njit is not None
-
-
 # ---------------------------------------------------------------------------
-# Loop-style sources (compiled with numba when the fast path is active).
-# Gram builders fill the upper triangle and mirror it, so symmetry is exact.
-# ---------------------------------------------------------------------------
-
-
-def _rbf_gram_src(X, bandwidth):
-    m, d = X.shape
-    inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    G = np.empty((m, m))
-    for i in range(m):
-        G[i, i] = 1.0
-        for j in range(i + 1, m):
-            s = 0.0
-            for t in range(d):
-                diff = X[i, t] - X[j, t]
-                s += diff * diff
-            v = math.exp(-s * inv)
-            G[i, j] = v
-            G[j, i] = v
-    return G
-
-
-def _rbf_cross_src(X, Z, bandwidth):
-    m, d = X.shape
-    p = Z.shape[0]
-    inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    G = np.empty((m, p))
-    for i in range(m):
-        for j in range(p):
-            s = 0.0
-            for t in range(d):
-                diff = X[i, t] - Z[j, t]
-                s += diff * diff
-            G[i, j] = math.exp(-s * inv)
-    return G
-
-
-def _linear_gram_src(X, scale):
-    m, d = X.shape
-    G = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            s = 0.0
-            for t in range(d):
-                s += X[i, t] * X[j, t]
-            v = scale * s
-            G[i, j] = v
-            G[j, i] = v
-    return G
-
-
-def _linear_cross_src(X, Z, scale):
-    m, d = X.shape
-    p = Z.shape[0]
-    G = np.empty((m, p))
-    for i in range(m):
-        for j in range(p):
-            s = 0.0
-            for t in range(d):
-                s += X[i, t] * Z[j, t]
-            G[i, j] = scale * s
-    return G
-
-
-def _poly_gram_src(X, scale, coef0, degree):
-    m, d = X.shape
-    G = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            s = 0.0
-            for t in range(d):
-                s += X[i, t] * X[j, t]
-            v = (scale * s + coef0) ** degree
-            G[i, j] = v
-            G[j, i] = v
-    return G
-
-
-def _poly_cross_src(X, Z, scale, coef0, degree):
-    m, d = X.shape
-    p = Z.shape[0]
-    G = np.empty((m, p))
-    for i in range(m):
-        for j in range(p):
-            s = 0.0
-            for t in range(d):
-                s += X[i, t] * Z[j, t]
-            G[i, j] = (scale * s + coef0) ** degree
-    return G
-
-
-def _metric_gram_src(X, M):
-    m, d = X.shape
-    G = np.empty((m, m))
-    for i in range(m):
-        G[i, i] = 1.0
-        for j in range(i + 1, m):
-            q = 0.0
-            for a in range(d):
-                row = 0.0
-                for b in range(d):
-                    row += M[a, b] * (X[i, b] - X[j, b])
-                q += (X[i, a] - X[j, a]) * row
-            v = math.exp(-0.5 * q)
-            G[i, j] = v
-            G[j, i] = v
-    return G
-
-
-def _metric_cross_src(X, Z, M):
-    m, d = X.shape
-    p = Z.shape[0]
-    G = np.empty((m, p))
-    for i in range(m):
-        for j in range(p):
-            q = 0.0
-            for a in range(d):
-                row = 0.0
-                for b in range(d):
-                    row += M[a, b] * (X[i, b] - Z[j, b])
-                q += (X[i, a] - Z[j, a]) * row
-            G[i, j] = math.exp(-0.5 * q)
-    return G
-
-
-def _chebyshev_pdist_src(V):
-    n, d = V.shape
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = 0.0
-            for t in range(d):
-                diff = abs(V[i, t] - V[j, t])
-                if diff > best:
-                    best = diff
-            D[i, j] = best
-            D[j, i] = best
-    return D
-
-
-def _shatter_scan_src(masks, counts, valid, max_combos):
-    # masks: (total_candidates, n_words) uint64 bitmask over members for each
-    # per-pair threshold candidate (candidates of pair i occupy the slice
-    # [offsets[i], offsets[i] + counts[i])); counts: per-pair candidate counts;
-    # valid: (n_words,) mask of real member bits (complements must not leak
-    # phantom high bits). Odometer search over threshold combos; a combo
-    # shatters when all 2^p sign-pattern cells are non-empty. Returns
-    # (status, chosen candidate index per pair); status 1 found, 0 not found,
-    # -1 budget exceeded.
-    p = counts.shape[0]
-    n_words = valid.shape[0]
-    offsets = np.zeros(p, dtype=np.int64)
-    acc = 0
-    for i in range(p):
-        offsets[i] = acc
-        acc += counts[i]
-    choice = np.zeros(p, dtype=np.int64)
-    n_cells = 1 << p
-    tried = 0
-    while True:
-        tried += 1
-        if tried > max_combos:
-            return -1, choice
-        ok = True
-        for cell in range(n_cells):
-            empty = True
-            for w in range(n_words):
-                inter = valid[w]
-                for i in range(p):
-                    mask = masks[offsets[i] + choice[i], w]
-                    if (cell >> i) & 1:
-                        inter &= mask
-                    else:
-                        inter &= ~mask
-                if inter != np.uint64(0):
-                    empty = False
-                    break
-            if empty:
-                ok = False
-                break
-        if ok:
-            return 1, choice
-        # advance odometer
-        pos = 0
-        while pos < p:
-            choice[pos] += 1
-            if choice[pos] < counts[pos]:
-                break
-            choice[pos] = 0
-            pos += 1
-        if pos == p:
-            return 0, choice
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy builds.
+# Gram and cross-Gram builders.
 # ---------------------------------------------------------------------------
 
 
@@ -268,34 +45,34 @@ def _mirror_upper(G):
     return G
 
 
-def _rbf_gram_np(X, bandwidth):
+def rbf_gram(X, bandwidth):
     d2 = _sq_dists(X, X)
     G = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
     np.fill_diagonal(G, 1.0)
     return _mirror_upper(G)
 
 
-def _rbf_cross_np(X, Z, bandwidth):
+def rbf_cross(X, Z, bandwidth):
     return np.exp(-_sq_dists(X, Z) / (2.0 * bandwidth * bandwidth))
 
 
-def _linear_gram_np(X, scale):
+def linear_gram(X, scale):
     return _mirror_upper(scale * (X @ X.T))
 
 
-def _linear_cross_np(X, Z, scale):
+def linear_cross(X, Z, scale):
     return scale * (X @ Z.T)
 
 
-def _poly_gram_np(X, scale, coef0, degree):
+def poly_gram(X, scale, coef0, degree):
     return _mirror_upper((scale * (X @ X.T) + coef0) ** degree)
 
 
-def _poly_cross_np(X, Z, scale, coef0, degree):
+def poly_cross(X, Z, scale, coef0, degree):
     return (scale * (X @ Z.T) + coef0) ** degree
 
 
-def _metric_gram_np(X, M):
+def metric_gram(X, M):
     diff = X[:, None, :] - X[None, :, :]
     q = np.einsum("ijk,kl,ijl->ij", diff, M, diff)
     G = np.exp(-0.5 * q)
@@ -303,14 +80,14 @@ def _metric_gram_np(X, M):
     return _mirror_upper(G)
 
 
-def _metric_cross_np(X, Z, M):
+def metric_cross(X, Z, M):
     diff = X[:, None, :] - Z[None, :, :]
     q = np.einsum("ijk,kl,ijl->ij", diff, M, diff)
     return np.exp(-0.5 * q)
 
 
 # ---------------------------------------------------------------------------
-# Hinge solver (numpy only).
+# Hinge solver.
 #
 # Projected subgradient descent on
 #   f(a) = (1/m) sum_j max(0, 1 - y_j (K a)_j / gamma)
@@ -489,7 +266,8 @@ def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol, step0):
     return alpha, obj, iters, converged
 
 
-def _chebyshev_pdist_np(V):
+def chebyshev_pdist(V):
+    """(n, n) matrix of sup-norm distances max_t |V[i, t] - V[j, t]|."""
     n = V.shape[0]
     D = np.zeros((n, n))
     # chunk the broadcast so candidate sets of a few thousand stay in cache
@@ -500,7 +278,21 @@ def _chebyshev_pdist_np(V):
     return D
 
 
-def _shatter_scan_np(masks, counts, valid, max_combos):
+def shatter_scan(masks, counts, valid, max_combos):
+    """Search threshold combinations for one that shatters the members.
+
+    ``counts[i]`` is the number of threshold candidates of pair i, and rows
+    ``offsets[i] .. offsets[i] + counts[i]`` of ``masks`` (uint64, one column
+    per 64 members) mark the members above each candidate. ``valid`` marks
+    the real member bits, so complements leak no phantom high bits. A combo
+    shatters when all 2^p sign-pattern cells are non-empty. Combos are taken
+    in odometer order, pair 0's index moving fastest, and the first hit wins.
+
+    Returns (status, chosen candidate index per pair): status 1 found, 0 not
+    found, -1 over budget. The budget rule: the search gives up (-1) whenever
+    the product of ``counts`` exceeds ``max_combos``, before testing any
+    combo, even if an early combo would shatter.
+    """
     p = counts.shape[0]
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
     total = int(np.prod(counts.astype(np.float64)))
@@ -508,7 +300,7 @@ def _shatter_scan_np(masks, counts, valid, max_combos):
         return -1, np.zeros(p, dtype=np.int64)
     n_cells = 1 << p
     combo_ids = np.arange(total, dtype=np.int64)
-    # mixed-radix digits, least-significant pair first (matches the odometer)
+    # mixed-radix digits, least-significant pair first
     digits = np.empty((total, p), dtype=np.int64)
     rem = combo_ids
     for i in range(p):
@@ -527,36 +319,4 @@ def _shatter_scan_np(masks, counts, valid, max_combos):
         ok &= nonempty
         if not ok.any():
             return 0, np.zeros(p, dtype=np.int64)
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        return 0, np.zeros(p, dtype=np.int64)
-    return 1, digits[hits[0]].copy()
-
-
-# ---------------------------------------------------------------------------
-# Path selection.
-# ---------------------------------------------------------------------------
-
-_SOURCES = {
-    "rbf_gram": (_rbf_gram_src, _rbf_gram_np),
-    "rbf_cross": (_rbf_cross_src, _rbf_cross_np),
-    "linear_gram": (_linear_gram_src, _linear_gram_np),
-    "linear_cross": (_linear_cross_src, _linear_cross_np),
-    "poly_gram": (_poly_gram_src, _poly_gram_np),
-    "poly_cross": (_poly_cross_src, _poly_cross_np),
-    "metric_gram": (_metric_gram_src, _metric_gram_np),
-    "metric_cross": (_metric_cross_src, _metric_cross_np),
-    "chebyshev_pdist": (_chebyshev_pdist_src, _chebyshev_pdist_np),
-    "shatter_scan": (_shatter_scan_src, _shatter_scan_np),
-}
-
-_IMPLS: dict[str, dict[str, object]] = {}
-for _name, (_src, _np_impl) in _SOURCES.items():
-    _nb_impl = _njit(cache=True)(_src) if NUMBA_ENABLED else None
-    _IMPLS[_name] = {"numba": _nb_impl, "numpy": _np_impl}
-    globals()[_name] = _nb_impl if NUMBA_ENABLED else _np_impl
-
-
-def implementations(name: str) -> dict[str, object]:
-    """Both builds of a kernel, keyed 'numba'/'numpy' (numba may be None)."""
-    return dict(_IMPLS[name])
+    return 1, digits[ok.argmax()].copy()

@@ -130,8 +130,9 @@ def is_shattered(instance: ShatterInstance,
                  max_combos: int = 200_000) -> tuple[bool, Optional[ShatterWitness]]:
     """Search for thresholds realizing all 2^p sign patterns.
 
-    Raises BudgetError when the threshold-combination search would exceed
-    ``max_combos`` (never silently returns False in that case).
+    Raises BudgetError whenever the product of the per-pair threshold
+    candidate counts exceeds ``max_combos``, even if an early combination
+    would shatter; the search never silently returns False in that case.
     """
     p = instance.n_pairs
     if p > MAX_SHATTER_PAIRS:

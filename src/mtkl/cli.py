@@ -28,7 +28,7 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
                        pseudodim_lower_bound)
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
-from .errors import BudgetError, InputError, NumericError
+from .errors import BudgetError, InputError, NumericError, require_keys
 from .kernels import load_family, pd_upper_bound
 from .margin import MarginParams
 
@@ -244,11 +244,7 @@ def _load_experiment_config(path: str) -> dict:
         raise InputError(f"cannot read experiment config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"experiment config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InputError("experiment config must be a JSON object")
-    unknown = set(config) - _EXPERIMENT_KEYS
-    if unknown:
-        raise InputError(f"unknown key {sorted(unknown)[0]!r} in experiment config")
+    require_keys(config, _EXPERIMENT_KEYS, "experiment config")
     for key in ("mode", "environment"):
         if key not in config:
             raise InputError(f"experiment config requires {key!r}")

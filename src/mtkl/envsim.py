@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import BoundInputs, multitask_epsilon
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_keys
 from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
@@ -305,6 +305,25 @@ def _avg_error(scores, margin):
     return float(np.mean([np.mean(s < margin) for s in scores]))
 
 
+def avg_true_error(solution: MultiTaskSolution, distributions: Sequence,
+                   gamma: float, mc_samples: int, seed) -> float:
+    """Mean over tasks of the Monte Carlo margin error at ``gamma``.
+
+    Per-task sample streams are spawned from ``seed`` exactly as in
+    ``run_trial``, so a trial's Monte Carlo seed reproduces its ``er`` and
+    ``er_2gamma``, and calls with the same int seed and different margins
+    share the exact same draws. Spawning advances a ``SeedSequence``, so
+    repeating draws from one takes a fresh copy per call.
+    """
+    if len(distributions) != len(solution.predictors):
+        raise InputError(
+            f"{len(distributions)} distributions for {len(solution.predictors)} tasks")
+    if mc_samples < 1:
+        raise InputError("mc_samples must be >= 1")
+    mc_data = _mc_datasets(distributions, mc_samples, seed)
+    return _avg_error(_mc_scores(solution.predictors, mc_data), gamma)
+
+
 def searched_family_bound(family: KernelFamily) -> float:
     """Kernel bound B over the family as searched by the ERM grid."""
     if family.variant in ("convex_combo", "sparse_combo"):
@@ -438,20 +457,14 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-
-
 def environment_from_dict(spec: dict) -> TaskEnvironment:
-    _require_keys(spec, {"dictionary", "input_law", "clusters"}, "environment spec")
+    require_keys(spec, {"dictionary", "input_law", "clusters"}, "environment spec")
     for key in ("dictionary", "input_law", "clusters"):
         if key not in spec:
             raise InputError(f"environment spec requires {key!r}")
-    law_spec = dict(spec["input_law"])
-    _require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
-                             "weights"}, "input_law spec")
+    law_spec = spec["input_law"]
+    require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
+                            "weights"}, "input_law spec")
     law = InputLaw(
         kind=law_spec.get("kind", "uniform_cube"), dim=law_spec["dim"],
         low=law_spec.get("low", -1.0), high=law_spec.get("high", 1.0),
@@ -459,8 +472,8 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
         weights=law_spec.get("weights"))
     clusters = []
     for c in spec["clusters"]:
-        _require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
-                          "flip_rate", "balance_slack"}, "cluster spec")
+        require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
+                         "flip_rate", "balance_slack"}, "cluster spec")
         clusters.append(TaskCluster(
             weight=c.get("weight", 1.0), kernel_index=c["kernel_index"],
             n_anchors=c.get("n_anchors", 6), margin_gap=c.get("margin_gap", 0.25),

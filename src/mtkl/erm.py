@@ -26,8 +26,7 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .kernels import Kernel, KernelFamily, instantiate
 from .margin import MarginParams, Predictor, TaskData, empirical_margin_error, \
-    fit_single_task, fit_stack, true_margin_error
-from .seeding import as_seed_sequence
+    fit_single_task, fit_stack
 
 LINEAR_COMBO_SCALES = (0.5, 1.0, 2.0)
 GAUSSIAN_AXIS_BOOST = 4.0
@@ -318,22 +317,6 @@ def erm_fit(family: KernelFamily, sample: MultiTaskSample, params: MarginParams,
     task ordering up to the ordering of ``predictors``.
     """
     return erm_search(family, sample, params, budget)[0]
-
-
-def avg_true_error(solution: MultiTaskSolution, distributions: Sequence,
-                   gamma: float, mc_samples: int, seed) -> float:
-    """Mean over tasks of the Monte Carlo margin error at ``gamma``.
-
-    Per-task sample streams are spawned from ``seed``, so calls with the
-    same seed and different margins share the exact same draws.
-    """
-    if len(distributions) != len(solution.predictors):
-        raise InputError(
-            f"{len(distributions)} distributions for {len(solution.predictors)} tasks")
-    streams = as_seed_sequence(seed).spawn(len(distributions))
-    errs = [true_margin_error(p, d, gamma, mc_samples, s)
-            for p, d, s in zip(solution.predictors, distributions, streams)]
-    return float(np.mean(errs))
 
 
 def load_multitask_sample(path) -> MultiTaskSample:

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_keys
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
@@ -206,25 +206,9 @@ def custom_kernel(func: Callable[[np.ndarray, np.ndarray], float], bound_b: floa
     return Kernel(terms=((1.0, base),), bound_b=float(bound_b))
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    entries: np.ndarray
-    source_sample: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-def gram(kernel: Kernel, sample) -> GramMatrix:
+def gram(kernel: Kernel, sample) -> np.ndarray:
     """Gram matrix of ``kernel`` on ``sample``; symmetric by construction."""
-    X = as_points(sample)
-    return GramMatrix(entries=kernel.gram(X), source_sample=X)
+    return kernel.gram(sample)
 
 
 def min_eigenvalue(G) -> float:
@@ -360,32 +344,26 @@ def pd_upper_bound(family: KernelFamily) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-
-
 def kernel_from_dict(spec: dict) -> Kernel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("kernel spec must be an object with a 'type' key")
     kind = spec["type"]
     if kind == "rbf":
-        _require_keys(spec, {"type", "bandwidth", "dims"}, "rbf kernel spec")
+        require_keys(spec, {"type", "bandwidth", "dims"}, "rbf kernel spec")
         return rbf_kernel(spec.get("bandwidth", 1.0), spec.get("dims"))
     if kind == "linear":
-        _require_keys(spec, {"type", "scale", "dims", "bound"}, "linear kernel spec")
+        require_keys(spec, {"type", "scale", "dims", "bound"}, "linear kernel spec")
         return linear_kernel(spec.get("dims"), spec.get("scale", 1.0), spec.get("bound", 1.0))
     if kind == "poly":
-        _require_keys(spec, {"type", "degree", "scale", "coef0", "dims", "bound"},
-                      "poly kernel spec")
+        require_keys(spec, {"type", "degree", "scale", "coef0", "dims", "bound"},
+                     "poly kernel spec")
         return poly_kernel(spec.get("degree", 2), spec.get("scale", 1.0),
                            spec.get("coef0", 0.0), spec.get("dims"), spec.get("bound", 1.0))
     if kind == "gaussian_metric":
-        _require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec")
+        require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec")
         return gaussian_metric_kernel(spec["metric"])
     if kind == "combo":
-        _require_keys(spec, {"type", "terms"}, "combo kernel spec")
+        require_keys(spec, {"type", "terms"}, "combo kernel spec")
         parts = [(float(w), kernel_from_dict(inner)) for w, inner in spec["terms"]]
         terms = []
         bound = 0.0
@@ -421,8 +399,8 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 
 
 def family_from_dict(spec: dict) -> KernelFamily:
-    _require_keys(spec, {"variant", "dictionary", "sparsity", "dimension", "max_rank"},
-                  "family spec")
+    require_keys(spec, {"variant", "dictionary", "sparsity", "dimension", "max_rank"},
+                 "family spec")
     if "variant" not in spec:
         raise InputError("family spec requires 'variant'")
     dictionary = tuple(kernel_from_dict(k) for k in spec.get("dictionary", []))

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: bound formulas are
 re-evaluated term by term in mpmath arbitrary precision, covers are found by
-exhaustive subset search, shattering by naive pattern enumeration, and tiny
-fits by dense grids over the dual coefficients. The scalar hinge solver is
+exhaustive subset search, shattering by naive pattern enumeration (and the
+packed threshold scan by a brute-force scan over Python integer sets), and
+tiny fits by dense grids over the dual coefficients. The scalar hinge solver is
 the one-problem, one-trial-step-at-a-time loop that the vectorised solver in
 ``mtkl._accel`` must reproduce bit for bit.
 """
@@ -120,6 +121,29 @@ def shattered_naive(V: np.ndarray) -> bool:
         if len(patterns) == 2 ** p:
             return True
     return False
+
+
+def shatter_scan_reference(masks, counts, valid, max_combos):
+    """Brute-force threshold-combination scan with the contract of
+    ``mtkl._accel.shatter_scan``: member sets as Python integers, combos in
+    odometer order (pair 0 fastest), status -1 when the grid exceeds the
+    budget, else 1 with the first shattering combo or 0."""
+    p = len(counts)
+    if math.prod(int(c) for c in counts) > max_combos:
+        return -1, None
+    sets = [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in masks]
+    members = sum(int(w) << (64 * k) for k, w in enumerate(valid))
+    offsets = [sum(int(c) for c in counts[:i]) for i in range(p)]
+    for combo in itertools.product(*(range(int(c)) for c in reversed(counts))):
+        choice = combo[::-1]
+        above = [sets[offsets[i] + choice[i]] for i in range(p)]
+        cells = [members] * 2 ** p
+        for cell in range(2 ** p):
+            for i in range(p):
+                cells[cell] &= above[i] if (cell >> i) & 1 else ~above[i]
+        if all(cells):
+            return 1, list(choice)
+    return 0, None
 
 
 def _ball_grid(dim: int, steps: int) -> np.ndarray:

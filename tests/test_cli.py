@@ -104,6 +104,14 @@ class TestLearnCommand:
                    "--out-dir", str(tmp_path / "o")])
         assert rc != 0
 
+    def test_non_object_family_file_exit2(self, data_file, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(["variant"]))
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
+
 
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
@@ -173,6 +181,20 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "trils" in err and "error-category: input" in err
+
+    @pytest.mark.parametrize("key,value", [("input_law", 3), ("clusters", [5])])
+    def test_non_object_environment_part_exit2(self, tmp_path, capsys, key,
+                                               value):
+        cfg_path = self._config(tmp_path, "sandwich", n=2, m=12)
+        with open(cfg_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        config["environment"][key] = value
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        rc = main(["experiment", "--config", cfg_path,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg = self._config(tmp_path, "sandwich", n=2, m=10)

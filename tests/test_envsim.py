@@ -198,6 +198,19 @@ class TestTrials:
                          budget=SearchBudget(grid_resolution=2))
         assert outcome.guarantee.er_2gamma_best == grid.guarantee.er_2gamma_best
 
+    def test_avg_true_error_reproduces_trial_risks(self):
+        from mtkl import avg_true_error
+        from mtkl.seeding import as_seed_sequence
+        dists = sample_lifelong(self.env, 2, seed=88)
+        outcome = run_trial(dists, self.family, n=2, m=16, gamma=0.1,
+                            delta=0.05, seed=89, mc_samples=2_000,
+                            evaluate_guarantee=False)
+        for margin, expected in ((0.0, outcome.report.er),
+                                 (2 * 0.1, outcome.report.er_2gamma)):
+            ss_mc = as_seed_sequence(89).spawn(3)[2]
+            assert avg_true_error(outcome.solution, dists, margin, 2_000,
+                                  ss_mc) == expected
+
     def test_distribution_list_source(self):
         dists = sample_lifelong(self.env, 2, seed=82)
         report = run_sandwich_trial(dists, self.family, n=2, m=12, gamma=0.1,

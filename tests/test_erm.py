@@ -298,6 +298,8 @@ class TestAvgTrueError:
         sol = self._planted_solution(env, dists, 0.1)
         with pytest.raises(InputError):
             avg_true_error(sol, dists[:1], 0.0, 100, seed=0)
+        with pytest.raises(InputError):
+            avg_true_error(sol, dists, 0.0, 0, seed=0)
 
 
 class TestDataFiles:

@@ -32,16 +32,16 @@ class TestGram:
     def test_linear_orthonormal_points(self):
         k = linear_kernel(bound_b=1.0)
         G = gram(k, [(1.0, 0.0), (0.0, 1.0)])
-        np.testing.assert_array_equal(G.entries, np.eye(2))
+        np.testing.assert_array_equal(G, np.eye(2))
 
     def test_rbf_duplicate_point(self):
         k = rbf_kernel(1.0)
         G = gram(k, [(0.3, -0.2), (0.3, -0.2)])
-        np.testing.assert_allclose(G.entries, np.ones((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(G, np.ones((2, 2)), atol=1e-15)
 
     def test_rbf_scalar_points(self):
         G = gram(rbf_kernel(1.0), [(0.0,), (2.0,)])
-        assert G.entries[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert G[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
