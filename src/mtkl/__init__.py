@@ -9,9 +9,9 @@ behavior on seeded synthetic task environments.
 from .errors import BudgetError, InputError, NumericError
 from .kernels import (BaseKernel, Kernel, KernelFamily,
                       check_kernel_invariants, custom_kernel, gaussian_metric_kernel,
-                      gram, instantiate, kernel_from_dict, kernel_to_dict,
-                      linear_kernel, load_family, min_eigenvalue, pd_upper_bound,
-                      poly_kernel, psd_defect, rbf_kernel)
+                      instantiate, kernel_from_dict, kernel_to_dict, linear_kernel,
+                      load_family, min_eigenvalue, pd_upper_bound, poly_kernel,
+                      psd_defect, rbf_kernel)
 from .margin import (MarginParams, Predictor, TaskData, empirical_margin_error,
                      fit_single_task, true_margin_error)
 from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,

@@ -1,9 +1,9 @@
-"""Hot numeric kernels, in numpy: the Gram and cross-Gram builders, the hinge
-solver (``hinge_pgd`` and its stacked form ``hinge_pgd_batch``), pairwise
-sup-distances and the shattering scan. Gram builders mirror the upper
-triangle, so symmetry is exact. Everything here is deterministic for a fixed
-input; ``tests/test_accel.py`` checks each function against an independent
-oracle.
+"""Hot numeric kernels, in numpy: the cross-Gram builders, the hinge solver
+(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``), pairwise
+sup-distances and the shattering scan. A Gram is a cross-Gram of one array
+with itself (see ``BaseKernel.gram``). Everything here is deterministic for a
+fixed input; ``tests/test_accel.py`` checks each function against an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -11,13 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rbf_gram",
     "rbf_cross",
-    "linear_gram",
     "linear_cross",
-    "poly_gram",
     "poly_cross",
-    "metric_gram",
     "metric_cross",
     "hinge_pgd",
     "hinge_pgd_batch",
@@ -27,7 +23,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Gram and cross-Gram builders.
+# Cross-Gram builders.
 # ---------------------------------------------------------------------------
 
 
@@ -39,45 +35,16 @@ def _sq_dists(X, Z):
     return d2
 
 
-def _mirror_upper(G):
-    iu = np.triu_indices(G.shape[0], k=1)
-    G[(iu[1], iu[0])] = G[iu]
-    return G
-
-
-def rbf_gram(X, bandwidth):
-    d2 = _sq_dists(X, X)
-    G = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    np.fill_diagonal(G, 1.0)
-    return _mirror_upper(G)
-
-
 def rbf_cross(X, Z, bandwidth):
     return np.exp(-_sq_dists(X, Z) / (2.0 * bandwidth * bandwidth))
-
-
-def linear_gram(X, scale):
-    return _mirror_upper(scale * (X @ X.T))
 
 
 def linear_cross(X, Z, scale):
     return scale * (X @ Z.T)
 
 
-def poly_gram(X, scale, coef0, degree):
-    return _mirror_upper((scale * (X @ X.T) + coef0) ** degree)
-
-
 def poly_cross(X, Z, scale, coef0, degree):
     return (scale * (X @ Z.T) + coef0) ** degree
-
-
-def metric_gram(X, M):
-    diff = X[:, None, :] - X[None, :, :]
-    q = np.einsum("ijk,kl,ijl->ij", diff, M, diff)
-    G = np.exp(-0.5 * q)
-    np.fill_diagonal(G, 1.0)
-    return _mirror_upper(G)
 
 
 def metric_cross(X, Z, M):
@@ -92,7 +59,7 @@ def metric_cross(X, Z, M):
 # Projected subgradient descent on
 #   f(a) = (1/m) sum_j max(0, 1 - y_j (K a)_j / gamma)
 # over the RKHS unit ball a^T K a <= 1, with monotone backtracking: each
-# iteration takes the first step step0 * 2^-k, k < MAX_HALVINGS, whose
+# iteration takes the first step 2^-k, k < MAX_HALVINGS, whose
 # projected candidate does not raise f. Candidate steps reuse v = K a and K g,
 # so a trial is O(m), and HALVING_BLOCK trials run in one vectorised pass.
 # Halving is exact in binary floating point, so trial k is the step after k
@@ -122,12 +89,12 @@ def _hinge(y, v, gamma):
     return np.add.reduce(h, axis=-1) / h.shape[-1]
 
 
-def _trials(start, step0, y, v, Kg, aKa, gKa, gKg, gamma):
+def _trials(start, y, v, Kg, aKa, gKa, gKg, gamma):
     """The block of trial steps from halving ``start``, for one problem
     (aKa, gKa, gKg scalars; y, v, Kg of shape (m,)) or a stack of them (one
     leading axis more). Returns steps (s,) and, per problem, q and scale
     (s,), candidate v (s, m) and candidate objective (s,)."""
-    steps = step0 * _HALVINGS[start:start + HALVING_BLOCK]
+    steps = _HALVINGS[start:start + HALVING_BLOCK]
     q = aKa[..., None] - 2.0 * steps * gKa[..., None]
     q += steps * steps * gKg[..., None]
     np.maximum(q, 0.0, out=q)
@@ -138,7 +105,7 @@ def _trials(start, step0, y, v, Kg, aKa, gKa, gKg, gamma):
     return steps, q, scale, v_cand, _hinge(y[..., None, :], v_cand, gamma)
 
 
-def hinge_pgd(K, y, gamma, alpha0, max_iters, tol, step0):
+def hinge_pgd(K, y, gamma, alpha0, max_iters, tol):
     """Minimise the hinge objective above from ``alpha0`` for one (m, m) K.
 
     Stops converged when no sample is inside the margin, no trial step
@@ -160,8 +127,8 @@ def hinge_pgd(K, y, gamma, alpha0, max_iters, tol, step0):
         Kg = K @ g
         gKa, gKg = g @ v, g @ Kg
         for start in range(0, MAX_HALVINGS, HALVING_BLOCK):
-            steps, q, scale, v_cand, cand = _trials(start, step0, y, v, Kg, aKa,
-                                                    gKa, gKg, gamma)
+            steps, q, scale, v_cand, cand = _trials(start, y, v, Kg, aKa, gKa,
+                                                    gKg, gamma)
             k = int((cand <= obj).argmax())
             if cand[k] <= obj:
                 break
@@ -178,12 +145,12 @@ def hinge_pgd(K, y, gamma, alpha0, max_iters, tol, step0):
     return alpha, float(obj), it, converged
 
 
-def _first_improving(start, step0, y, v, Kg, aKa, gKa, gKg, obj, gamma):
+def _first_improving(start, y, v, Kg, aKa, gKa, gKg, obj, gamma):
     """Per stacked problem: whether a trial step of the block from halving
     ``start`` does not raise the objective, and for the first such step the
     step, scale, new aKa, candidate v and candidate objective."""
-    steps, q, scale, v_cand, cand = _trials(start, step0, y, v, Kg, aKa, gKa,
-                                            gKg, gamma)
+    steps, q, scale, v_cand, cand = _trials(start, y, v, Kg, aKa, gKa, gKg,
+                                            gamma)
     ok = cand <= obj[:, None]
     first = ok.argmax(axis=1)
     rows = np.arange(len(first))
@@ -193,16 +160,16 @@ def _first_improving(start, step0, y, v, Kg, aKa, gKa, gKg, obj, gamma):
             cand[rows, first])
 
 
-def _line_search(step0, y, v, Kg, aKa, gKa, gKg, obj, gamma):
+def _line_search(y, v, Kg, aKa, gKa, gKg, obj, gamma):
     """``_first_improving`` over every block of trial steps, each block on
     the problems that no earlier block settled. Values are meaningless where
     the first returned array (found) is False."""
-    found, *out = _first_improving(0, step0, y, v, Kg, aKa, gKa, gKg, obj, gamma)
+    found, *out = _first_improving(0, y, v, Kg, aKa, gKa, gKg, obj, gamma)
     todo = np.flatnonzero(~found)
     for start in range(HALVING_BLOCK, MAX_HALVINGS, HALVING_BLOCK):
         if todo.size == 0:
             break
-        hit, *picked = _first_improving(start, step0, y[todo], v[todo], Kg[todo],
+        hit, *picked = _first_improving(start, y[todo], v[todo], Kg[todo],
                                         aKa[todo], gKa[todo], gKg[todo],
                                         obj[todo], gamma)
         found[todo] = hit
@@ -220,7 +187,7 @@ def _rowdot(x, z):
     return np.matmul(x[:, None, :], z[:, :, None])[:, 0, 0]
 
 
-def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol, step0):
+def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol):
     """``hinge_pgd`` on a stack of problems in lockstep: K is (B, m, m), y
     and alpha0 are (B, m). A problem leaves the working stack when it stops.
     Returns alpha (B, m), objective (B,), iterations (B,) and converged (B,),
@@ -241,7 +208,7 @@ def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol, step0):
         g = _matvec(K, -(y * active) / (m * gamma))
         Kg = _matvec(K, g)
         found, step, scale, aKa_new, v_new, f_new = _line_search(
-            step0, y, v, Kg, aKa, _rowdot(g, v), _rowdot(g, Kg), f, gamma)
+            y, v, Kg, aKa, _rowdot(g, v), _rowdot(g, Kg), f, gamma)
         moved = found & active.any(axis=1)
         gain = f - f_new
         a_new = scale[:, None] * (a - step[:, None] * g)

@@ -11,9 +11,9 @@ Two complementary tools:
   the max-min mean-deviation distance between kernels), with an exhaustive
   validity post-check.
 
-Thresholds for shattering are restricted to midpoints of consecutive
-distinct kernel values per pair: sign patterns only change at the values
-themselves, so midpoints lose nothing.
+Thresholds for shattering are restricted to midpoints between consecutive
+clusters (``TIE_RTOL``) of kernel values per pair: sign patterns only change
+at the values themselves, so midpoints lose nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .errors import BudgetError, InputError
 from .kernels import Kernel, as_points
 
 MAX_SHATTER_PAIRS = 20
+# Sorted values of one pair that differ by at most TIE_RTOL * max(1, |v|) are
+# one value: for a coincident pair (x, x), RBF members give K(x, x) = 1 only up
+# to rounding, and a threshold between 1 and 1 - ulp would shatter on noise.
+TIE_RTOL = 1e-12
 METRICS = ("predictor_sup", "kernel_sup", "kernel_mean_dev")
 
 
@@ -44,7 +48,7 @@ class ShatterInstance:
     """Point pairs plus a finite list of family members to shatter with.
 
     ``thresholds`` fixes the thresholds when present; otherwise they are
-    searched over per-pair value midpoints.
+    searched over the midpoints between each pair's value clusters.
     """
 
     pairs: np.ndarray  # (p, 2, dim)
@@ -130,6 +134,8 @@ def is_shattered(instance: ShatterInstance,
                  max_combos: int = 200_000) -> tuple[bool, Optional[ShatterWitness]]:
     """Search for thresholds realizing all 2^p sign patterns.
 
+    Candidate thresholds lie between clusters of each pair's values (see
+    ``TIE_RTOL``), never between values that differ only by rounding.
     Raises BudgetError whenever the product of the per-pair threshold
     candidate counts exceeds ``max_combos``, even if an early combination
     would shatter; the search never silently returns False in that case.
@@ -145,10 +151,12 @@ def is_shattered(instance: ShatterInstance,
         return False, None
     threshold_lists = []
     for i in range(p):
-        distinct = np.unique(V[:, i])
-        if len(distinct) < 2:
+        v = np.unique(V[:, i])
+        size = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        split = np.diff(v) > TIE_RTOL * size
+        if not split.any():
             return False, None
-        threshold_lists.append((distinct[1:] + distinct[:-1]) / 2.0)
+        threshold_lists.append((v[:-1][split] + v[1:][split]) / 2.0)
     masks, counts, valid = _pack_masks(V, threshold_lists)
     status, choice = _accel.shatter_scan(masks, counts, valid, max_combos)
     if status == -1:

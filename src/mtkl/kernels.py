@@ -102,25 +102,7 @@ class BaseKernel:
             return X
         return np.ascontiguousarray(X[:, list(self.dims)])
 
-    def gram(self, X: np.ndarray) -> np.ndarray:
-        Xs = self._select(X)
-        if self.kind == "rbf":
-            return _accel.rbf_gram(Xs, self.bandwidth)
-        if self.kind == "linear":
-            return _accel.linear_gram(Xs, self.scale)
-        if self.kind == "poly":
-            return _accel.poly_gram(Xs, self.scale, self.coef0, self.degree)
-        if self.kind == "gaussian_metric":
-            return _accel.metric_gram(Xs, self.metric)
-        m = Xs.shape[0]
-        G = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                G[i, j] = G[j, i] = float(self.func(Xs[i], Xs[j]))
-        return G
-
-    def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        Xs, Zs = self._select(X), self._select(Z)
+    def _values(self, Xs: np.ndarray, Zs: np.ndarray) -> np.ndarray:
         if self.kind == "rbf":
             return _accel.rbf_cross(Xs, Zs, self.bandwidth)
         if self.kind == "linear":
@@ -134,6 +116,26 @@ class BaseKernel:
             for j in range(Zs.shape[0]):
                 G[i, j] = float(self.func(Xs[i], Zs[j]))
         return G
+
+    def gram(self, X: np.ndarray) -> np.ndarray:
+        # Select once and pass that one array twice: numpy computes X @ X.T on
+        # one buffer as a symmetric rank-k update, so the Gram is exactly
+        # symmetric (two selected copies would take a general product).
+        Xs = self._select(X)
+        if self.kind == "custom":  # half the calls, symmetric whatever func does
+            m = Xs.shape[0]
+            G = np.empty((m, m))
+            for i in range(m):
+                for j in range(i, m):
+                    G[i, j] = G[j, i] = float(self.func(Xs[i], Xs[j]))
+            return G
+        G = self._values(Xs, Xs)
+        if self.kind in ("rbf", "gaussian_metric"):
+            np.fill_diagonal(G, 1.0)
+        return G
+
+    def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        return self._values(self._select(X), self._select(Z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +206,6 @@ def gaussian_metric_kernel(metric) -> Kernel:
 def custom_kernel(func: Callable[[np.ndarray, np.ndarray], float], bound_b: float) -> Kernel:
     base = BaseKernel(kind="custom", func=func, bound_b=float(bound_b))
     return Kernel(terms=((1.0, base),), bound_b=float(bound_b))
-
-
-def gram(kernel: Kernel, sample) -> np.ndarray:
-    """Gram matrix of ``kernel`` on ``sample``; symmetric by construction."""
-    return kernel.gram(sample)
 
 
 def min_eigenvalue(G) -> float:

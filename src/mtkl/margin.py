@@ -55,7 +55,6 @@ class MarginParams:
 
     gamma: float
     max_iters: int = 2000
-    step_size: float = 1.0
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -63,8 +62,8 @@ class MarginParams:
             raise InputError("gamma must be positive")
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
-        if self.max_iters < 1 or self.step_size <= 0:
-            raise InputError("max_iters must be >= 1 and step_size positive")
+        if self.max_iters < 1:
+            raise InputError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +91,6 @@ def empirical_margin_error(predictor: Predictor, data: TaskData, gamma: float) -
     return float(np.mean(scores < gamma))
 
 
-def margin_error_from_scores(scores: np.ndarray, gamma: float) -> float:
-    return float(np.mean(scores < gamma))
-
-
 def _training_problem(kernel: Kernel, data: TaskData):
     """The PSD-checked training Gram and a feasible start for the solver."""
     G = kernel.gram(data.X)
@@ -114,8 +109,7 @@ def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Pre
     """
     G, alpha0 = _training_problem(kernel, data)
     alpha, _obj, _iters, converged = _accel.hinge_pgd(
-        G, data.y, params.gamma, alpha0, params.max_iters,
-        params.tolerance, params.step_size)
+        G, data.y, params.gamma, alpha0, params.max_iters, params.tolerance)
     return Predictor(alphas=alpha, support_sample=data.X, kernel=kernel,
                      converged=bool(converged))
 
@@ -131,8 +125,7 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
                           for kernel, task in problems))
     alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
         np.stack(grams), np.stack([task.y for _, task in problems]),
-        params.gamma, np.stack(starts), params.max_iters, params.tolerance,
-        params.step_size)
+        params.gamma, np.stack(starts), params.max_iters, params.tolerance)
     return [Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
                       converged=bool(ok))
             for (kernel, task), alpha, ok in zip(problems, alphas, converged)]
@@ -149,5 +142,4 @@ def true_margin_error(predictor: Predictor, distribution, gamma: float,
         raise InputError("mc_samples must be >= 1")
     rng = np.random.default_rng(seed)
     X, y = distribution.sample(mc_samples, rng)
-    scores = y * predictor.evaluate(X)
-    return margin_error_from_scores(scores, gamma)
+    return float(np.mean(y * predictor.evaluate(X) < gamma))

@@ -1,7 +1,10 @@
 """The numeric kernels in ``mtkl._accel`` against independent oracles:
-entry-wise textbook kernel formulas, brute-force sup-distances, a
-brute-force threshold scan, and the scalar hinge reference loop."""
+entry-wise textbook kernel formulas (through ``BaseKernel``, which builds
+Grams and cross-Grams from the ``_accel`` builders), brute-force
+sup-distances, a brute-force threshold scan, and the scalar hinge reference
+loop."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import hinge_pgd_reference, shatter_scan_reference
-from mtkl import _accel
+from mtkl import _accel, rbf_kernel
+from mtkl.kernels import BaseKernel
 
 
 def _dot(x, z):
@@ -27,13 +31,20 @@ RNG = np.random.default_rng(0)
 A = RNG.standard_normal((3, 3))
 M = A @ A.T + 0.1 * np.eye(3)  # a full symmetric positive definite metric
 
-# name -> (builder arguments after the points, textbook k(x, z))
+
+def _rbf(x, z):
+    return math.exp(-math.fsum((a - b) ** 2 for a, b in zip(x, z)) / (2 * 0.8 ** 2))
+
+
+# name -> (base kernel keywords, textbook k(x, z)); every kernel reads 3 coordinates
 KERNELS = {
-    "rbf": ((0.8,), lambda x, z: math.exp(
-        -math.fsum((a - b) ** 2 for a, b in zip(x, z)) / (2 * 0.8 ** 2))),
-    "linear": ((0.5,), lambda x, z: 0.5 * _dot(x, z)),
-    "poly": ((1.0, 0.5, 3), lambda x, z: (1.0 * _dot(x, z) + 0.5) ** 3),
-    "metric": ((M,), lambda x, z: math.exp(-0.5 * _metric_form(x, z, M.tolist()))),
+    "rbf": (dict(kind="rbf", bandwidth=0.8), _rbf),
+    "linear": (dict(kind="linear", scale=0.5), lambda x, z: 0.5 * _dot(x, z)),
+    "poly": (dict(kind="poly", scale=1.0, coef0=0.5, degree=3),
+             lambda x, z: (1.0 * _dot(x, z) + 0.5) ** 3),
+    "metric": (dict(kind="gaussian_metric", metric=M),
+               lambda x, z: math.exp(-0.5 * _metric_form(x, z, M.tolist()))),
+    "custom": (dict(kind="custom", func=_rbf), _rbf),
 }
 
 
@@ -44,17 +55,32 @@ def textbook(entry, X, Z):
 @pytest.mark.parametrize("m,p", [(1, 1), (14, 9), (33, 5)])
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_gram_builders_match_textbook_formula(name, m, p):
-    args, entry = KERNELS[name]
+    keywords, entry = KERNELS[name]
     rng = np.random.default_rng(m)
     X, Z = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (p, 3))
-    G = getattr(_accel, f"{name}_gram")(X, *args)
-    # absolute slack for entries that are sums cancelling to near zero
-    np.testing.assert_allclose(G, textbook(entry, X, X), rtol=1e-12, atol=1e-14)
-    assert np.array_equal(G, G.T)
-    if name in ("rbf", "metric"):
-        assert np.all(np.diag(G) == 1.0)
-    cross = getattr(_accel, f"{name}_cross")(X, Z, *args)
-    np.testing.assert_allclose(cross, textbook(entry, X, Z), rtol=1e-12, atol=1e-14)
+    W = rng.uniform(-1, 1, (m, 5))
+    duplicated = np.vstack([X, X[-1:], X[:1]])
+    cases = [(BaseKernel(**keywords), X, X),
+             (BaseKernel(**keywords), duplicated, duplicated),
+             (BaseKernel(**keywords, dims=(4, 0, 2)), W, W[:, [4, 0, 2]])]
+    for base, points, selected in cases:
+        G = base.gram(points)
+        # absolute slack for entries that are sums cancelling to near zero
+        np.testing.assert_allclose(G, textbook(entry, selected, selected),
+                                   rtol=1e-12, atol=1e-14)
+        assert np.array_equal(G, G.T)
+        if name in ("rbf", "metric"):
+            assert np.all(np.diag(G) == 1.0)
+    base = BaseKernel(**keywords)
+    np.testing.assert_allclose(base.cross(X, Z), textbook(entry, X, Z),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_accel_exports_exactly_its_public_functions():
+    public = {name for name, value in vars(_accel).items()
+              if inspect.isfunction(value) and value.__module__ == _accel.__name__
+              and not name.startswith("_")}
+    assert sorted(_accel.__all__) == sorted(public)
 
 
 def hinge_problem(seed, m, max_iters, tol, n_problems=1):
@@ -66,9 +92,9 @@ def hinge_problem(seed, m, max_iters, tol, n_problems=1):
     y = np.where(rng.random((n_problems, m)) < 0.5, 1.0, -1.0)
     separable = rng.random(n_problems) < 0.5
     y[separable] = np.where(X[separable, :, 0] >= 0, 1.0, -1.0)
-    K = np.stack([_accel.rbf_gram(x, float(b))
+    K = np.stack([rbf_kernel(float(b)).gram(x)
                   for x, b in zip(X, rng.uniform(0.2, 2.0, n_problems))])
-    return K, y, y / m, (max_iters, tol, 1.0)
+    return K, y, y / m, (max_iters, tol)
 
 
 problem_sizes = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 64),
@@ -82,7 +108,7 @@ problem_sizes = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 64),
 def test_hinge_pgd_matches_reference(seed, m, gamma, max_iters, tol):
     K, y, a0, rest = hinge_problem(seed, m, max_iters, tol)
     alpha, obj, iters, converged = _accel.hinge_pgd(K[0], y[0], gamma, a0[0], *rest)
-    ref = hinge_pgd_reference(K[0], y[0], gamma, a0[0], *rest)
+    ref = hinge_pgd_reference(K[0], y[0], gamma, a0[0], *rest, 1.0)
     assert np.array_equal(alpha, ref[0])
     assert (obj, iters, converged) == ref[1:]
     assert type(obj) is float and type(iters) is int and type(converged) is bool
@@ -110,7 +136,7 @@ def test_stacked_solver_matches_reference(seed, m, gamma, max_iters, tol,
     K, y, a0, rest = hinge_problem(seed, m, max_iters, tol, n_problems)
     alpha, obj, iters, converged = _accel.hinge_pgd_batch(K, y, gamma, a0, *rest)
     for b in range(n_problems):
-        ref = hinge_pgd_reference(K[b], y[b], gamma, a0[b], *rest)
+        ref = hinge_pgd_reference(K[b], y[b], gamma, a0[b], *rest, 1.0)
         np.testing.assert_allclose(alpha[b], ref[0], rtol=0, atol=1e-12)
         assert abs(obj[b] - ref[1]) <= 1e-12
         assert (iters[b], converged[b]) == ref[2:]

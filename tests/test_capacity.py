@@ -61,6 +61,28 @@ class TestIsShattered:
                               thresholds=np.array([2.0, 0.5]))
         assert not is_shattered(bad)[0]
 
+    def test_values_apart_by_rounding_are_one_value(self):
+        two_ulps_below = 1.0 - 2.0 ** -52
+        inst = ShatterInstance(pairs=index_pairs(1),
+                               members=value_matrix_members([[1.0], [two_ulps_below]]))
+        assert is_shattered(inst) == (False, None)
+        inst = ShatterInstance(pairs=index_pairs(1),
+                               members=value_matrix_members([[1.0], [1.0 - 1e-9]]))
+        assert is_shattered(inst)[0]
+
+    def test_coincident_pair_not_shattered_by_rbf_rounding(self):
+        # K(x, x) = 1 for every rbf member, but exp(-(xx + zz - 2 x.z) / 2b^2)
+        # can land an ulp below 1
+        members = tuple(rbf_kernel(b) for b in (0.3, 0.7, 1.5, 3.0))
+        rng = np.random.default_rng(0)
+        noisy = 0
+        for _ in range(200):
+            x = rng.uniform(-1, 1, 2)
+            noisy += any(k(x, x) != 1.0 for k in members)
+            inst = ShatterInstance(pairs=np.array([[x, x]]), members=members)
+            assert is_shattered(inst) == (False, None)
+        assert noisy > 0
+
     def test_matches_naive_oracle_on_random_instances(self):
         rng = np.random.default_rng(12)
         agree = 0

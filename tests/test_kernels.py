@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtkl import (InputError, KernelFamily, NumericError, check_kernel_invariants,
-                  gram, instantiate, kernel_from_dict, kernel_to_dict,
-                  linear_kernel, min_eigenvalue, pd_upper_bound, poly_kernel,
-                  psd_defect, rbf_kernel)
+                  instantiate, kernel_from_dict, kernel_to_dict, linear_kernel,
+                  min_eigenvalue, pd_upper_bound, poly_kernel, psd_defect,
+                  rbf_kernel)
 from mtkl.kernels import family_from_dict, family_to_dict, gaussian_metric_kernel
 
 
@@ -31,25 +31,25 @@ def random_dictionary(rng, size, dim):
 class TestGram:
     def test_linear_orthonormal_points(self):
         k = linear_kernel(bound_b=1.0)
-        G = gram(k, [(1.0, 0.0), (0.0, 1.0)])
+        G = k.gram([(1.0, 0.0), (0.0, 1.0)])
         np.testing.assert_array_equal(G, np.eye(2))
 
     def test_rbf_duplicate_point(self):
         k = rbf_kernel(1.0)
-        G = gram(k, [(0.3, -0.2), (0.3, -0.2)])
+        G = k.gram([(0.3, -0.2), (0.3, -0.2)])
         np.testing.assert_allclose(G, np.ones((2, 2)), atol=1e-15)
 
     def test_rbf_scalar_points(self):
-        G = gram(rbf_kernel(1.0), [(0.0,), (2.0,)])
+        G = rbf_kernel(1.0).gram([(0.0,), (2.0,)])
         assert G[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            gram(rbf_kernel(1.0), [[1.0, 2.0], [1.0]])
+            rbf_kernel(1.0).gram([[1.0, 2.0], [1.0]])
 
     def test_empty_sample(self):
         with pytest.raises(InputError):
-            gram(rbf_kernel(1.0), np.empty((0, 2)))
+            rbf_kernel(1.0).gram(np.empty((0, 2)))
 
     def test_exact_symmetry_and_determinism(self):
         rng = np.random.default_rng(5)

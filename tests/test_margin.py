@@ -112,7 +112,7 @@ class TestFitSingleTask:
         alpha0 = y / 16.0
         objs = []
         for iters in range(1, 25):
-            _, obj, _, _ = _accel.hinge_pgd(K, y, 0.2, alpha0, iters, 0.0, 1.0)
+            _, obj, _, _ = _accel.hinge_pgd(K, y, 0.2, alpha0, iters, 0.0)
             objs.append(obj)
         assert all(a >= b - 1e-15 for a, b in zip(objs, objs[1:]))
 
