@@ -245,15 +245,21 @@ def chebyshev_pdist(V):
     return D
 
 
-def shatter_scan(masks, counts, valid, max_combos):
+# Largest temporaries of one chunk of shatter_scan combos: the members' codes
+# (int64) and one presence row of 2^p cells per combo.
+SCAN_BYTES = 256 * 1024
+
+
+def shatter_scan(above, counts, max_combos):
     """Search threshold combinations for one that shatters the members.
 
     ``counts[i]`` is the number of threshold candidates of pair i, and rows
-    ``offsets[i] .. offsets[i] + counts[i]`` of ``masks`` (uint64, one column
-    per 64 members) mark the members above each candidate. ``valid`` marks
-    the real member bits, so complements leak no phantom high bits. A combo
-    shatters when all 2^p sign-pattern cells are non-empty. Combos are taken
-    in odometer order, pair 0's index moving fastest, and the first hit wins.
+    ``offsets[i] .. offsets[i] + counts[i]`` of the boolean ``above``
+    (one column per member) mark the members above each candidate. Under a
+    combo, a member's code has bit i set when it is above pair i's chosen
+    candidate; the combo shatters when all 2^p codes occur. Combos are taken
+    in odometer order, pair 0's index moving fastest, in chunks whose
+    temporaries stay under ``SCAN_BYTES``, and the first hit wins.
 
     Returns (status, chosen candidate index per pair): status 1 found, 0 not
     found, -1 over budget. The budget rule: the search gives up (-1) whenever
@@ -261,29 +267,23 @@ def shatter_scan(masks, counts, valid, max_combos):
     combo, even if an early combo would shatter.
     """
     p = counts.shape[0]
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
     total = int(np.prod(counts.astype(np.float64)))
     if total > max_combos:
         return -1, np.zeros(p, dtype=np.int64)
     n_cells = 1 << p
-    combo_ids = np.arange(total, dtype=np.int64)
-    # mixed-radix digits, least-significant pair first
-    digits = np.empty((total, p), dtype=np.int64)
-    rem = combo_ids
-    for i in range(p):
-        digits[:, i] = rem % counts[i]
-        rem = rem // counts[i]
-    ok = np.ones(total, dtype=bool)
-    for cell in range(n_cells):
-        inter = np.broadcast_to(valid, (total, valid.shape[0])).copy()
-        for i in range(p):
-            mask = masks[offsets[i] + digits[:, i]]
-            if (cell >> i) & 1:
-                inter &= mask
-            else:
-                inter &= ~mask
-        nonempty = (inter != 0).any(axis=1)
-        ok &= nonempty
-        if not ok.any():
-            return 0, np.zeros(p, dtype=np.int64)
-    return 1, digits[ok.argmax()].copy()
+    # bits[offsets[i] + c] is pair i's bit for candidate c, per member
+    bits = above.astype(np.int64) << np.repeat(np.arange(p), counts)[:, None]
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    chunk = max(1, SCAN_BYTES // (8 * above.shape[1] + n_cells))
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total))
+        # mixed-radix digits, least-significant pair first
+        digits = np.unravel_index(ids, counts, order="F")
+        codes = sum(bits[offsets[i] + d] for i, d in enumerate(digits))
+        seen = np.zeros((len(ids), n_cells), dtype=bool)
+        seen[np.arange(len(ids))[:, None], codes] = True
+        hits = seen.all(axis=1)
+        if hits.any():
+            k = hits.argmax()
+            return 1, np.array([d[k] for d in digits], dtype=np.int64)
+    return 0, np.zeros(p, dtype=np.int64)

@@ -119,6 +119,11 @@ def _clog(x: float, label: str, warnings: list[str], base2: bool = False) -> flo
     return math.log2(x) if base2 else math.log(x)
 
 
+def _log_add(a: float, b: float) -> float:
+    """log(e^a + e^b) without overflow."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
 def cover_bound_hn(n: int, m: int, B: float, d_phi: float, epsilon: float,
                    log2_exponent: bool = False) -> LogBound:
     """Natural log of the sup-metric cover bound for n-tuples of unit-ball
@@ -247,8 +252,7 @@ def lifelong_delta(inputs: BoundInputs, epsilon: float) -> DeltaResult:
     warns: list[str] = []
     log_sample, log_env = _lifelong_log_terms(inputs, epsilon, warns)
     overflow = log_sample > 0.0 or log_env > 0.0
-    total_log = max(log_sample, log_env) + math.log1p(
-        math.exp(-abs(log_sample - log_env)))
+    total_log = _log_add(log_sample, log_env)
     delta = 1.0 if total_log > 0.0 else math.exp(total_log)
     valid = inputs.n > 8.0 / epsilon**2 and inputs.m > 8.0 / epsilon**2
     return DeltaResult(
@@ -276,8 +280,7 @@ def invert_epsilon(target_confidence: float, n: int, m: int, d_phi: float,
     warns: list[str] = []
 
     def log_total(eps: float) -> float:
-        ls, le = _lifelong_log_terms(inputs, eps, warns)
-        return max(ls, le) + math.log1p(math.exp(-abs(ls - le)))
+        return _log_add(*_lifelong_log_terms(inputs, eps, warns))
 
     lo, hi = EPSILON_BRACKET
     f_lo = log_total(lo) - log_target

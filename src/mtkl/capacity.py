@@ -27,7 +27,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from . import _accel
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, NumericError
 from .kernels import Kernel, as_points
 
 MAX_SHATTER_PAIRS = 20
@@ -84,40 +84,6 @@ class ShatterWitness:
     pattern_members: dict  # sign pattern tuple -> member index realizing it
 
 
-def _pair_values(members: Sequence[Kernel], pairs: np.ndarray) -> np.ndarray:
-    """Value matrix V[member, pair] = K(x, x')."""
-    p = pairs.shape[0]
-    left = as_points(pairs[:, 0, :])
-    right = as_points(pairs[:, 1, :])
-    V = np.empty((len(members), p))
-    for j, kern in enumerate(members):
-        V[j] = np.array([kern.cross(left[i:i + 1], right[i:i + 1])[0, 0]
-                         for i in range(p)])
-    return V
-
-
-def _pack_masks(V: np.ndarray, threshold_lists: list[np.ndarray]):
-    """Per-pair, per-candidate bitmasks of {member: value > t} packed in uint64,
-    plus the valid-member bit mask (complements must not leak phantom bits)."""
-    members = V.shape[0]
-    n_words = (members + 63) // 64
-    counts = np.array([len(t) for t in threshold_lists], dtype=np.int64)
-    masks = np.zeros((int(counts.sum()), n_words), dtype=np.uint64)
-    valid = np.zeros(n_words, dtype=np.uint64)
-    for j in range(members):
-        valid[j // 64] |= np.uint64(1) << np.uint64(j % 64)
-    row = 0
-    for i, thresholds in enumerate(threshold_lists):
-        above = V[None, :, i] > thresholds[:, None]  # (cand, members)
-        for w in range(n_words):
-            chunk = above[:, w * 64:(w + 1) * 64].astype(np.uint64)
-            weights = np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64)
-            masks[row:row + len(thresholds), w] = (chunk * weights).sum(
-                axis=1, dtype=np.uint64)
-        row += len(thresholds)
-    return masks, counts, valid
-
-
 def _witness(V: np.ndarray, thresholds: np.ndarray) -> Optional[ShatterWitness]:
     p = V.shape[1]
     signs = np.where(V > thresholds[None, :], 1, -1)
@@ -130,24 +96,17 @@ def _witness(V: np.ndarray, thresholds: np.ndarray) -> Optional[ShatterWitness]:
     return None
 
 
-def is_shattered(instance: ShatterInstance,
-                 max_combos: int = 200_000) -> tuple[bool, Optional[ShatterWitness]]:
-    """Search for thresholds realizing all 2^p sign patterns.
-
-    Candidate thresholds lie between clusters of each pair's values (see
-    ``TIE_RTOL``), never between values that differ only by rounding.
-    Raises BudgetError whenever the product of the per-pair threshold
-    candidate counts exceeds ``max_combos``, even if an early combination
-    would shatter; the search never silently returns False in that case.
-    """
-    p = instance.n_pairs
+def _shatter_values(V: np.ndarray, max_combos: int,
+                    thresholds: Optional[np.ndarray] = None
+                    ) -> tuple[bool, Optional[ShatterWitness]]:
+    """``is_shattered`` on the value table V[member, pair]."""
+    p = V.shape[1]
     if p > MAX_SHATTER_PAIRS:
         raise InputError(f"at most {MAX_SHATTER_PAIRS} pairs supported, got {p}")
-    V = _pair_values(instance.members, instance.pairs)
-    if instance.thresholds is not None:
-        witness = _witness(V, instance.thresholds)
+    if thresholds is not None:
+        witness = _witness(V, thresholds)
         return witness is not None, witness
-    if len(instance.members) < 2 ** p:
+    if V.shape[0] < 2 ** p:
         return False, None
     threshold_lists = []
     for i in range(p):
@@ -157,8 +116,10 @@ def is_shattered(instance: ShatterInstance,
         if not split.any():
             return False, None
         threshold_lists.append((v[:-1][split] + v[1:][split]) / 2.0)
-    masks, counts, valid = _pack_masks(V, threshold_lists)
-    status, choice = _accel.shatter_scan(masks, counts, valid, max_combos)
+    above = np.concatenate([V[:, i] > t[:, None]
+                            for i, t in enumerate(threshold_lists)])
+    counts = np.array([len(t) for t in threshold_lists], dtype=np.int64)
+    status, choice = _accel.shatter_scan(above, counts, max_combos)
     if status == -1:
         raise BudgetError(
             f"threshold search for {p} pairs exceeds max_combos={max_combos}")
@@ -166,8 +127,35 @@ def is_shattered(instance: ShatterInstance,
         return False, None
     thresholds = np.array([threshold_lists[i][choice[i]] for i in range(p)])
     witness = _witness(V, thresholds)
-    assert witness is not None, "scan accepted a combo the witness check rejects"
+    if witness is None:
+        raise NumericError("shatter scan accepted thresholds that do not "
+                           "realize every sign pattern")
     return True, witness
+
+
+def _pool_values(members: Sequence[Kernel], pool: np.ndarray,
+                 left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Value table V[member, pair] = K(pool[left], pool[right]), read off
+    each member's pool Gram."""
+    return np.stack([kern.gram(pool)[left, right] for kern in members])
+
+
+def is_shattered(instance: ShatterInstance,
+                 max_combos: int = 200_000) -> tuple[bool, Optional[ShatterWitness]]:
+    """Search for thresholds realizing all 2^p sign patterns.
+
+    The values come from the Gram of the instance's 2p points, left points
+    first: pair i's value is the entry (i, p + i). Candidate thresholds lie
+    between clusters of each pair's values (see ``TIE_RTOL``), never between
+    values that differ only by rounding. Raises BudgetError whenever the
+    product of the per-pair threshold candidate counts exceeds
+    ``max_combos``, even if an early combination would shatter; the search
+    never silently returns False in that case.
+    """
+    p = instance.n_pairs
+    pool = np.concatenate((instance.pairs[:, 0, :], instance.pairs[:, 1, :]))
+    V = _pool_values(instance.members, pool, np.arange(p), np.arange(p, 2 * p))
+    return _shatter_values(V, max_combos, instance.thresholds)
 
 
 @dataclass(frozen=True)
@@ -195,18 +183,18 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
     ``budget_exhausted`` reports that some shatter checks hit the combo cap.
     """
     pool = as_points(point_pool)
-    idx_pairs = [(i, j) for i in range(pool.shape[0])
-                 for j in range(i, pool.shape[0])]
-    pairs_all = np.stack([np.stack((pool[i], pool[j])) for i, j in idx_pairs])
     members = tuple(members)
+    if not members:
+        raise InputError("need at least one family member")
+    V = _pool_values(members, pool, *np.triu_indices(len(pool)))
+    n_pairs = V.shape[1]
     rng = np.random.default_rng(budget.seed)
     exhausted = False
 
     def try_subset(subset: tuple[int, ...]):
         nonlocal exhausted
-        inst = ShatterInstance(pairs=pairs_all[list(subset)], members=members)
         try:
-            return is_shattered(inst, max_combos=budget.max_combos)
+            return _shatter_values(V[:, list(subset)], budget.max_combos)
         except BudgetError:
             exhausted = True
             return False, None
@@ -217,7 +205,7 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
         found = None
         # greedy: extend each current witness set by one pool pair
         for base in current:
-            for extra in range(len(idx_pairs)):
+            for extra in range(n_pairs):
                 if extra in base:
                     continue
                 subset = tuple(sorted(base + (extra,)))
@@ -227,9 +215,9 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
                     break
             if found:
                 break
-        if not found and len(idx_pairs) >= n:
+        if not found and n_pairs >= n:
             for _ in range(budget.trials_per_n):
-                subset = tuple(sorted(rng.choice(len(idx_pairs), size=n,
+                subset = tuple(sorted(rng.choice(n_pairs, size=n,
                                                  replace=False).tolist()))
                 ok, wit = try_subset(subset)
                 if ok:

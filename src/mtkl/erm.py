@@ -131,16 +131,13 @@ def _combo_candidates(family: KernelFamily, budget: SearchBudget):
     n_dict = len(family.dictionary)
     res = budget.grid_resolution
     if family.variant == "sparse_combo":
-        seen = set()
+        # each weight vector once, under its own support: its positive counts
+        # are counts summing to res - size, plus one each
         for size in range(1, family.sparsity + 1):
             for support in itertools.combinations(range(n_dict), size):
-                for w_local in _simplex_grid(size, res):
+                for counts in _simplex_counts(size, res - size):
                     w = np.zeros(n_dict)
-                    w[list(support)] = w_local
-                    key = tuple(np.round(w * res).astype(int))
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                    w[list(support)] = (np.array(counts) + 1.0) / res
                     yield w, f"sparse{list(support)}w={np.round(w, 6).tolist()}"
         return
     if family.variant == "convex_combo":
@@ -234,33 +231,35 @@ def fit_candidate(kernel: Kernel, sample: MultiTaskSample,
 
 
 def _refine_weights(family, sample, params, budget, best_w, best_err, deadline):
-    """Coordinate-descent mass moves on the simplex around the grid argmin."""
-    res = budget.grid_resolution
-    w = np.asarray(best_w, dtype=np.float64).copy()
+    """Coordinate-descent mass moves on the simplex around the grid argmin,
+    in integer counts over ``grid_resolution * 2**refine_rounds`` (exact for
+    the grid's weights), so a weight moved to zero is exactly zero."""
+    denom = budget.grid_resolution * 2 ** budget.refine_rounds
+    counts = np.rint(np.asarray(best_w) * denom).astype(np.int64)
     err = best_err
     predictors = None
     for round_idx in range(budget.refine_rounds):
-        step = 1.0 / (res * 2 ** (round_idx + 1))
+        step = 2 ** (budget.refine_rounds - round_idx - 1)
         improved = False
-        for i, j in itertools.permutations(range(len(w)), 2):
+        for i, j in itertools.permutations(range(len(counts)), 2):
             if deadline is not None and time.monotonic() > deadline:
-                return w, err, predictors, True
-            if w[j] < step:
+                return counts / denom, err, predictors, True
+            if counts[j] < step:
                 continue
-            w_try = w.copy()
-            w_try[i] += step
-            w_try[j] -= step
+            c_try = counts.copy()
+            c_try[i] += step
+            c_try[j] -= step
             if family.variant == "sparse_combo" and \
-                    np.count_nonzero(w_try) > family.sparsity:
+                    np.count_nonzero(c_try) > family.sparsity:
                 continue
-            kern = instantiate(family, w_try)
+            kern = instantiate(family, c_try / denom)
             preds, errs = fit_candidate(kern, sample, params)
             avg = float(np.mean(errs))
             if avg < err - 1e-15:
-                w, err, predictors, improved = w_try, avg, (preds, errs), True
+                counts, err, predictors, improved = c_try, avg, (preds, errs), True
         if not improved:
             break
-    return w, err, predictors, False
+    return counts / denom, err, predictors, False
 
 
 def erm_search(family: KernelFamily, sample: MultiTaskSample,

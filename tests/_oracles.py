@@ -3,9 +3,9 @@
 These deliberately share no code with the package: bound formulas are
 re-evaluated term by term in mpmath arbitrary precision, covers are found by
 exhaustive subset search, shattering by naive pattern enumeration (and the
-packed threshold scan by a brute-force scan over Python integer sets), and
-tiny fits by dense grids over the dual coefficients. The scalar hinge solver is
-the one-problem, one-trial-step-at-a-time loop that the vectorised solver in
+threshold scan by a brute-force scan over Python integer sets), sparse search
+grids by filtering every count vector, and tiny fits by dense grids over the
+dual coefficients. The scalar hinge solver is the one-problem, one-trial-step-at-a-time loop that the vectorised solver in
 ``mtkl._accel`` must reproduce bit for bit.
 """
 
@@ -123,27 +123,48 @@ def shattered_naive(V: np.ndarray) -> bool:
     return False
 
 
-def shatter_scan_reference(masks, counts, valid, max_combos):
+def shatter_scan_reference(above, counts, max_combos):
     """Brute-force threshold-combination scan with the contract of
     ``mtkl._accel.shatter_scan``: member sets as Python integers, combos in
     odometer order (pair 0 fastest), status -1 when the grid exceeds the
-    budget, else 1 with the first shattering combo or 0."""
+    budget, else 1 with the first combo whose 2^p sign-pattern cells are all
+    non-empty, or 0."""
     p = len(counts)
     if math.prod(int(c) for c in counts) > max_combos:
         return -1, None
-    sets = [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in masks]
-    members = sum(int(w) << (64 * k) for k, w in enumerate(valid))
+    sets = [sum(1 << j for j, bit in enumerate(row) if bit) for row in above]
+    members = (1 << len(above[0])) - 1
     offsets = [sum(int(c) for c in counts[:i]) for i in range(p)]
     for combo in itertools.product(*(range(int(c)) for c in reversed(counts))):
         choice = combo[::-1]
-        above = [sets[offsets[i] + choice[i]] for i in range(p)]
+        chosen = [sets[offsets[i] + choice[i]] for i in range(p)]
         cells = [members] * 2 ** p
         for cell in range(2 ** p):
             for i in range(p):
-                cells[cell] &= above[i] if (cell >> i) & 1 else ~above[i]
+                cells[cell] &= chosen[i] if (cell >> i) & 1 else ~chosen[i]
         if all(cells):
             return 1, list(choice)
     return 0, None
+
+
+def sparse_candidates_reference(n_dict, sparsity, res):
+    """Every weight vector with entries i/res summing to 1 and at most
+    ``sparsity`` nonzeros, once each, as (weights, label) in the search's
+    canonical order: by support size, then support (lexicographic), then
+    counts on the support (lexicographically descending)."""
+    vectors = [c for c in itertools.product(range(res + 1), repeat=n_dict)
+               if sum(c) == res and 0 < sum(map(bool, c)) <= sparsity]
+
+    def order(c):
+        support = tuple(i for i in range(n_dict) if c[i])
+        return len(support), support, tuple(-c[i] for i in support)
+
+    out = []
+    for c in sorted(vectors, key=order):
+        w = np.array(c, dtype=np.float64) / res
+        support = [i for i in range(n_dict) if c[i]]
+        out.append((w.tolist(), f"sparse{support}w={np.round(w, 6).tolist()}"))
+    return out
 
 
 def _ball_grid(dim: int, steps: int) -> np.ndarray:

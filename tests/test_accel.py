@@ -154,32 +154,29 @@ def test_chebyshev_pdist_matches_brute_force(n, d):
     assert np.array_equal(_accel.chebyshev_pdist(V), expected)
 
 
-def test_shatter_scan_matches_brute_force():
-    # masks as the capacity lab packs them: member j is above candidate
-    # threshold t of pair i when its value there exceeds t
-    rng = np.random.default_rng(1)
-    statuses, late_hits = set(), 0
-    for _ in range(300):
-        p = int(rng.integers(1, 4))
-        members = int(rng.integers(2, 100))
-        n_words = (members + 63) // 64
-        counts = rng.integers(1, 6, size=p).astype(np.int64)
-        values = rng.random((members, p))
-        above = np.concatenate([values[:, i] > np.sort(rng.random(c))[:, None]
-                                for i, c in enumerate(counts)])
-        masks = np.zeros((len(above), n_words), dtype=np.uint64)
-        for row, j in zip(*np.nonzero(above)):
-            masks[row, j // 64] |= np.uint64(1) << np.uint64(j % 64)
-        valid = np.zeros(n_words, dtype=np.uint64)
-        for j in range(members):
-            valid[j // 64] |= np.uint64(1) << np.uint64(j % 64)
-        max_combos = int(rng.integers(1, 2 * int(np.prod(counts)) + 1))
-        status, choice = _accel.shatter_scan(masks, counts, valid, max_combos)
-        ref_status, ref_choice = shatter_scan_reference(masks, counts, valid,
-                                                        max_combos)
-        assert status == ref_status
-        if status == 1:
-            assert choice.tolist() == ref_choice
-            late_hits += any(ref_choice)
-        statuses.add(status)
-    assert statuses == {-1, 0, 1} and late_hits > 0
+def test_shatter_scan_matches_brute_force(monkeypatch):
+    # rows as the capacity lab builds them: member j is above candidate
+    # threshold t of pair i when its value there exceeds t. A SCAN_BYTES of
+    # 1 puts each combo in its own chunk, 2000 a few to a hundred per chunk,
+    # so the first hit in odometer order is pinned across chunk boundaries.
+    for scan_bytes in (_accel.SCAN_BYTES, 1, 2000):
+        monkeypatch.setattr(_accel, "SCAN_BYTES", scan_bytes)
+        rng = np.random.default_rng(1)
+        statuses, late_hits = set(), 0
+        for _ in range(300):
+            p = int(rng.integers(1, 4))
+            members = int(rng.integers(2, 100))
+            counts = rng.integers(1, 6, size=p).astype(np.int64)
+            values = rng.random((members, p))
+            above = np.concatenate([values[:, i] > np.sort(rng.random(c))[:, None]
+                                    for i, c in enumerate(counts)])
+            max_combos = int(rng.integers(1, 2 * int(np.prod(counts)) + 1))
+            status, choice = _accel.shatter_scan(above, counts, max_combos)
+            ref_status, ref_choice = shatter_scan_reference(
+                above.tolist(), counts, max_combos)
+            assert status == ref_status
+            if status == 1:
+                assert choice.tolist() == ref_choice
+                late_hits += any(ref_choice)
+            statuses.add(status)
+        assert statuses == {-1, 0, 1} and late_hits > 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mtkl import (BudgetError, CoverRequest, InputError, KernelFamily,
-                  PseudodimBudget, ShatterInstance, greedy_cover, is_shattered,
-                  kernel_deviation_distance, pd_upper_bound,
-                  pseudodim_lower_bound, rbf_kernel)
+                  NumericError, PseudodimBudget, ShatterInstance, capacity,
+                  greedy_cover, is_shattered, kernel_deviation_distance,
+                  pd_upper_bound, pseudodim_lower_bound, rbf_kernel)
 from mtkl.capacity import PseudodimResult
 from mtkl.kernels import custom_kernel, linear_kernel
 
@@ -118,6 +118,17 @@ class TestIsShattered:
         with pytest.raises(BudgetError):
             is_shattered(inst, max_combos=10)
 
+    def test_scan_hit_rechecked_by_witness(self, monkeypatch):
+        # combo (1, 0) puts thresholds at 1.5 and 0.5: no member is (+, -)
+        V = [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]
+        inst = ShatterInstance(pairs=index_pairs(2),
+                               members=value_matrix_members(V))
+        assert is_shattered(inst)[0]
+        monkeypatch.setattr(capacity._accel, "shatter_scan",
+                            lambda above, counts, max_combos: (1, np.array([1, 0])))
+        with pytest.raises(NumericError):
+            is_shattered(inst)
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(InputError):
             ShatterInstance(pairs=np.zeros((2, 2, 1)),
@@ -157,6 +168,21 @@ class TestPseudodimLowerBound:
             res = pseudodim_lower_bound(members, pool,
                                         PseudodimBudget(max_n=4, trials_per_n=8))
             assert res.lower_bound <= pd_upper_bound(fam)
+
+    def test_repeated_pool_point(self):
+        # pool pairs (0, 1) and (0, 0) are the same points
+        pool = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, -0.3]])
+        members = tuple(rbf_kernel(b) for b in (0.3, 0.7, 1.5, 3.0))
+        res = pseudodim_lower_bound(members, pool,
+                                    PseudodimBudget(max_n=2, trials_per_n=8))
+        assert res.lower_bound >= 1
+        assert len(res.witness.pattern_members) == 2 ** res.lower_bound
+        left, right = np.triu_indices(len(pool))
+        pairs = np.stack((pool[left], pool[right]), axis=1)
+        inst = ShatterInstance(pairs=pairs[list(res.pair_indices)],
+                               members=members,
+                               thresholds=res.witness.thresholds)
+        assert is_shattered(inst)[0]
 
     def test_witness_stored(self):
         V = [[0, 0], [0, 1], [1, 0], [1, 1]]

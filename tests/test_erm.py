@@ -12,6 +12,8 @@ from mtkl import (BudgetError, InputError, KernelFamily, MarginParams,
 from mtkl import erm
 from mtkl.erm import enumerate_candidates
 
+from _oracles import sparse_candidates_reference
+
 
 def make_tasks(rng, n, m, dim=2, flip=0.15):
     tasks = []
@@ -51,6 +53,17 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
         for c in cands:
             assert np.count_nonzero(c.params) <= 2
+
+    @pytest.mark.parametrize("n_dict", range(1, 6))
+    def test_sparse_grid_matches_brute_force(self, n_dict):
+        dictionary = tuple(rbf_kernel(0.5 + i) for i in range(n_dict))
+        for k in range(1, n_dict + 1):
+            fam = KernelFamily(variant="sparse_combo", dictionary=dictionary,
+                               sparsity=k)
+            for res in range(1, 6):
+                got = [(w.tolist(), label) for w, label in erm._combo_candidates(
+                    fam, SearchBudget(grid_resolution=res))]
+                assert got == sparse_candidates_reference(n_dict, k, res)
 
     def test_max_candidates_budget(self):
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
@@ -174,6 +187,25 @@ class TestErmFit:
                           SearchBudget(grid_resolution=2, refine_rounds=2))
         assert refined.avg_empirical_margin_error <= \
             base.avg_empirical_margin_error
+
+    @pytest.mark.parametrize("variant", ["convex_combo", "sparse_combo"])
+    def test_refinement_moves_leave_no_float_residue(self, monkeypatch, variant):
+        # four 1/6 moves off a weight of 2/3 leave 5.55e-17 in floats; the
+        # fake error is the weight on dictionary kernel 0, so every move off
+        # it improves, and the last one must drop that kernel exactly
+        dictionary = tuple(rbf_kernel(0.5 + i) for i in range(5))
+        fam = KernelFamily(variant=variant, dictionary=dictionary, sparsity=4)
+        first = dictionary[0].terms[0][1]
+
+        def fake_fit(kernel, sample, params):
+            return (), (sum(w for w, base in kernel.terms if base is first),)
+
+        monkeypatch.setattr(erm, "fit_candidate", fake_fit)
+        w, err, _, _ = erm._refine_weights(
+            fam, None, PARAMS, SearchBudget(grid_resolution=3, refine_rounds=1),
+            np.array([2, 1, 0, 0, 0]) / 3, 2 / 3, None)
+        assert w.tolist() == [0.0, 0.5, 1 / 6, 1 / 6, 1 / 6]
+        assert err == 0.0
 
     def test_unequal_task_sizes_rejected(self):
         with pytest.raises(InputError):
