@@ -28,19 +28,27 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
                        pseudodim_lower_bound)
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
-from .errors import BudgetError, InputError, NumericError, require_keys
+from .errors import BudgetError, InputError, NumericError, read_json, require_keys
 from .kernels import load_family, pd_upper_bound
 from .margin import MarginParams
 
 CSV_SCHEMA_VERSION = 1
 
 
-def _write_manifest(out_dir: str, command: str, config: dict, seed) -> None:
-    payload = {"toolkit": "mtkl", "version": __version__, "command": command,
-               "seed": seed, "config": config}
+def _flag_config(args) -> dict:
+    """Every flag the subcommand reads, except ``--out-dir`` and ``--seed``:
+    the run's output location, and a value the manifest records on its own."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "command", "out_dir", "seed")}
+
+
+def _write_manifest(args, config: dict) -> None:
+    payload = {"toolkit": "mtkl", "version": __version__, "command": args.command,
+               "seed": args.seed, "config": config}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     payload["config_sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out_dir, "manifest.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -57,18 +65,9 @@ def _csv_writer(fh, kind: str, columns: list[str]):
     return writer
 
 
-def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(grid_resolution=args.grid_resolution,
-                        refine_rounds=args.refine_rounds,
-                        max_candidates=args.max_candidates,
-                        wall_clock_cap=args.wall_clock_cap)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-resolution", type=int, default=1)
-    p.add_argument("--refine-rounds", type=int, default=0)
     p.add_argument("--max-candidates", type=int, default=4096)
-    p.add_argument("--wall-clock-cap", type=float, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,9 @@ def _cmd_learn(args) -> int:
     family = load_family(args.family)
     sample = load_multitask_sample(args.data)
     params = MarginParams(gamma=args.gamma, max_iters=args.max_iters)
-    budget = _budget_from_args(args)
+    budget = SearchBudget(grid_resolution=args.grid_resolution,
+                          refine_rounds=args.refine_rounds,
+                          max_candidates=args.max_candidates)
     solution = erm_fit(family, sample, params, budget)
 
     out_dir = _ensure_out_dir(args)
@@ -93,7 +94,6 @@ def _cmd_learn(args) -> int:
             "candidate_label": solution.candidate_label,
             "kernel_params": kernel_params,
             "avg_empirical_margin_error": solution.avg_empirical_margin_error,
-            "budget_exhausted": solution.budget_exhausted,
             "nonconverged_fits": solution.nonconverged_fits,
             "alphas": [p.alphas.tolist() for p in solution.predictors],
         }, fh, indent=2, sort_keys=True)
@@ -103,11 +103,7 @@ def _cmd_learn(args) -> int:
         for i, err in enumerate(solution.per_task_errors):
             writer.writerow([i, repr(err)])
         writer.writerow(["avg", repr(solution.avg_empirical_margin_error)])
-    _write_manifest(out_dir, "learn", {
-        "family": args.family, "data": args.data, "gamma": args.gamma,
-        "max_iters": args.max_iters, "grid_resolution": args.grid_resolution,
-        "refine_rounds": args.refine_rounds, "max_candidates": args.max_candidates,
-    }, args.seed)
+    _write_manifest(args, _flag_config(args))
     print(f"selected candidate {solution.candidate_index} "
           f"({solution.candidate_label}), avg margin error "
           f"{solution.avg_empirical_margin_error:.6g}")
@@ -157,7 +153,8 @@ def _cmd_bound(args) -> int:
 
 def _family_members(args):
     family = load_family(args.family)
-    budget = _budget_from_args(args)
+    budget = SearchBudget(grid_resolution=args.grid_resolution,
+                          max_candidates=args.max_candidates)
     return family, [c.kernel for c in enumerate_candidates(family, budget)]
 
 
@@ -188,12 +185,7 @@ def _cmd_shatter(args) -> int:
         json.dump({"lower_bound": result.lower_bound, "witness": witness},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out_dir, "shatter", {
-        "family": args.family, "dim": args.dim, "pool_size": args.pool_size,
-        "pool_low": args.pool_low, "pool_high": args.pool_high,
-        "max_n": args.max_n, "trials_per_n": args.trials_per_n,
-        "max_combos": args.max_combos, "grid_resolution": args.grid_resolution,
-    }, args.seed)
+    _write_manifest(args, _flag_config(args))
     print(f"certified lower bound {result.lower_bound} "
           f"(analytic upper bound {upper:.6g})")
     return 0
@@ -216,12 +208,7 @@ def _cmd_cover(args) -> int:
                              repr(result.max_distance), len(members)])
             print(f"epsilon={eps:g}: cover size {result.size} "
                   f"(max residual {result.max_distance:.4g})")
-    _write_manifest(out_dir, "cover", {
-        "family": args.family, "metric": args.metric,
-        "epsilon": list(args.epsilon), "dim": args.dim,
-        "pool_size": args.pool_size, "probe_budget": args.probe_budget,
-        "grid_resolution": args.grid_resolution,
-    }, args.seed)
+    _write_manifest(args, _flag_config(args))
     return 0
 
 
@@ -237,17 +224,12 @@ _EXPERIMENT_KEYS = {
 
 
 def _load_experiment_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read experiment config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"experiment config {path}: {exc}") from exc
-    require_keys(config, _EXPERIMENT_KEYS, "experiment config")
-    for key in ("mode", "environment"):
-        if key not in config:
-            raise InputError(f"experiment config requires {key!r}")
+    config = read_json(path, "experiment config")
+    require_keys(config, _EXPERIMENT_KEYS, "experiment config",
+                 ("mode", "environment"))
+    if config["mode"] == "overhead":
+        require_keys(config, _EXPERIMENT_KEYS, "overhead experiment config",
+                     ("n_grid",))
     return config
 
 
@@ -342,7 +324,7 @@ def _cmd_experiment(args) -> int:
     else:
         raise InputError(f"unknown experiment mode {mode!r}")
 
-    _write_manifest(out_dir, "experiment", config, args.seed)
+    _write_manifest(args, config)
     return 0
 
 
@@ -366,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--max-iters", type=int, default=2000)
-    _add_budget_flags(p)
+    _add_grid_flags(p)
+    p.add_argument("--refine-rounds", type=int, default=0)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("bound", help="evaluate or invert the bound formulas")
@@ -396,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--trials-per-n", type=int, default=16)
     p.add_argument("--max-combos", type=int, default=200_000)
-    _add_budget_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=_cmd_shatter)
 
     p = sub.add_parser("cover", help="greedy epsilon-net over family members")
     common(p)
     p.add_argument("--family", required=True)
-    p.add_argument("--metric", choices=("predictor_sup", "kernel_sup",
-                                        "kernel_mean_dev"), default="kernel_sup")
+    p.add_argument("--metric", choices=("kernel_sup", "kernel_mean_dev"),
+                   default="kernel_sup")
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--pool-size", type=int, default=16)
     p.add_argument("--pool-low", type=float, default=-1.0)
     p.add_argument("--pool-high", type=float, default=1.0)
     p.add_argument("--probe-budget", type=int, default=16)
-    _add_budget_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("experiment", help="seeded trial batteries from a config")

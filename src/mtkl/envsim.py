@@ -15,14 +15,13 @@ spawning, so a trial is bitwise reproducible from its seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .bounds import BoundInputs, multitask_epsilon
-from .errors import InputError, NumericError, require_keys
+from .errors import InputError, NumericError, read_json, require_keys
 from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
@@ -458,13 +457,11 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
 
 
 def environment_from_dict(spec: dict) -> TaskEnvironment:
-    require_keys(spec, {"dictionary", "input_law", "clusters"}, "environment spec")
-    for key in ("dictionary", "input_law", "clusters"):
-        if key not in spec:
-            raise InputError(f"environment spec requires {key!r}")
+    require_keys(spec, {"dictionary", "input_law", "clusters"}, "environment spec",
+                 ("dictionary", "input_law", "clusters"))
     law_spec = spec["input_law"]
     require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
-                            "weights"}, "input_law spec")
+                            "weights"}, "input_law spec", ("dim",))
     law = InputLaw(
         kind=law_spec.get("kind", "uniform_cube"), dim=law_spec["dim"],
         low=law_spec.get("low", -1.0), high=law_spec.get("high", 1.0),
@@ -473,7 +470,8 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
     clusters = []
     for c in spec["clusters"]:
         require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
-                         "flip_rate", "balance_slack"}, "cluster spec")
+                         "flip_rate", "balance_slack"}, "cluster spec",
+                     ("kernel_index",))
         clusters.append(TaskCluster(
             weight=c.get("weight", 1.0), kernel_index=c["kernel_index"],
             n_anchors=c.get("n_anchors", 6), margin_gap=c.get("margin_gap", 0.25),
@@ -485,11 +483,4 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
 
 
 def load_environment(path) -> TaskEnvironment:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read environment file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"environment file {path}: {exc}") from exc
-    return environment_from_dict(spec)
+    return environment_from_dict(read_json(path, "environment file"))

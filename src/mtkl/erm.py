@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +69,11 @@ class SearchBudget:
     refine_rounds: coordinate-descent passes after the grid argmin.
     max_candidates: hard cap on the enumerated grid (exceeding it raises
         BudgetError rather than silently truncating).
-    wall_clock_cap: seconds; when exceeded the best solution so far is
-        returned with ``budget_exhausted=True``.
     """
 
     grid_resolution: int = 1
     refine_rounds: int = 0
     max_candidates: int = 4096
-    wall_clock_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.grid_resolution < 1:
@@ -103,7 +99,6 @@ class MultiTaskSolution:
     per_task_errors: tuple[float, ...]
     candidate_index: int
     candidate_label: str
-    budget_exhausted: bool = False
 
     @property
     def nonconverged_fits(self) -> int:
@@ -192,31 +187,25 @@ def enumerate_candidates(family: KernelFamily, budget: SearchBudget) -> list[Can
 
 
 def fit_candidates(kernels: Sequence[Kernel], sample: MultiTaskSample,
-                   params: MarginParams, deadline: Optional[float] = None
+                   params: MarginParams
                    ) -> list[tuple[tuple[Predictor, ...], tuple[float, ...]]]:
     """Fit all tasks independently for each kernel: one (predictors, errors)
     pair per kernel, in order.
 
     The (kernel, task) problems are solved as stacks whose Grams take at
     most STACK_BYTES; a stack of one problem goes to ``fit_single_task``.
-    After ``deadline`` (a ``time.monotonic()`` value) no further stack
-    starts once one kernel is complete, and only complete kernels are
-    returned.
     """
     problems = [(kernel, task) for kernel in kernels for task in sample.tasks]
     per_stack = max(1, STACK_BYTES // (8 * sample.m ** 2))
     predictors: list[Predictor] = []
     for start in range(0, len(problems), per_stack):
-        if deadline is not None and len(predictors) >= sample.n \
-                and time.monotonic() > deadline:
-            break
         stack = problems[start:start + per_stack]
         if len(stack) == 1:
             predictors.append(fit_single_task(*stack[0], params))
         else:
             predictors.extend(fit_stack(stack, params))
     fits = []
-    for k in range(len(predictors) // sample.n):
+    for k in range(len(kernels)):
         preds = tuple(predictors[k * sample.n:(k + 1) * sample.n])
         errors = tuple(empirical_margin_error(p, t, params.gamma)
                        for p, t in zip(preds, sample.tasks))
@@ -230,7 +219,7 @@ def fit_candidate(kernel: Kernel, sample: MultiTaskSample,
     return fit_candidates([kernel], sample, params)[0]
 
 
-def _refine_weights(family, sample, params, budget, best_w, best_err, deadline):
+def _refine_weights(family, sample, params, budget, best_w, best_err):
     """Coordinate-descent mass moves on the simplex around the grid argmin,
     in integer counts over ``grid_resolution * 2**refine_rounds`` (exact for
     the grid's weights), so a weight moved to zero is exactly zero."""
@@ -242,8 +231,6 @@ def _refine_weights(family, sample, params, budget, best_w, best_err, deadline):
         step = 2 ** (budget.refine_rounds - round_idx - 1)
         improved = False
         for i, j in itertools.permutations(range(len(counts)), 2):
-            if deadline is not None and time.monotonic() > deadline:
-                return counts / denom, err, predictors, True
             if counts[j] < step:
                 continue
             c_try = counts.copy()
@@ -259,23 +246,16 @@ def _refine_weights(family, sample, params, budget, best_w, best_err, deadline):
                 counts, err, predictors, improved = c_try, avg, (preds, errs), True
         if not improved:
             break
-    return counts / denom, err, predictors, False
+    return counts / denom, err, predictors
 
 
 def erm_search(family: KernelFamily, sample: MultiTaskSample,
                params: MarginParams, budget: SearchBudget = SearchBudget()
                ) -> tuple[MultiTaskSolution, list[Candidate], list]:
     """``erm_fit`` together with its grid: returns (solution, candidates,
-    fits), where ``fits[k]`` is candidate k's (predictors, errors). When the
-    wall-clock cap cuts the grid short, ``fits`` covers a prefix of the
-    candidates."""
+    fits), where ``fits[k]`` is candidate k's (predictors, errors)."""
     candidates = enumerate_candidates(family, budget)
-    deadline = None
-    if budget.wall_clock_cap is not None:
-        deadline = time.monotonic() + budget.wall_clock_cap
-    fits = fit_candidates([c.kernel for c in candidates], sample, params,
-                          deadline)
-    exhausted = len(fits) < len(candidates)
+    fits = fit_candidates([c.kernel for c in candidates], sample, params)
     averages = [float(np.mean(errors)) for _, errors in fits]
     pick = int(np.argmin(averages))  # ties go to the lowest index
     cand = candidates[pick]
@@ -284,10 +264,9 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
         averages[pick], cand.kernel, cand.params, cand.label
 
     weight_family = family.variant in ("linear_combo", "convex_combo", "sparse_combo")
-    if budget.refine_rounds > 0 and weight_family and not exhausted:
-        w, err, refined, hit_cap = _refine_weights(
-            family, sample, params, budget, cand.params, avg_err, deadline)
-        exhausted = hit_cap
+    if budget.refine_rounds > 0 and weight_family:
+        w, err, refined = _refine_weights(
+            family, sample, params, budget, cand.params, avg_err)
         if refined is not None:
             cand_params, avg_err = w, err
             kernel = instantiate(family, w)
@@ -302,7 +281,6 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
         per_task_errors=errors,
         candidate_index=cand.index,
         candidate_label=label,
-        budget_exhausted=exhausted,
     )
     return solution, candidates, fits
 
@@ -322,18 +300,25 @@ def load_multitask_sample(path) -> MultiTaskSample:
     """Read a delimited labeled-sample file: task_id, x_1..x_d, label per row.
 
     Tasks are grouped by id in order of first appearance; '#' lines are
-    comments. See FORMATS.md.
+    comments; every data row has the first data row's width. See FORMATS.md.
     """
     groups: dict[str, list[list[float]]] = {}
     order: list[str] = []
+    width = None
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
     with fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            width = width or len(row)
+            if len(row) != width:
+                raise InputError(
+                    f"{path} line {reader.line_num}: {len(row)} fields, but "
+                    f"the first data row has {width}")
             task_id = row[0].strip()
             try:
                 values = [float(v) for v in row[1:]]

@@ -17,7 +17,6 @@ Kernels and families are immutable; every operation here is pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -25,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NumericError, require_keys
+from .errors import InputError, NumericError, read_json, require_keys
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
@@ -357,10 +356,15 @@ def kernel_from_dict(spec: dict) -> Kernel:
         return poly_kernel(spec.get("degree", 2), spec.get("scale", 1.0),
                            spec.get("coef0", 0.0), spec.get("dims"), spec.get("bound", 1.0))
     if kind == "gaussian_metric":
-        require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec")
+        require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec",
+                     ("metric",))
         return gaussian_metric_kernel(spec["metric"])
     if kind == "combo":
-        require_keys(spec, {"type", "terms"}, "combo kernel spec")
+        require_keys(spec, {"type", "terms"}, "combo kernel spec", ("terms",))
+        if not isinstance(spec["terms"], list) or not all(
+                isinstance(t, list) and len(t) == 2 and isinstance(t[0], (int, float))
+                for t in spec["terms"]):
+            raise InputError("combo kernel terms must be [weight, kernel spec] pairs")
         parts = [(float(w), kernel_from_dict(inner)) for w, inner in spec["terms"]]
         terms = []
         bound = 0.0
@@ -397,9 +401,7 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 
 def family_from_dict(spec: dict) -> KernelFamily:
     require_keys(spec, {"variant", "dictionary", "sparsity", "dimension", "max_rank"},
-                 "family spec")
-    if "variant" not in spec:
-        raise InputError("family spec requires 'variant'")
+                 "family spec", ("variant",))
     dictionary = tuple(kernel_from_dict(k) for k in spec.get("dictionary", []))
     return KernelFamily(
         variant=spec["variant"],
@@ -411,14 +413,7 @@ def family_from_dict(spec: dict) -> KernelFamily:
 
 
 def load_family(path) -> KernelFamily:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read family file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"family file {path}: {exc}") from exc
-    return family_from_dict(spec)
+    return family_from_dict(read_json(path, "family file"))
 
 
 def family_to_dict(family: KernelFamily) -> dict:

@@ -35,6 +35,9 @@ class TaskData:
 
     def __post_init__(self):
         X = as_points(self.X)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise InputError(f"point {int(np.argmin(finite))} has a non-finite feature")
         y = np.asarray(self.y, dtype=np.float64).ravel()
         if len(y) != X.shape[0]:
             raise InputError(f"{X.shape[0]} points but {len(y)} labels")

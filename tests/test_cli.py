@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, manifests, reproducibility."""
 
+import argparse
 import json
 import os
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtkl import BoundInputs, multitask_epsilon
-from mtkl.cli import main
+from mtkl.cli import build_parser, main
 from mtkl.kernels import family_to_dict, KernelFamily, rbf_kernel
 
 
@@ -41,6 +42,28 @@ def read_all(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             artifacts[name] = fh.read()
     return artifacts
+
+
+def read_manifest(out_dir):
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def subcommand_dests(name):
+    """Option dests the subcommand's parser registers, read off argparse."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+
+
+def argv_from_manifest(manifest, out_dir):
+    """The command line a manifest records, writing to ``out_dir``."""
+    argv = [manifest["command"], "--seed", str(manifest["seed"]),
+            "--out-dir", out_dir]
+    for key, value in manifest["config"].items():
+        values = value if isinstance(value, list) else [value]
+        argv += ["--" + key.replace("_", "-"), *map(str, values)]
+    return argv
 
 
 class TestBoundCommand:
@@ -112,6 +135,25 @@ class TestLearnCommand:
         assert rc == 2
         assert "error-category: input" in capsys.readouterr().err
 
+    ROWS = ["t0,0.5,-0.2,1", "t0,-0.5,0.3,-1", "t1,0.1,0.2,1", "t1,-0.3,0.4,-1"]
+
+    @pytest.mark.parametrize("changes,needle", [
+        ({0: "t0,nan,-0.2,1"}, "non-finite"),
+        ({0: "t0,0.5,inf,1"}, "non-finite"),
+        ({1: "t0,-0.5,0.3,0.9,-1"}, "line 2"),
+        ({2: "t1,0.1,0.2,0.7,1", 3: "t1,-0.3,0.4,0.1,-1"}, "line 3"),
+    ], ids=["nan", "inf", "ragged_task", "tasks_differ"])
+    def test_bad_data_file_exit2(self, family_file, tmp_path, capsys, changes,
+                                 needle):
+        rows = [changes.get(i, row) for i, row in enumerate(self.ROWS)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["learn", "--family", family_file, "--data", str(path),
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and needle in err
+
 
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
@@ -134,6 +176,39 @@ class TestShatterCoverCommands:
         lines = (tmp_path / "cv" / "cover.csv").read_text().strip().splitlines()
         assert lines[0].startswith("# mtkl-csv")
         assert len(lines) == 4  # comment + header + one row per epsilon
+
+    def test_cover_rejects_predictor_metric(self, family_file, tmp_path):
+        # cover's candidates are kernels, which have no predictors
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "--family", family_file, "--metric", "predictor_sup",
+                  "--epsilon", "0.5", "--dim", "2",
+                  "--out-dir", str(tmp_path / "cv")])
+        assert exc.value.code == 2
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command,extra", [
+        ("learn", ["--gamma", "0.1"]),
+        ("shatter", ["--dim", "2", "--pool-size", "4", "--max-n", "1"]),
+        ("cover", ["--epsilon", "0.5", "--dim", "2", "--pool-size", "4"]),
+    ])
+    def test_config_records_every_flag(self, family_file, data_file, tmp_path,
+                                       capsys, command, extra):
+        out_dir = str(tmp_path / "o")
+        data = ["--data", data_file] if command == "learn" else []
+        assert main([command, "--family", family_file, *data, *extra,
+                     "--out-dir", out_dir]) == 0
+        expected = subcommand_dests(command) - {"out_dir", "seed"}
+        assert set(read_manifest(out_dir)["config"]) == expected
+
+    def test_cover_rerun_from_manifest_bitwise_identical(self, family_file,
+                                                         tmp_path, capsys):
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["cover", "--family", family_file, "--epsilon", "0.5",
+                     "0.05", "--dim", "2", "--pool-low", "-3",
+                     "--out-dir", out_a, "--seed", "4"]) == 0
+        assert main(argv_from_manifest(read_manifest(out_a), out_b)) == 0
+        assert read_all(out_a) == read_all(out_b)
 
 
 class TestExperimentCommand:
@@ -189,6 +264,33 @@ class TestExperimentCommand:
         with open(cfg_path, encoding="utf-8") as fh:
             config = json.load(fh)
         config["environment"][key] = value
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        rc = main(["experiment", "--config", cfg_path,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,env_part", [
+        ("sandwich", {"input_law": {"kind": "uniform_cube"}}),
+        ("sandwich", {"clusters": [{"weight": 1.0}]}),
+        ("overhead", {}),
+        ("sandwich", {"dictionary": [{"type": "combo"}]}),
+        ("sandwich", {"dictionary": [{"type": "combo", "terms": [0.5]}]}),
+        ("sandwich", {"dictionary": [{"type": "combo", "terms": [[1.0]]}]}),
+        ("sandwich", {"dictionary": [
+            {"type": "combo", "terms": [["a", {"type": "rbf"}]]}]}),
+        ("sandwich", {"dictionary": [{"type": "gaussian_metric"}]}),
+    ], ids=["input_law_dim", "cluster_kernel_index", "overhead_n_grid",
+            "combo_terms", "combo_term_not_pair", "combo_term_short",
+            "combo_weight_not_number", "gaussian_metric_metric"])
+    def test_missing_or_malformed_key_exit2(self, tmp_path, capsys, mode,
+                                            env_part):
+        # each of these raised KeyError, TypeError or ValueError
+        cfg_path = self._config(tmp_path, mode, n=2, m=12)
+        with open(cfg_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        config["environment"].update(env_part)
         with open(cfg_path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         rc = main(["experiment", "--config", cfg_path,

@@ -201,9 +201,9 @@ class TestErmFit:
             return (), (sum(w for w, base in kernel.terms if base is first),)
 
         monkeypatch.setattr(erm, "fit_candidate", fake_fit)
-        w, err, _, _ = erm._refine_weights(
+        w, err, _ = erm._refine_weights(
             fam, None, PARAMS, SearchBudget(grid_resolution=3, refine_rounds=1),
-            np.array([2, 1, 0, 0, 0]) / 3, 2 / 3, None)
+            np.array([2, 1, 0, 0, 0]) / 3, 2 / 3)
         assert w.tolist() == [0.0, 0.5, 1 / 6, 1 / 6, 1 / 6]
         assert err == 0.0
 
@@ -212,69 +212,6 @@ class TestErmFit:
             MultiTaskSample(tasks=(
                 TaskData(X=np.zeros((2, 1)), y=np.array([1.0, -1.0])),
                 TaskData(X=np.zeros((3, 1)), y=np.array([1.0, -1.0, 1.0]))))
-
-
-class StepClock:
-    """time.monotonic stand-in: 0 when first read, then ``step`` later on
-    every read."""
-
-    def __init__(self, step):
-        self.now, self.step = 0.0, step
-
-    def __call__(self):
-        now = self.now
-        self.now += self.step
-        return now
-
-
-class TestWallClockCap:
-    FAM = KernelFamily(variant="convex_combo", dictionary=DICT3)
-
-    def test_cap_cuts_grid_between_stacks(self, monkeypatch):
-        sample = make_tasks(np.random.default_rng(9), n=2, m=12)
-        budget = SearchBudget(grid_resolution=2)  # 6 candidates
-        full = erm_fit(self.FAM, sample, PARAMS, budget)
-        assert not full.budget_exhausted
-        # four problems per stack: two candidates per solve
-        monkeypatch.setattr(erm, "STACK_BYTES", 4 * 8 * 12 ** 2)
-        monkeypatch.setattr(erm.time, "monotonic", StepClock(1.0))
-        capped, cands, fits = erm.erm_search(
-            self.FAM, sample, PARAMS,
-            SearchBudget(grid_resolution=2, wall_clock_cap=0.5))
-        assert capped.budget_exhausted
-        # the clock passes the deadline before the second stack
-        assert len(cands) == 6 and len(fits) == 2
-        cands = cands[:2]
-        errs = [np.mean([empirical_margin_error(fit_single_task(c.kernel, t, PARAMS),
-                                                t, PARAMS.gamma)
-                         for t in sample.tasks]) for c in cands]
-        assert capped.candidate_index == int(np.argmin(errs))
-        assert capped.avg_empirical_margin_error == min(errs)
-
-    def test_cap_stops_refinement(self, monkeypatch):
-        sample = make_tasks(np.random.default_rng(10), n=2, m=12)
-        grid = erm_fit(self.FAM, sample, PARAMS, SearchBudget(grid_resolution=2))
-        monkeypatch.setattr(erm.time, "monotonic", StepClock(10.0))
-        capped = erm_fit(self.FAM, sample, PARAMS, SearchBudget(
-            grid_resolution=2, refine_rounds=3, wall_clock_cap=5.0))
-        # one stack holds the whole grid; the first refinement move is late
-        assert capped.budget_exhausted
-        assert capped.candidate_label == grid.candidate_label
-        assert capped.avg_empirical_margin_error == grid.avg_empirical_margin_error
-
-    def test_cap_applies_to_trials(self, monkeypatch):
-        from mtkl import InputLaw, TaskCluster, TaskEnvironment, run_trial
-        env = TaskEnvironment(dictionary=DICT3, input_law=InputLaw(dim=2),
-                              clusters=(TaskCluster(weight=1.0, kernel_index=1),))
-        kwargs = dict(n=2, m=12, gamma=0.15, delta=0.05, seed=11, mc_samples=500)
-        monkeypatch.setattr(erm, "STACK_BYTES", 1)
-        monkeypatch.setattr(erm.time, "monotonic", StepClock(1.0))
-        outcome = run_trial(env, self.FAM, budget=SearchBudget(
-            grid_resolution=2, wall_clock_cap=0.5), **kwargs)
-        assert outcome.solution.budget_exhausted
-        # one problem per solve: the deadline passes once candidate 0 is fit
-        assert outcome.solution.candidate_index == 0
-        assert outcome.guarantee.er_2gamma_best == outcome.report.er_2gamma
 
 
 class TestAvgTrueError:
