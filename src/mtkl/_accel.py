@@ -28,15 +28,25 @@ __all__ = [
 
 
 def _sq_dists(X, Z):
+    # max((xx + zz) - 2·(X Zᵀ), 0) in two (m, N) buffers, by the operations
+    # of that expression in its order, so the values are the same bits
     xx = np.sum(X * X, axis=1)[:, None]
     zz = np.sum(Z * Z, axis=1)[None, :]
-    d2 = xx + zz - 2.0 * (X @ Z.T)
+    P = X @ Z.T
+    P *= 2.0
+    d2 = np.add(xx, zz)
+    d2 -= P
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def rbf_cross(X, Z, bandwidth):
-    return np.exp(-_sq_dists(X, Z) / (2.0 * bandwidth * bandwidth))
+    # exp(-d2 / (2 bw²)) in place: negate, divide, exp, in that order
+    K = _sq_dists(X, Z)
+    np.negative(K, out=K)
+    K /= 2.0 * bandwidth * bandwidth
+    np.exp(K, out=K)
+    return K
 
 
 def linear_cross(X, Z, scale):

@@ -28,7 +28,8 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
                        pseudodim_lower_bound)
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
-from .errors import BudgetError, InputError, NumericError, read_json, require_keys
+from .errors import (BudgetError, InputError, NumericError, read_json,
+                     require_int, require_keys)
 from .kernels import load_family, pd_upper_bound
 from .margin import MarginParams
 
@@ -221,6 +222,9 @@ _EXPERIMENT_KEYS = {
     "delta", "trials", "mc_samples", "n_grid", "grid_resolution",
     "refine_rounds", "max_candidates", "max_iters",
 }
+_EXPERIMENT_INT_KEYS = ("sparsity", "n", "m", "trials", "mc_samples",
+                        "grid_resolution", "refine_rounds", "max_candidates",
+                        "max_iters")
 
 
 def _load_experiment_config(path: str) -> dict:
@@ -230,6 +234,13 @@ def _load_experiment_config(path: str) -> dict:
     if config["mode"] == "overhead":
         require_keys(config, _EXPERIMENT_KEYS, "overhead experiment config",
                      ("n_grid",))
+        if not isinstance(config["n_grid"], list):
+            raise InputError("experiment n_grid must be a list of task counts")
+        for n in config["n_grid"]:
+            require_int(n, "experiment n_grid entry")
+    for key in _EXPERIMENT_INT_KEYS:
+        if key in config:
+            require_int(config[key], f"experiment {key}")
     return config
 
 

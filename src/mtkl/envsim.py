@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import BoundInputs, multitask_epsilon
-from .errors import InputError, NumericError, read_json, require_keys
+from .errors import (InputError, NumericError, read_json, require_int,
+                     require_keys)
 from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
@@ -105,11 +106,15 @@ class Distribution:
                          kernel=self.kernel)
 
     def decision_values(self, X) -> np.ndarray:
-        return self.coeffs @ self.kernel.cross(self.anchors, X)
+        return self.kernel.expand(self.coeffs, self.anchors, X)
 
     def sample(self, m: int, rng: np.random.Generator):
-        """Draw m labeled points; rejection keeps |h*(x)| >= margin_gap."""
-        xs = []
+        """Draw m labeled points; rejection keeps |h*(x)| >= margin_gap.
+
+        Each batch's planted values are computed once: they decide which
+        points are kept, and a kept point's sign is its label before flips.
+        """
+        xs, vs = [], []
         kept = 0
         for _ in range(MAX_REJECTION_ROUNDS):
             batch = self.input_law.sample(max(2 * m, 64), rng)
@@ -117,6 +122,7 @@ class Distribution:
             good = np.abs(vals) >= self.margin_gap
             if good.any():
                 xs.append(batch[good])
+                vs.append(vals[good])
                 kept += int(good.sum())
             if kept >= m:
                 break
@@ -124,8 +130,7 @@ class Distribution:
             raise NumericError(
                 f"margin gap {self.margin_gap} rejects nearly all inputs")
         X = np.concatenate(xs)[:m]
-        vals = self.decision_values(X)
-        y = np.where(vals >= 0.0, 1.0, -1.0)
+        y = np.where(np.concatenate(vs)[:m] >= 0.0, 1.0, -1.0)
         if self.flip_rate > 0.0:
             flips = rng.random(m) < self.flip_rate
             y = np.where(flips, -y, y)
@@ -166,6 +171,8 @@ class TaskCluster:
     balance_slack: float = 0.5
 
     def __post_init__(self):
+        require_int(self.kernel_index, "cluster kernel_index")
+        require_int(self.n_anchors, "cluster n_anchors")
         if self.weight <= 0:
             raise InputError("cluster weight must be positive")
         if self.n_anchors < 1:
@@ -459,6 +466,9 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
 def environment_from_dict(spec: dict) -> TaskEnvironment:
     require_keys(spec, {"dictionary", "input_law", "clusters"}, "environment spec",
                  ("dictionary", "input_law", "clusters"))
+    for key in ("dictionary", "clusters"):
+        if not isinstance(spec[key], list):
+            raise InputError(f"environment {key} must be a list")
     law_spec = spec["input_law"]
     require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
                             "weights"}, "input_law spec", ("dim",))

@@ -16,6 +16,7 @@ so grid suboptimality costs tightness, never correctness.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -306,30 +307,32 @@ def load_multitask_sample(path) -> MultiTaskSample:
     order: list[str] = []
     width = None
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            width = width or len(row)
-            if len(row) != width:
-                raise InputError(
-                    f"{path} line {reader.line_num}: {len(row)} fields, but "
-                    f"the first data row has {width}")
-            task_id = row[0].strip()
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise InputError(f"non-numeric field in data row {row!r}") from exc
-            if len(values) < 2:
-                raise InputError(f"data row needs features and a label: {row!r}")
-            if task_id not in groups:
-                groups[task_id] = []
-                order.append(task_id)
-            groups[task_id].append(values)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"data file {path} is not UTF-8 text: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        width = width or len(row)
+        if len(row) != width:
+            raise InputError(
+                f"{path} line {reader.line_num}: {len(row)} fields, but "
+                f"the first data row has {width}")
+        task_id = row[0].strip()
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise InputError(f"non-numeric field in data row {row!r}") from exc
+        if len(values) < 2:
+            raise InputError(f"data row needs features and a label: {row!r}")
+        if task_id not in groups:
+            groups[task_id] = []
+            order.append(task_id)
+        groups[task_id].append(values)
     if not order:
         raise InputError(f"no data rows in {path}")
     tasks = []

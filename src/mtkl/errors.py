@@ -6,6 +6,7 @@ exit 4.
 """
 
 import json
+import numbers
 
 
 class InputError(ValueError):
@@ -33,6 +34,13 @@ def require_keys(obj, allowed: set[str], context: str,
     for key in required:
         if key not in obj:
             raise InputError(f"{context} requires {key!r}")
+
+
+def require_int(value, context: str) -> None:
+    """Type check for a parsed JSON value that must be an integer: a bool,
+    float or string raises InputError naming ``context``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{context} must be an integer, got {value!r}")
 
 
 def read_json(path, what: str):

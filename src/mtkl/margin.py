@@ -79,7 +79,8 @@ class Predictor:
     converged: bool = True
 
     def evaluate(self, X) -> np.ndarray:
-        return self.alphas @ self.kernel.cross(self.support_sample, as_points(X))
+        """h(x) at each row of X, scored in blocks by ``Kernel.expand``."""
+        return self.kernel.expand(self.alphas, self.support_sample, X)
 
     def norm_sq(self) -> float:
         G = self.kernel.gram(self.support_sample)

@@ -5,7 +5,9 @@ re-evaluated term by term in mpmath arbitrary precision, covers are found by
 exhaustive subset search, shattering by naive pattern enumeration (and the
 threshold scan by a brute-force scan over Python integer sets), sparse search
 grids by filtering every count vector, and tiny fits by dense grids over the
-dual coefficients. The scalar hinge solver is the one-problem, one-trial-step-at-a-time loop that the vectorised solver in
+dual coefficients. Kernel expansions are summed entry by entry with
+``math.fsum`` from textbook kernel formulas. The scalar hinge solver is the
+one-problem, one-trial-step-at-a-time loop that the vectorised solver in
 ``mtkl._accel`` must reproduce bit for bit.
 """
 
@@ -81,6 +83,38 @@ def mp_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C=1.0):
 def mp_lifelong_delta(n, m, d_phi, B, gamma, epsilon, C=1.0):
     ls, le = mp_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C)
     return min(mp.e**ls + mp.e**le, mp.mpf(1))
+
+
+def base_kernel_entry(base, s, x) -> float:
+    """k(s, x) for one ``BaseKernel``, by its textbook formula on Python
+    floats (sums by ``math.fsum``); only the kernel's parameters are read."""
+    if base.dims is not None:
+        s, x = [s[i] for i in base.dims], [x[i] for i in base.dims]
+    if base.kind == "rbf":
+        sq = math.fsum((a - b) ** 2 for a, b in zip(s, x))
+        return math.exp(-sq / (2.0 * base.bandwidth ** 2))
+    if base.kind == "linear":
+        return base.scale * math.fsum(a * b for a, b in zip(s, x))
+    if base.kind == "poly":
+        return (base.scale * math.fsum(a * b for a, b in zip(s, x))
+                + base.coef0) ** base.degree
+    if base.kind == "gaussian_metric":
+        M = base.metric.tolist()
+        diff = [a - b for a, b in zip(s, x)]
+        return math.exp(-0.5 * math.fsum(diff[i] * M[i][j] * diff[j]
+                                         for i in range(len(diff))
+                                         for j in range(len(diff))))
+    return float(base.func(s, x))
+
+
+def kernel_expansion_fsum(kernel, coeffs, S, X) -> np.ndarray:
+    """sum_j coeffs[j] k(S[j], x) at each row x of X, one entry at a time:
+    every (term, support point) product is summed by one ``math.fsum``."""
+    S, X, coeffs = np.asarray(S).tolist(), np.asarray(X).tolist(), list(coeffs)
+    return np.array([math.fsum(w * c * base_kernel_entry(base, s, x)
+                               for w, base in kernel.terms
+                               for c, s in zip(coeffs, S))
+                     for x in X])
 
 
 def rel_err(value, oracle) -> float:

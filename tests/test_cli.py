@@ -154,6 +154,15 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert "error-category: input" in err and needle in err
 
+    def test_non_utf8_data_file_exit2(self, family_file, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xff\xfet0,0.5,-0.2,1\nt0,-0.5,0.3,-1\n")
+        rc = main(["learn", "--family", family_file, "--data", str(path),
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and str(path) in err
+
 
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
@@ -271,23 +280,31 @@ class TestExperimentCommand:
         assert rc == 2
         assert "error-category: input" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode,env_part", [
-        ("sandwich", {"input_law": {"kind": "uniform_cube"}}),
-        ("sandwich", {"clusters": [{"weight": 1.0}]}),
-        ("overhead", {}),
-        ("sandwich", {"dictionary": [{"type": "combo"}]}),
-        ("sandwich", {"dictionary": [{"type": "combo", "terms": [0.5]}]}),
-        ("sandwich", {"dictionary": [{"type": "combo", "terms": [[1.0]]}]}),
+    @pytest.mark.parametrize("mode,env_part,config_part", [
+        ("sandwich", {"input_law": {"kind": "uniform_cube"}}, {}),
+        ("sandwich", {"clusters": [{"weight": 1.0}]}, {}),
+        ("overhead", {}, {}),
+        ("sandwich", {"dictionary": [{"type": "combo"}]}, {}),
+        ("sandwich", {"dictionary": [{"type": "combo", "terms": [0.5]}]}, {}),
+        ("sandwich", {"dictionary": [{"type": "combo", "terms": [[1.0]]}]}, {}),
         ("sandwich", {"dictionary": [
-            {"type": "combo", "terms": [["a", {"type": "rbf"}]]}]}),
-        ("sandwich", {"dictionary": [{"type": "gaussian_metric"}]}),
+            {"type": "combo", "terms": [["a", {"type": "rbf"}]]}]}, {}),
+        ("sandwich", {"dictionary": [{"type": "gaussian_metric"}]}, {}),
+        ("sandwich", {"clusters": 5}, {}),
+        ("sandwich", {"clusters": [{"weight": 1.0, "kernel_index": "0"}]}, {}),
+        ("sandwich", {}, {"trials": "3"}),
+        ("sandwich", {}, {"trials": True}),
+        ("overhead", {}, {"n_grid": [1, "2"]}),
     ], ids=["input_law_dim", "cluster_kernel_index", "overhead_n_grid",
             "combo_terms", "combo_term_not_pair", "combo_term_short",
-            "combo_weight_not_number", "gaussian_metric_metric"])
+            "combo_weight_not_number", "gaussian_metric_metric",
+            "clusters_not_list", "kernel_index_string", "trials_string",
+            "trials_bool", "n_grid_entry_string"])
     def test_missing_or_malformed_key_exit2(self, tmp_path, capsys, mode,
-                                            env_part):
-        # each of these raised KeyError, TypeError or ValueError
-        cfg_path = self._config(tmp_path, mode, n=2, m=12)
+                                            env_part, config_part):
+        # each of these raised KeyError or TypeError or ValueError, or (a
+        # bool trial count) ran as an integer
+        cfg_path = self._config(tmp_path, mode, n=2, m=12, **config_part)
         with open(cfg_path, encoding="utf-8") as fh:
             config = json.load(fh)
         config["environment"].update(env_part)

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtkl import (InputError, KernelFamily, NumericError, check_kernel_invariants,
-                  instantiate, kernel_from_dict, kernel_to_dict, linear_kernel,
-                  min_eigenvalue, pd_upper_bound, poly_kernel, psd_defect,
-                  rbf_kernel)
-from mtkl.kernels import family_from_dict, family_to_dict, gaussian_metric_kernel
+from _oracles import kernel_expansion_fsum
+from mtkl import (InputError, KernelFamily, NumericError, Predictor,
+                  check_kernel_invariants, instantiate, kernel_from_dict,
+                  kernel_to_dict, linear_kernel, min_eigenvalue, pd_upper_bound,
+                  poly_kernel, psd_defect, rbf_kernel)
+from mtkl.envsim import InputLaw, make_planted_distribution
+from mtkl.kernels import (EVAL_BLOCK, custom_kernel, family_from_dict,
+                          family_to_dict, gaussian_metric_kernel)
 
 
 def random_dictionary(rng, size, dim):
@@ -221,3 +224,52 @@ class TestInvariantChecks:
         object.__setattr__(k, "bound_b", 0.5)
         with pytest.raises(NumericError):
             check_kernel_invariants(k, [[0.0, 0.0]])
+
+
+def _inverse_quadratic(a, b):
+    return 1.0 / (1.0 + math.fsum((p - q) ** 2 for p, q in zip(a, b)))
+
+
+EXPANSION_KERNELS = {
+    "rbf": rbf_kernel(0.7),
+    "linear": linear_kernel(scale=0.5, bound_b=1.5),
+    "poly": poly_kernel(degree=3, scale=0.5, coef0=0.5, bound_b=8.0),
+    "gaussian_metric": gaussian_metric_kernel(
+        [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]),
+    "custom": custom_kernel(_inverse_quadratic, bound_b=1.0),
+    "combo_dims": kernel_from_dict({"type": "combo", "terms": [
+        [0.25, {"type": "rbf", "bandwidth": 0.5, "dims": [0, 2]}],
+        [0.75, {"type": "linear", "dims": [1], "bound": 1.0}]]}),
+}
+
+
+class TestExpand:
+    SIZES = (1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 37)
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_KERNELS))
+    def test_blocks_match_fsum_oracle(self, name):
+        kernel = EXPANSION_KERNELS[name]
+        rng = np.random.default_rng(len(name))
+        # inputs, coefficients and kernel values are all positive, so no
+        # entry cancels and a relative tolerance bounds every one
+        S, coeffs = rng.uniform(0, 1, (3, 3)), rng.uniform(0.5, 1.5, 3)
+        predictor = Predictor(alphas=coeffs, support_sample=S, kernel=kernel)
+        for n in self.SIZES:
+            X = rng.uniform(0, 1, (n, 3))
+            S_before, X_before = S.copy(), X.copy()
+            expected = kernel_expansion_fsum(kernel, coeffs, S, X)
+            np.testing.assert_allclose(kernel.expand(coeffs, S, X), expected,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(predictor.evaluate(X), expected,
+                                       rtol=1e-12, atol=0)
+            assert np.array_equal(S, S_before) and np.array_equal(X, X_before)
+
+    def test_decision_values_are_the_planted_predictor(self):
+        rng = np.random.default_rng(11)
+        kernel = EXPANSION_KERNELS["combo_dims"]
+        dist = make_planted_distribution(
+            InputLaw(dim=3), kernel, rng.uniform(-1, 1, (6, 3)),
+            rng.standard_normal(6))
+        X = rng.uniform(-1, 1, (2 * EVAL_BLOCK + 37, 3))
+        assert np.array_equal(dist.decision_values(X),
+                              dist.planted_predictor().evaluate(X))

@@ -1,5 +1,7 @@
 """Single-task margin learner contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,20 @@ class TestTrueMarginError:
         with pytest.raises(InputError):
             true_margin_error(self._identity_predictor(),
                               FixedScoreDistribution(), 0.1, 0, seed=0)
+
+
+def test_evaluation_memory_stays_within_blocks():
+    # one (32, 100k) RBF cross-Gram takes 25.6 MB per buffer; blocks of
+    # EVAL_BLOCK points keep the peak to a few MB
+    rng = np.random.default_rng(3)
+    predictor = Predictor(alphas=rng.standard_normal(32),
+                          support_sample=rng.uniform(-1, 1, (32, 4)),
+                          kernel=rbf_kernel(0.6))
+    X = rng.uniform(-1, 1, (100_000, 4))
+    tracemalloc.start()
+    try:
+        predictor.evaluate(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
