@@ -13,7 +13,7 @@ from .kernels import (BaseKernel, Kernel, KernelFamily,
                       load_family, min_eigenvalue, pd_upper_bound, poly_kernel,
                       psd_defect, rbf_kernel)
 from .margin import (MarginParams, Predictor, TaskData, empirical_margin_error,
-                     fit_single_task, true_margin_error)
+                     fit_single_task)
 from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
                   enumerate_candidates, erm_fit, load_multitask_sample)
 from .bounds import (BoundConstants, BoundInputs, DeltaResult, EpsilonResult,
@@ -26,8 +26,7 @@ from .capacity import (CoverRequest, CoverResult, PseudodimBudget, PseudodimResu
 from .envsim import (Distribution, ErmGuaranteeReport, InputLaw, OverheadPoint,
                      TaskCluster, TaskEnvironment, TrialOutcome, TrialReport,
                      avg_true_error, load_environment, make_planted_distribution,
-                     overhead_curve, run_sandwich_trial, run_trial, sample_lifelong,
-                     sample_multitask)
+                     overhead_curve, run_trial, sample_lifelong, sample_multitask)
 
 __version__ = "0.1.0"
 

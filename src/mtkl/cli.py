@@ -29,8 +29,8 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import (BudgetError, InputError, NumericError, read_json,
-                     require_int, require_keys)
-from .kernels import load_family, pd_upper_bound
+                     require_int, require_keys, require_number)
+from .kernels import COMBO_VARIANTS, KernelFamily, load_family, pd_upper_bound
 from .margin import MarginParams
 
 CSV_SCHEMA_VERSION = 1
@@ -241,13 +241,15 @@ def _load_experiment_config(path: str) -> dict:
     for key in _EXPERIMENT_INT_KEYS:
         if key in config:
             require_int(config[key], f"experiment {key}")
+    for key in ("gamma", "delta"):
+        if key in config:
+            require_number(config[key], f"experiment {key}")
     return config
 
 
 def _experiment_family(config, env):
-    from .kernels import KernelFamily
     variant = config.get("family_variant", "convex_combo")
-    if variant not in ("convex_combo", "sparse_combo", "linear_combo"):
+    if variant not in COMBO_VARIANTS:
         raise InputError("experiment family_variant must be a dictionary variant")
     return KernelFamily(variant=variant, dictionary=env.dictionary,
                         sparsity=config.get("sparsity"))
@@ -267,7 +269,7 @@ def _cmd_experiment(args) -> int:
         refine_rounds=config.get("refine_rounds", 0),
         max_candidates=config.get("max_candidates", 4096))
     gamma = config.get("gamma", 0.1)
-    params = MarginParams(gamma=gamma, max_iters=config.get("max_iters", 2000))
+    max_iters = config.get("max_iters", 2000)
     mode = config["mode"]
     out_dir = _ensure_out_dir(args)
 
@@ -276,7 +278,7 @@ def _cmd_experiment(args) -> int:
             env, family, m=config.get("m", 20), n_grid=config["n_grid"],
             trials=config.get("trials", 10), seed=args.seed, gamma=gamma,
             mc_samples=config.get("mc_samples", 20_000), budget=budget,
-            fit_params=params)
+            max_iters=max_iters)
         with open(os.path.join(out_dir, "trials.csv"), "w",
                   encoding="utf-8") as fh:
             writer = _csv_writer(fh, "overhead", [
@@ -308,7 +310,7 @@ def _cmd_experiment(args) -> int:
             outcome = envsim.run_trial(
                 env, family, n=n, m=m, gamma=gamma, delta=delta,
                 seed=root.spawn(1)[0], mc_samples=config.get("mc_samples", 100_000),
-                budget=budget, fit_params=params,
+                budget=budget, max_iters=max_iters,
                 evaluate_guarantee=(mode == "guarantee"))
             rows.append((trial, outcome))
         with open(os.path.join(out_dir, "trials.csv"), "w",

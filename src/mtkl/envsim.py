@@ -22,8 +22,9 @@ import numpy as np
 
 from .bounds import BoundInputs, multitask_epsilon
 from .errors import (InputError, NumericError, read_json, require_int,
-                     require_keys)
-from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
+                     require_keys, require_number)
+from .kernels import (Kernel, KernelFamily, kernel_from_dict, number_array,
+                      pd_upper_bound)
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
 # enumerate_candidates and fit_candidate are not called here: run_trial
@@ -183,16 +184,11 @@ class TaskCluster:
 
 @dataclass(frozen=True, eq=False)
 class TaskEnvironment:
-    """A mixture of task clusters planted under a shared kernel dictionary.
-
-    ``fixed_task`` makes the task law degenerate: every draw returns that
-    one distribution (useful for reductions to the single-distribution case).
-    """
+    """A mixture of task clusters planted under a shared kernel dictionary."""
 
     dictionary: tuple[Kernel, ...]
     input_law: InputLaw
     clusters: tuple[TaskCluster, ...] = (TaskCluster(weight=1.0, kernel_index=0),)
-    fixed_task: Optional[Distribution] = None
 
     def __post_init__(self):
         if not self.dictionary:
@@ -209,8 +205,6 @@ class TaskEnvironment:
         return next(iter(indices))
 
     def draw_task(self, rng: np.random.Generator) -> Distribution:
-        if self.fixed_task is not None:
-            return self.fixed_task
         weights = np.array([c.weight for c in self.clusters])
         idx = int(rng.choice(len(self.clusters), p=weights / weights.sum()))
         cluster = self.clusters[idx]
@@ -218,13 +212,13 @@ class TaskEnvironment:
         for _ in range(200):
             anchors = self.input_law.sample(cluster.n_anchors, rng)
             coeffs = rng.standard_normal(cluster.n_anchors)
-            G = kernel.gram(anchors)
-            if float(coeffs @ G @ coeffs) <= 1e-10:
+            norm_sq = float(coeffs @ kernel.gram(anchors) @ coeffs)
+            if norm_sq <= 1e-10:
                 continue
-            dist = make_planted_distribution(
-                self.input_law, kernel, anchors, coeffs,
-                margin_gap=cluster.margin_gap, flip_rate=cluster.flip_rate,
-                component=idx)
+            dist = Distribution(
+                input_law=self.input_law, kernel=kernel, anchors=anchors,
+                coeffs=coeffs / np.sqrt(norm_sq), margin_gap=cluster.margin_gap,
+                flip_rate=cluster.flip_rate, component=idx)
             if cluster.balance_slack < 0.5:
                 probe = self.input_law.sample(512, rng)
                 vals = dist.decision_values(probe)
@@ -247,17 +241,21 @@ def sample_lifelong(env: TaskEnvironment, n: int, seed) -> list[Distribution]:
     return [env.draw_task(np.random.default_rng(s)) for s in streams]
 
 
+def _draw_per_task(distributions, m: int, seed) -> list:
+    """m draws ``(X, y)`` from each distribution; distribution i draws from
+    ``default_rng(SeedSequence(seed).spawn(len(distributions))[i])``."""
+    streams = as_seed_sequence(seed).spawn(len(distributions))
+    return [dist.sample(m, np.random.default_rng(s))
+            for dist, s in zip(distributions, streams)]
+
+
 def sample_multitask(distributions: Sequence[Distribution], m: int,
                      seed) -> MultiTaskSample:
     """m i.i.d. draws per task with distinct per-task substreams."""
     if m < 1:
         raise InputError("m must be >= 1")
-    streams = as_seed_sequence(seed).spawn(len(distributions))
-    tasks = []
-    for dist, stream in zip(distributions, streams):
-        X, y = dist.sample(m, np.random.default_rng(stream))
-        tasks.append(TaskData(X=X, y=y))
-    return MultiTaskSample(tasks=tuple(tasks))
+    return MultiTaskSample(tasks=tuple(
+        TaskData(X=X, y=y) for X, y in _draw_per_task(distributions, m, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +295,6 @@ class TrialOutcome:
     solution: MultiTaskSolution
 
 
-def _mc_datasets(distributions, mc_samples, seed):
-    streams = as_seed_sequence(seed).spawn(len(distributions))
-    return [dist.sample(mc_samples, np.random.default_rng(s))
-            for dist, s in zip(distributions, streams)]
-
-
 def _mc_scores(predictors, mc_data):
     return [y * pred.evaluate(X) for pred, (X, y) in zip(predictors, mc_data)]
 
@@ -311,9 +303,10 @@ def _avg_error(scores, margin):
     return float(np.mean([np.mean(s < margin) for s in scores]))
 
 
-def avg_true_error(solution: MultiTaskSolution, distributions: Sequence,
+def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
                    gamma: float, mc_samples: int, seed) -> float:
-    """Mean over tasks of the Monte Carlo margin error at ``gamma``.
+    """Mean over tasks of the Monte Carlo estimate of P(y h(x) < gamma);
+    one task's risk is ``avg_true_error([h], [dist], ...)``.
 
     Per-task sample streams are spawned from ``seed`` exactly as in
     ``run_trial``, so a trial's Monte Carlo seed reproduces its ``er`` and
@@ -321,13 +314,13 @@ def avg_true_error(solution: MultiTaskSolution, distributions: Sequence,
     share the exact same draws. Spawning advances a ``SeedSequence``, so
     repeating draws from one takes a fresh copy per call.
     """
-    if len(distributions) != len(solution.predictors):
+    if len(distributions) != len(predictors):
         raise InputError(
-            f"{len(distributions)} distributions for {len(solution.predictors)} tasks")
+            f"{len(distributions)} distributions for {len(predictors)} tasks")
     if mc_samples < 1:
         raise InputError("mc_samples must be >= 1")
-    mc_data = _mc_datasets(distributions, mc_samples, seed)
-    return _avg_error(_mc_scores(solution.predictors, mc_data), gamma)
+    mc_data = _draw_per_task(distributions, mc_samples, seed)
+    return _avg_error(_mc_scores(predictors, mc_data), gamma)
 
 
 def searched_family_bound(family: KernelFamily) -> float:
@@ -342,8 +335,7 @@ def searched_family_bound(family: KernelFamily) -> float:
 def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               family: KernelFamily, n: int, m: int, gamma: float, delta: float,
               seed, mc_samples: int = 100_000,
-              budget: SearchBudget = SearchBudget(),
-              fit_params: Optional[MarginParams] = None,
+              budget: SearchBudget = SearchBudget(), max_iters: int = 2000,
               evaluate_guarantee: bool = True) -> TrialOutcome:
     """One seeded end-to-end trial: sample tasks and data, run ERM (the same
     search as ``erm_fit``, budget included), Monte Carlo the true risks,
@@ -359,14 +351,12 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
         if len(distributions) != n:
             raise InputError(f"got {len(distributions)} distributions for n={n}")
     sample = sample_multitask(distributions, m, ss_data)
-    params = fit_params if fit_params is not None else MarginParams(gamma=gamma)
-    if params.gamma != gamma:
-        raise InputError("fit_params.gamma must match the trial margin")
+    params = MarginParams(gamma=gamma, max_iters=max_iters)
 
     solution, _, grid_fits = erm_search(family, sample, params, budget)
     predictors = solution.predictors
 
-    mc_data = _mc_datasets(distributions, mc_samples, ss_mc)
+    mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
     chosen_scores = _mc_scores(predictors, mc_data)
     er = _avg_error(chosen_scores, 0.0)
     er_2g = _avg_error(chosen_scores, 2.0 * gamma)
@@ -396,17 +386,6 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     return TrialOutcome(report=report, guarantee=guarantee, solution=solution)
 
 
-def run_sandwich_trial(source, family: KernelFamily, n: int, m: int,
-                       gamma: float, delta: float, seed,
-                       mc_samples: int = 100_000,
-                       budget: SearchBudget = SearchBudget(),
-                       fit_params: Optional[MarginParams] = None) -> TrialReport:
-    """Fit, bound, and record the two-sided deviation check for one trial."""
-    return run_trial(source, family, n, m, gamma, delta, seed,
-                     mc_samples=mc_samples, budget=budget,
-                     fit_params=fit_params, evaluate_guarantee=False).report
-
-
 # ---------------------------------------------------------------------------
 # Overhead curves.
 # ---------------------------------------------------------------------------
@@ -426,7 +405,7 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
                    n_grid: Sequence[int], trials: int, seed, gamma: float,
                    mc_samples: int = 20_000,
                    budget: SearchBudget = SearchBudget(),
-                   fit_params: Optional[MarginParams] = None) -> list[OverheadPoint]:
+                   max_iters: int = 2000) -> list[OverheadPoint]:
     """Excess error of the ERM learner over the true-kernel oracle learner,
     and its estimation gap, for each task count in ``n_grid``.
 
@@ -436,7 +415,7 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
     """
     if list(n_grid) != sorted(n_grid) or len(n_grid) == 0:
         raise InputError("n_grid must be a nondecreasing nonempty sequence")
-    params = fit_params if fit_params is not None else MarginParams(gamma=gamma)
+    params = MarginParams(gamma=gamma, max_iters=max_iters)
     oracle_kernel = env.dictionary[env.shared_kernel_index]
     root = as_seed_sequence(seed)
     points = []
@@ -448,7 +427,7 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
             solution = erm_fit(family, sample, params, budget)
             oracle_preds = tuple(fit_single_task(oracle_kernel, t, params)
                                  for t in sample.tasks)
-            mc_data = _mc_datasets(distributions, mc_samples, ss_mc)
+            mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
             erm_er = _avg_error(_mc_scores(solution.predictors, mc_data), 0.0)
             oracle_er = _avg_error(_mc_scores(oracle_preds, mc_data), 0.0)
             points.append(OverheadPoint(
@@ -472,16 +451,25 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
     law_spec = spec["input_law"]
     require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
                             "weights"}, "input_law spec", ("dim",))
+    require_int(law_spec["dim"], "input_law dim")
+    for key in ("low", "high"):
+        if key in law_spec:
+            require_number(law_spec[key], f"input_law {key}")
+    arrays = {key: number_array(law_spec[key], f"input_law {key}")
+              for key in ("means", "scales", "weights")
+              if law_spec.get(key) is not None}
     law = InputLaw(
         kind=law_spec.get("kind", "uniform_cube"), dim=law_spec["dim"],
         low=law_spec.get("low", -1.0), high=law_spec.get("high", 1.0),
-        means=law_spec.get("means"), scales=law_spec.get("scales"),
-        weights=law_spec.get("weights"))
+        **arrays)
     clusters = []
     for c in spec["clusters"]:
         require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
                          "flip_rate", "balance_slack"}, "cluster spec",
                      ("kernel_index",))
+        for key in ("weight", "margin_gap", "flip_rate", "balance_slack"):
+            if key in c:
+                require_number(c[key], f"cluster {key}")
         clusters.append(TaskCluster(
             weight=c.get("weight", 1.0), kernel_index=c["kernel_index"],
             n_anchors=c.get("n_anchors", 6), margin_gap=c.get("margin_gap", 0.25),

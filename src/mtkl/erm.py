@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .kernels import Kernel, KernelFamily, instantiate
+from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, instantiate
 from .margin import MarginParams, Predictor, TaskData, empirical_margin_error, \
     fit_single_task, fit_stack
 
@@ -170,7 +170,7 @@ def _gaussian_candidates(family: KernelFamily, budget: SearchBudget):
 
 def enumerate_candidates(family: KernelFamily, budget: SearchBudget) -> list[Candidate]:
     """Canonically ordered candidate kernels for the family under the budget."""
-    if family.variant in ("linear_combo", "convex_combo", "sparse_combo"):
+    if family.variant in COMBO_VARIANTS:
         raw = _combo_candidates(family, budget)
     else:
         raw = _gaussian_candidates(family, budget)
@@ -264,7 +264,7 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
     avg_err, kernel, cand_params, label = \
         averages[pick], cand.kernel, cand.params, cand.label
 
-    weight_family = family.variant in ("linear_combo", "convex_combo", "sparse_combo")
+    weight_family = family.variant in COMBO_VARIANTS
     if budget.refine_rounds > 0 and weight_family:
         w, err, refined = _refine_weights(
             family, sample, params, budget, cand.params, avg_err)

@@ -43,6 +43,13 @@ def require_int(value, context: str) -> None:
         raise InputError(f"{context} must be an integer, got {value!r}")
 
 
+def require_number(value, context: str) -> None:
+    """Type check for a parsed JSON value that must be a real number: a bool,
+    string or None raises InputError naming ``context``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{context} must be a number, got {value!r}")
+
+
 def read_json(path, what: str):
     """Parse the JSON file at ``path``; an unreadable or malformed file is an
     InputError naming ``what`` and the path."""

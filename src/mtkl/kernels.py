@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NumericError, read_json, require_keys
+from .errors import (InputError, NumericError, read_json, require_int,
+                     require_keys, require_number)
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
@@ -38,13 +39,9 @@ PSD_TOL_FACTOR = 1e-8
 EVAL_BLOCK = 4096
 
 _BASE_KINDS = ("linear", "rbf", "poly", "gaussian_metric", "custom")
-VARIANTS = (
-    "linear_combo",
-    "convex_combo",
-    "sparse_combo",
-    "gaussian_covariance",
-    "gaussian_low_rank",
-)
+# variants whose members are weighted combinations of a kernel dictionary
+COMBO_VARIANTS = ("linear_combo", "convex_combo", "sparse_combo")
+VARIANTS = COMBO_VARIANTS + ("gaussian_covariance", "gaussian_low_rank")
 
 
 def as_points(sample) -> np.ndarray:
@@ -199,6 +196,18 @@ class Kernel:
         return out
 
 
+def _combine(parts) -> Kernel:
+    """The kernel sum_i w_i k_i of (w_i, k_i) pairs: each k_i's terms scaled
+    by w_i, and the declared bound sum_i w_i B_i."""
+    terms = []
+    bound = 0.0
+    for w, kern in parts:
+        bound += w * kern.bound_b
+        for inner_w, base in kern.terms:
+            terms.append((float(w * inner_w), base))
+    return Kernel(terms=tuple(terms), bound_b=bound)
+
+
 def rbf_kernel(bandwidth: float = 1.0, dims: Optional[Sequence[int]] = None) -> Kernel:
     base = BaseKernel(kind="rbf", bandwidth=float(bandwidth),
                       dims=None if dims is None else tuple(dims), bound_b=1.0)
@@ -275,7 +284,7 @@ class KernelFamily:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown family variant {self.variant!r}")
-        if self.variant in ("linear_combo", "convex_combo", "sparse_combo"):
+        if self.variant in COMBO_VARIANTS:
             if not self.dictionary:
                 raise InputError(f"{self.variant} requires a kernel dictionary")
         if self.variant == "sparse_combo":
@@ -303,7 +312,7 @@ def instantiate(family: KernelFamily, params) -> Kernel:
     (low rank). Weight vectors off the simplex by more than 1e-9, violated
     sparsity, or a non-PSD metric are input errors.
     """
-    if family.variant in ("linear_combo", "convex_combo", "sparse_combo"):
+    if family.variant in COMBO_VARIANTS:
         w = np.asarray(params, dtype=np.float64)
         if w.shape != (len(family.dictionary),):
             raise InputError(
@@ -318,18 +327,11 @@ def instantiate(family: KernelFamily, params) -> Kernel:
             if nnz > family.sparsity:
                 raise InputError(
                     f"sparsity violated: {nnz} nonzero weights > k={family.sparsity}")
-        w = np.clip(w, 0.0, None)
-        terms = []
-        bound = 0.0
-        for wi, kern in zip(w, family.dictionary):
-            if wi == 0.0:
-                continue
-            bound += wi * kern.bound_b
-            for inner_w, base in kern.terms:
-                terms.append((float(wi * inner_w), base))
-        if not terms:
+        parts = [(wi, kern) for wi, kern in
+                 zip(np.clip(w, 0.0, None), family.dictionary) if wi != 0.0]
+        if not parts:
             raise InputError("all combination weights are zero")
-        return Kernel(terms=tuple(terms), bound_b=bound)
+        return _combine(parts)
 
     M = np.asarray(params, dtype=np.float64)
     ell = family.dimension
@@ -366,39 +368,64 @@ def pd_upper_bound(family: KernelFamily) -> float:
 # ---------------------------------------------------------------------------
 
 
+def number_array(value, context: str) -> np.ndarray:
+    """A parsed JSON number or rectangular list of numbers as a float array.
+
+    Ragged rows leave lists among the object array's entries, so they fail
+    the entry check along with bools, strings and None."""
+    entries = np.asarray(value, dtype=object)
+    for v in entries.flat:
+        require_number(v, context)
+    return entries.astype(np.float64)
+
+
+def _base_spec_dims(spec: dict, allowed: set[str]):
+    """Strict-key and type checks of an rbf, linear or poly spec; returns
+    its ``dims``, a list of integers or None."""
+    kind = spec["type"]
+    require_keys(spec, allowed, f"{kind} kernel spec")
+    for key in ("bandwidth", "scale", "coef0", "bound"):
+        if key in spec:
+            require_number(spec[key], f"{kind} kernel {key}")
+    if "degree" in spec:
+        require_int(spec["degree"], f"{kind} kernel degree")
+    dims = spec.get("dims")
+    if dims is not None and not isinstance(dims, list):
+        raise InputError("kernel dims must be a list of coordinate indices")
+    for d in dims or ():
+        require_int(d, "kernel dims entry")
+    return dims
+
+
 def kernel_from_dict(spec: dict) -> Kernel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("kernel spec must be an object with a 'type' key")
     kind = spec["type"]
     if kind == "rbf":
-        require_keys(spec, {"type", "bandwidth", "dims"}, "rbf kernel spec")
-        return rbf_kernel(spec.get("bandwidth", 1.0), spec.get("dims"))
+        dims = _base_spec_dims(spec, {"type", "bandwidth", "dims"})
+        return rbf_kernel(spec.get("bandwidth", 1.0), dims)
     if kind == "linear":
-        require_keys(spec, {"type", "scale", "dims", "bound"}, "linear kernel spec")
-        return linear_kernel(spec.get("dims"), spec.get("scale", 1.0), spec.get("bound", 1.0))
+        dims = _base_spec_dims(spec, {"type", "scale", "dims", "bound"})
+        return linear_kernel(dims, spec.get("scale", 1.0), spec.get("bound", 1.0))
     if kind == "poly":
-        require_keys(spec, {"type", "degree", "scale", "coef0", "dims", "bound"},
-                     "poly kernel spec")
+        dims = _base_spec_dims(spec, {"type", "degree", "scale", "coef0", "dims",
+                                      "bound"})
         return poly_kernel(spec.get("degree", 2), spec.get("scale", 1.0),
-                           spec.get("coef0", 0.0), spec.get("dims"), spec.get("bound", 1.0))
+                           spec.get("coef0", 0.0), dims, spec.get("bound", 1.0))
     if kind == "gaussian_metric":
         require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec",
                      ("metric",))
-        return gaussian_metric_kernel(spec["metric"])
+        return gaussian_metric_kernel(
+            number_array(spec["metric"], "gaussian_metric kernel metric"))
     if kind == "combo":
         require_keys(spec, {"type", "terms"}, "combo kernel spec", ("terms",))
         if not isinstance(spec["terms"], list) or not all(
-                isinstance(t, list) and len(t) == 2 and isinstance(t[0], (int, float))
-                for t in spec["terms"]):
+                isinstance(t, list) and len(t) == 2 for t in spec["terms"]):
             raise InputError("combo kernel terms must be [weight, kernel spec] pairs")
-        parts = [(float(w), kernel_from_dict(inner)) for w, inner in spec["terms"]]
-        terms = []
-        bound = 0.0
-        for w, kern in parts:
-            bound += w * kern.bound_b
-            for inner_w, base in kern.terms:
-                terms.append((w * inner_w, base))
-        return Kernel(terms=tuple(terms), bound_b=bound)
+        for w, _ in spec["terms"]:
+            require_number(w, "combo kernel term weight")
+        return _combine([(float(w), kernel_from_dict(inner))
+                         for w, inner in spec["terms"]])
     raise InputError(f"unknown kernel type {kind!r}")
 
 
@@ -428,6 +455,9 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 def family_from_dict(spec: dict) -> KernelFamily:
     require_keys(spec, {"variant", "dictionary", "sparsity", "dimension", "max_rank"},
                  "family spec", ("variant",))
+    for key in ("sparsity", "dimension", "max_rank"):
+        if spec.get(key) is not None:
+            require_int(spec[key], f"family {key}")
     dictionary = tuple(kernel_from_dict(k) for k in spec.get("dictionary", []))
     return KernelFamily(
         variant=spec["variant"],

@@ -23,8 +23,6 @@ from . import _accel
 from .errors import InputError, NumericError
 from .kernels import Kernel, as_points, psd_defect
 
-NORM_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class TaskData:
@@ -134,16 +132,3 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
                       converged=bool(ok))
             for (kernel, task), alpha, ok in zip(problems, alphas, converged)]
 
-
-def true_margin_error(predictor: Predictor, distribution, gamma: float,
-                      mc_samples: int, seed) -> float:
-    """Monte Carlo estimate of P(y h(x) < gamma); deterministic per seed.
-
-    ``distribution`` is anything with ``sample(m, rng) -> (X, y)``. The
-    standard error is at most 1/(2 sqrt(mc_samples)).
-    """
-    if mc_samples < 1:
-        raise InputError("mc_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    X, y = distribution.sample(mc_samples, rng)
-    return float(np.mean(y * predictor.evaluate(X) < gamma))

@@ -163,6 +163,24 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert "error-category: input" in err and str(path) in err
 
+    @pytest.mark.parametrize("family_part", [
+        {"dictionary": [{"type": "rbf", "bandwidth": "0.6"}]},
+        {"dictionary": [{"type": "rbf", "dims": [0.5]}]},
+        {"dictionary": [{"type": "rbf", "dims": "01"}]},
+        {"variant": "sparse_combo", "sparsity": "1"},
+    ], ids=["bandwidth_string", "dims_float", "dims_string", "sparsity_string"])
+    def test_malformed_family_field_exit2(self, data_file, tmp_path, capsys,
+                                          family_part):
+        family = {"variant": "convex_combo",
+                  "dictionary": [{"type": "rbf", "bandwidth": 0.5}],
+                  **family_part}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family))
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
+
 
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
@@ -295,15 +313,48 @@ class TestExperimentCommand:
         ("sandwich", {}, {"trials": "3"}),
         ("sandwich", {}, {"trials": True}),
         ("overhead", {}, {"n_grid": [1, "2"]}),
+        ("sandwich", {}, {"gamma": "0.1"}),
+        ("sandwich", {}, {"gamma": True}),
+        ("sandwich", {}, {"delta": "0.05"}),
+        ("sandwich", {"clusters": [{"weight": "1", "kernel_index": 0}]}, {}),
+        ("sandwich", {"clusters": [{"kernel_index": 0, "margin_gap": "0.2"}]},
+         {}),
+        ("sandwich", {"input_law": {"kind": "uniform_cube", "dim": "4"}}, {}),
+        ("sandwich", {"input_law": {"kind": "uniform_cube", "dim": 4,
+                                    "low": "-1"}}, {}),
+        ("sandwich", {"input_law": {"kind": "gaussian_mixture", "dim": 4,
+                                    "means": "ab"}}, {}),
+        ("sandwich", {"input_law": {"kind": "gaussian_mixture", "dim": 4,
+                                    "means": [[0, 0, 0, 0], [1, 1]]}}, {}),
+        ("sandwich", {"dictionary": [{"type": "rbf", "dims": "01"}]}, {}),
+        ("sandwich", {"dictionary": [{"type": "rbf", "dims": [0.5]}]}, {}),
+        ("sandwich", {"dictionary": [
+            {"type": "rbf", "bandwidth": "0.6", "dims": [0, 1]}]}, {}),
+        ("sandwich", {"dictionary": [
+            {"type": "linear", "scale": "2", "dims": [0, 1], "bound": 4.0}]},
+         {}),
+        ("sandwich", {"dictionary": [
+            {"type": "poly", "degree": 2.5, "dims": [0, 1], "bound": 4.0}]},
+         {}),
+        ("sandwich", {"dictionary": [
+            {"type": "gaussian_metric", "metric": "ab"}]}, {}),
+        ("sandwich", {"dictionary": [
+            {"type": "combo", "terms": [[True, {"type": "rbf"}]]}]}, {}),
     ], ids=["input_law_dim", "cluster_kernel_index", "overhead_n_grid",
             "combo_terms", "combo_term_not_pair", "combo_term_short",
             "combo_weight_not_number", "gaussian_metric_metric",
             "clusters_not_list", "kernel_index_string", "trials_string",
-            "trials_bool", "n_grid_entry_string"])
+            "trials_bool", "n_grid_entry_string", "gamma_string",
+            "gamma_bool", "delta_string", "cluster_weight_string",
+            "margin_gap_string", "input_law_dim_string",
+            "input_law_low_string", "mixture_means_string",
+            "mixture_means_ragged", "dims_string", "dims_float",
+            "bandwidth_string", "scale_string", "degree_float",
+            "metric_string", "combo_weight_bool"])
     def test_missing_or_malformed_key_exit2(self, tmp_path, capsys, mode,
                                             env_part, config_part):
-        # each of these raised KeyError or TypeError or ValueError, or (a
-        # bool trial count) ran as an integer
+        # each of these raised KeyError, TypeError, IndexError or
+        # ValueError, or ran with the value coerced or truncated
         cfg_path = self._config(tmp_path, mode, n=2, m=12, **config_part)
         with open(cfg_path, encoding="utf-8") as fh:
             config = json.load(fh)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mtkl import (InputError, InputLaw, KernelFamily, MarginParams, NumericError,
-                  SearchBudget, TaskCluster, TaskEnvironment, empirical_margin_error,
-                  make_planted_distribution, overhead_curve, rbf_kernel, run_trial,
-                  run_sandwich_trial, sample_lifelong, sample_multitask)
+                  Predictor, SearchBudget, TaskCluster, TaskEnvironment,
+                  avg_true_error, empirical_margin_error,
+                  make_planted_distribution, overhead_curve, rbf_kernel,
+                  run_trial, sample_lifelong, sample_multitask)
 from mtkl.envsim import environment_from_dict
 from mtkl.kernels import kernel_to_dict
 
@@ -92,14 +93,29 @@ class TestSampling:
             np.testing.assert_array_equal(da.anchors, db.anchors)
             np.testing.assert_array_equal(da.coeffs, db.coeffs)
 
-    def test_degenerate_task_law_returns_same_distribution(self):
-        env = small_env()
-        fixed = env.draw_task(np.random.default_rng(9))
-        degenerate = TaskEnvironment(dictionary=env.dictionary,
-                                     input_law=env.input_law,
-                                     clusters=env.clusters, fixed_task=fixed)
-        dists = sample_lifelong(degenerate, 5, seed=3)
-        assert all(d is fixed for d in dists)
+    def test_per_task_streams_follow_spawn_rule(self):
+        # oracle: task i draws from default_rng(SeedSequence(seed).spawn(n)[i])
+        env = small_env(flip=0.1)
+        dists = sample_lifelong(env, 3, seed=12)
+        sample = sample_multitask(dists, 16, seed=23)
+        streams = np.random.SeedSequence(23).spawn(3)
+        for task, dist, stream in zip(sample.tasks, dists, streams):
+            X, y = dist.sample(16, np.random.default_rng(stream))
+            np.testing.assert_array_equal(task.X, X)
+            np.testing.assert_array_equal(task.y, y)
+
+    def test_avg_true_error_follows_spawn_rule(self):
+        env = small_env(flip=0.1)
+        dist = sample_lifelong(env, 1, seed=13)[0]
+        rng = np.random.default_rng(14)
+        h = Predictor(alphas=rng.standard_normal(5),
+                      support_sample=rng.uniform(-1, 1, (5, 4)),
+                      kernel=dist.kernel)
+        stream = np.random.SeedSequence(24).spawn(1)[0]
+        X, y = dist.sample(3_000, np.random.default_rng(stream))
+        for gamma in (0.0, 0.2):
+            expected = float(np.mean(y * h.evaluate(X) < gamma))
+            assert avg_true_error([h], [dist], gamma, 3_000, 24) == expected
 
     def test_two_cluster_frequencies(self):
         views = ((0, 1), (2, 3))
@@ -121,9 +137,9 @@ class TestTrials:
                                    dictionary=self.env.dictionary)
 
     def test_sandwich_trial_end_to_end(self):
-        report = run_sandwich_trial(self.env, self.family, n=3, m=24,
-                                    gamma=0.1, delta=0.05, seed=77,
-                                    mc_samples=4_000)
+        report = run_trial(self.env, self.family, n=3, m=24, gamma=0.1,
+                           delta=0.05, seed=77, mc_samples=4_000,
+                           evaluate_guarantee=False).report
         assert report.sandwich_ok
         assert report.epsilon > 0
         assert report.epsilon_valid
@@ -131,15 +147,15 @@ class TestTrials:
 
     def test_rerun_bitwise_identical(self):
         kwargs = dict(n=2, m=16, gamma=0.1, delta=0.05, seed=78,
-                      mc_samples=2_000)
-        a = run_sandwich_trial(self.env, self.family, **kwargs)
-        b = run_sandwich_trial(self.env, self.family, **kwargs)
+                      mc_samples=2_000, evaluate_guarantee=False)
+        a = run_trial(self.env, self.family, **kwargs).report
+        b = run_trial(self.env, self.family, **kwargs).report
         assert a == b
 
     def test_tiny_m_reports_invalid_flag(self):
-        report = run_sandwich_trial(self.env, self.family, n=2, m=2,
-                                    gamma=2.5, delta=0.05, seed=79,
-                                    mc_samples=1_000)
+        report = run_trial(self.env, self.family, n=2, m=2, gamma=2.5,
+                           delta=0.05, seed=79, mc_samples=1_000,
+                           evaluate_guarantee=False).report
         assert isinstance(report.epsilon_valid, bool)
         assert report.er_hat >= 0  # trial still reported
 
@@ -156,10 +172,10 @@ class TestTrials:
         assert outcome.report.er_hat == pytest.approx(np.mean(errs), abs=1e-15)
 
     def test_mc_estimates_stable_when_doubling(self):
-        a = run_sandwich_trial(self.env, self.family, n=2, m=24, gamma=0.1,
-                               delta=0.05, seed=81, mc_samples=20_000)
-        b = run_sandwich_trial(self.env, self.family, n=2, m=24, gamma=0.1,
-                               delta=0.05, seed=81, mc_samples=40_000)
+        kwargs = dict(n=2, m=24, gamma=0.1, delta=0.05, seed=81,
+                      evaluate_guarantee=False)
+        a = run_trial(self.env, self.family, mc_samples=20_000, **kwargs).report
+        b = run_trial(self.env, self.family, mc_samples=40_000, **kwargs).report
         pooled_se = 0.5 * np.sqrt(1 / 20_000 + 1 / 40_000)
         assert abs(a.er - b.er) <= 3 * pooled_se + 1e-9
 
@@ -199,7 +215,6 @@ class TestTrials:
         assert outcome.guarantee.er_2gamma_best == grid.guarantee.er_2gamma_best
 
     def test_avg_true_error_reproduces_trial_risks(self):
-        from mtkl import avg_true_error
         from mtkl.seeding import as_seed_sequence
         dists = sample_lifelong(self.env, 2, seed=88)
         outcome = run_trial(dists, self.family, n=2, m=16, gamma=0.1,
@@ -208,17 +223,17 @@ class TestTrials:
         for margin, expected in ((0.0, outcome.report.er),
                                  (2 * 0.1, outcome.report.er_2gamma)):
             ss_mc = as_seed_sequence(89).spawn(3)[2]
-            assert avg_true_error(outcome.solution, dists, margin, 2_000,
-                                  ss_mc) == expected
+            assert avg_true_error(outcome.solution.predictors, dists, margin,
+                                  2_000, ss_mc) == expected
 
     def test_distribution_list_source(self):
         dists = sample_lifelong(self.env, 2, seed=82)
-        report = run_sandwich_trial(dists, self.family, n=2, m=12, gamma=0.1,
-                                    delta=0.05, seed=83, mc_samples=1_000)
+        kwargs = dict(m=12, gamma=0.1, delta=0.05, seed=83, mc_samples=1_000,
+                      evaluate_guarantee=False)
+        report = run_trial(dists, self.family, n=2, **kwargs).report
         assert report.n == 2
         with pytest.raises(InputError):
-            run_sandwich_trial(dists, self.family, n=3, m=12, gamma=0.1,
-                               delta=0.05, seed=83, mc_samples=1_000)
+            run_trial(dists, self.family, n=3, **kwargs)
 
 
 class TestOverheadCurve:
@@ -281,3 +296,40 @@ class TestEnvironmentFiles:
         }
         with pytest.raises(InputError):
             environment_from_dict(spec)
+
+    def _mixture_spec(self, **law):
+        return {
+            "input_law": {"kind": "gaussian_mixture", "dim": 2, **law},
+            "dictionary": [{"type": "rbf", "bandwidth": 1.0}],
+            "clusters": [{"kernel_index": 0}],
+        }
+
+    def test_gaussian_mixture_input_law(self):
+        means = np.array([[-10.0, 0.0], [10.0, 5.0]])
+        scales, N = np.array([0.5, 1.5]), 20_000
+        law = environment_from_dict(self._mixture_spec(
+            means=means.tolist(), scales=scales.tolist(),
+            weights=[1.0, 3.0])).input_law
+        X = law.sample(N, np.random.default_rng(5))
+        # the means lie 13+ spreads apart, so the side of x_0 = 0 names the
+        # component
+        comp = (X[:, 0] > 0).astype(int)
+        se = np.sqrt(0.25 * 0.75 / N)
+        assert abs(comp.mean() - 0.75) <= 3 * se
+        for c in (0, 1):
+            resid = (X[comp == c] - means[c]).ravel()
+            assert abs(resid.mean()) <= 3 * scales[c] / np.sqrt(len(resid))
+            assert abs(resid.std() - scales[c]) <= \
+                3 * scales[c] / np.sqrt(2 * len(resid))
+
+    @pytest.mark.parametrize("law", [
+        {},
+        {"means": [[0.0, 0.0, 0.0]]},
+        {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0]},
+        {"means": [[0.0, 0.0], [1.0, 1.0]], "weights": [1.0, 1.0, 1.0]},
+        {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, -1.0]},
+    ], ids=["no_means", "means_dim", "scales_count", "weights_count",
+            "negative_scale"])
+    def test_malformed_gaussian_mixture_rejected(self, law):
+        with pytest.raises(InputError):
+            environment_from_dict(self._mixture_spec(**law))

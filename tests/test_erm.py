@@ -239,7 +239,8 @@ class TestAvgTrueError:
         dists = sample_lifelong(env, 3, seed=31)
         sol = self._planted_solution(env, dists, gamma)
         for margin in (0.0, gamma, 2 * gamma):
-            assert avg_true_error(sol, dists, margin, 4_000, seed=32) == 0.0
+            assert avg_true_error(sol.predictors, dists, margin, 4_000,
+                                  seed=32) == 0.0
 
     def test_planted_noise_rates_average(self):
         from mtkl import avg_true_error, sample_lifelong
@@ -248,7 +249,7 @@ class TestAvgTrueError:
         dists = [sample_lifelong(env_p, 1, seed=33)[0],
                  sample_lifelong(env_q, 1, seed=34)[0]]
         sol = self._planted_solution(env_p, dists, 0.1)
-        est = avg_true_error(sol, dists, 0.0, 40_000, seed=35)
+        est = avg_true_error(sol.predictors, dists, 0.0, 40_000, seed=35)
         se = 0.5 / np.sqrt(40_000)
         assert abs(est - (p + q) / 2) <= 3 * se
 
@@ -257,7 +258,7 @@ class TestAvgTrueError:
         env = self._env(flip=0.4999, gap=0.0)
         dists = sample_lifelong(env, 2, seed=36)
         sol = self._planted_solution(env, dists, 0.1)
-        est = avg_true_error(sol, dists, 0.0, 40_000, seed=37)
+        est = avg_true_error(sol.predictors, dists, 0.0, 40_000, seed=37)
         assert abs(est - 0.5) <= 3 * 0.5 / np.sqrt(40_000) + 1e-3
 
     def test_length_mismatch_rejected(self):
@@ -266,9 +267,9 @@ class TestAvgTrueError:
         dists = sample_lifelong(env, 2, seed=38)
         sol = self._planted_solution(env, dists, 0.1)
         with pytest.raises(InputError):
-            avg_true_error(sol, dists[:1], 0.0, 100, seed=0)
+            avg_true_error(sol.predictors, dists[:1], 0.0, 100, seed=0)
         with pytest.raises(InputError):
-            avg_true_error(sol, dists, 0.0, 0, seed=0)
+            avg_true_error(sol.predictors, dists, 0.0, 0, seed=0)
 
 
 class TestDataFiles:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
-                  empirical_margin_error, fit_single_task, rbf_kernel,
-                  linear_kernel, true_margin_error)
+                  avg_true_error, empirical_margin_error, fit_single_task,
+                  rbf_kernel, linear_kernel)
 from mtkl.kernels import custom_kernel
 from mtkl import _accel
 
@@ -163,7 +163,7 @@ class TestTrueMarginError:
     def test_perfect_margin_construction(self):
         pred = self._identity_predictor()  # h(x) = x_0
         dist = FixedScoreDistribution(gap=0.4)
-        assert true_margin_error(pred, dist, 0.4, 20_000, seed=0) == 0.0
+        assert avg_true_error([pred], [dist], 0.4, 20_000, seed=0) == 0.0
 
     def test_adversarial_flip(self):
         pred = self._identity_predictor()
@@ -171,21 +171,21 @@ class TestTrueMarginError:
         # flip every label instead by negating the predictor
         neg = Predictor(alphas=np.array([-1.0]),
                         support_sample=np.array([[1.0]]), kernel=pred.kernel)
-        assert true_margin_error(neg, dist, 0.0, 20_000, seed=1) == \
+        assert avg_true_error([neg], [dist], 0.0, 20_000, seed=1) == \
             pytest.approx(1.0, abs=1e-3)
 
     def test_random_labels_near_half(self):
         pred = self._identity_predictor()
         dist = FixedScoreDistribution(flip=0.499999)
-        est = true_margin_error(pred, dist, 0.0, 40_000, seed=2)
+        est = avg_true_error([pred], [dist], 0.0, 40_000, seed=2)
         se = 0.5 / np.sqrt(40_000)
         assert abs(est - 0.5) <= 3 * se + 1e-6
 
     def test_deterministic_per_seed(self):
         pred = self._identity_predictor()
         dist = FixedScoreDistribution(flip=0.2)
-        a = true_margin_error(pred, dist, 0.1, 5_000, seed=42)
-        b = true_margin_error(pred, dist, 0.1, 5_000, seed=42)
+        a = avg_true_error([pred], [dist], 0.1, 5_000, seed=42)
+        b = avg_true_error([pred], [dist], 0.1, 5_000, seed=42)
         assert a == b
 
     def test_er_below_double_margin_on_shared_samples(self):
@@ -195,14 +195,14 @@ class TestTrueMarginError:
         for trial in range(20):
             seed = int(rng.integers(0, 2**31))
             gamma = float(rng.uniform(0.01, 0.5))
-            er0 = true_margin_error(pred, dist, 0.0, 2_000, seed=seed)
-            er2 = true_margin_error(pred, dist, 2 * gamma, 2_000, seed=seed)
+            er0 = avg_true_error([pred], [dist], 0.0, 2_000, seed=seed)
+            er2 = avg_true_error([pred], [dist], 2 * gamma, 2_000, seed=seed)
             assert er0 <= er2
 
     def test_mc_samples_validated(self):
         with pytest.raises(InputError):
-            true_margin_error(self._identity_predictor(),
-                              FixedScoreDistribution(), 0.1, 0, seed=0)
+            avg_true_error([self._identity_predictor()],
+                           [FixedScoreDistribution()], 0.1, 0, seed=0)
 
 
 def test_evaluation_memory_stays_within_blocks():
