@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_int, require_number
 
 __all__ = [
     "BoundConstants",
@@ -54,8 +54,8 @@ class BoundConstants:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.C <= 0 or self.c <= 0:
-            raise InputError("bound constants C, c must be positive")
+        require_number(self.C, "bound constant C", positive=True)
+        require_number(self.c, "bound constant c", positive=True)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,14 @@ class BoundInputs:
     constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise InputError("n and m must be >= 1")
+        require_int(self.n, "n", 1)
+        require_int(self.m, "m", 1)
+        require_number(self.d_phi, "d_phi")
         if self.d_phi < 1:
             raise InputError("d_phi must be >= 1")
-        if self.B <= 0:
-            raise InputError("B must be positive")
-        if self.gamma <= 0:
-            raise InputError("gamma must be positive")
+        require_number(self.B, "B", positive=True)
+        require_number(self.gamma, "gamma", positive=True)
+        require_number(self.delta, "delta")
         if not 0.0 < self.delta <= 1.0:
             raise InputError("delta must be in (0, 1]")
 

@@ -27,7 +27,8 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from . import _accel
-from .errors import BudgetError, InputError, NumericError
+from .errors import (BudgetError, InputError, NumericError, require_int,
+                     require_number)
 from .kernels import Kernel, as_points
 
 MAX_SHATTER_PAIRS = 20
@@ -140,8 +141,23 @@ def _pool_values(members: Sequence[Kernel], pool: np.ndarray,
     return np.stack([kern.gram(pool)[left, right] for kern in members])
 
 
+@dataclass(frozen=True)
+class PseudodimBudget:
+    max_n: int = 4
+    trials_per_n: int = 16
+    max_combos: int = 200_000
+    seed: int = 0
+
+    def __post_init__(self):
+        require_int(self.max_n, "max_n", 1)
+        require_int(self.trials_per_n, "trials_per_n", 0)
+        require_int(self.max_combos, "max_combos", 1)
+        require_int(self.seed, "seed", 0)
+
+
 def is_shattered(instance: ShatterInstance,
-                 max_combos: int = 200_000) -> tuple[bool, Optional[ShatterWitness]]:
+                 max_combos: int = PseudodimBudget.max_combos
+                 ) -> tuple[bool, Optional[ShatterWitness]]:
     """Search for thresholds realizing all 2^p sign patterns.
 
     The values come from the Gram of the instance's 2p points, left points
@@ -156,14 +172,6 @@ def is_shattered(instance: ShatterInstance,
     pool = np.concatenate((instance.pairs[:, 0, :], instance.pairs[:, 1, :]))
     V = _pool_values(instance.members, pool, np.arange(p), np.arange(p, 2 * p))
     return _shatter_values(V, max_combos, instance.thresholds)
-
-
-@dataclass(frozen=True)
-class PseudodimBudget:
-    max_n: int = 4
-    trials_per_n: int = 16
-    max_combos: int = 200_000
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +267,8 @@ class CoverRequest:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InputError(f"metric must be one of {METRICS}")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        require_number(self.epsilon, "epsilon", positive=True)
+        require_int(self.probe_budget, "probe_budget", 1)
         if not self.candidates:
             raise InputError("candidates must be nonempty")
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -392,7 +400,8 @@ def _deviation_one_way(G_from: np.ndarray, G_to: np.ndarray,
 
 
 def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
-                              probe_budget: int = 16) -> float:
+                              probe_budget: int = CoverRequest.probe_budget
+                              ) -> float:
     """Approximate max-min mean absolute deviation between the unit balls of
     two kernels on a sample, symmetrized over both directions.
 
@@ -401,8 +410,7 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     exactly (convex duality). Approximation error therefore only ever
     underestimates the outer max.
     """
-    if probe_budget < 1:
-        raise InputError("probe_budget must be >= 1")
+    require_int(probe_budget, "probe_budget", 1)
     X = as_points(sample)
     m = X.shape[0]
     G1 = k1.gram(X)

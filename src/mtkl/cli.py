@@ -29,7 +29,7 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import (BudgetError, InputError, NumericError, read_json,
-                     require_int, require_keys, require_number)
+                     require_int, require_keys)
 from .kernels import COMBO_VARIANTS, KernelFamily, load_family, pd_upper_bound
 from .margin import MarginParams
 
@@ -67,8 +67,10 @@ def _csv_writer(fh, kind: str, columns: list[str]):
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-resolution", type=int, default=1)
-    p.add_argument("--max-candidates", type=int, default=4096)
+    p.add_argument("--grid-resolution", type=int,
+                   default=SearchBudget.grid_resolution)
+    p.add_argument("--max-candidates", type=int,
+                   default=SearchBudget.max_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +154,28 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_members(args):
+def _add_pool_flags(p: argparse.ArgumentParser, pool_size: int) -> None:
+    p.add_argument("--family", required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--pool-size", type=int, default=pool_size)
+    p.add_argument("--pool-low", type=float, default=-1.0)
+    p.add_argument("--pool-high", type=float, default=1.0)
+    _add_grid_flags(p)
+
+
+def _family_pool(args):
+    """The family, its grid members, and the point pool drawn from --seed."""
     family = load_family(args.family)
     budget = SearchBudget(grid_resolution=args.grid_resolution,
                           max_candidates=args.max_candidates)
-    return family, [c.kernel for c in enumerate_candidates(family, budget)]
+    members = [c.kernel for c in enumerate_candidates(family, budget)]
+    pool = np.random.default_rng(args.seed).uniform(
+        args.pool_low, args.pool_high, size=(args.pool_size, args.dim))
+    return family, members, pool
 
 
 def _cmd_shatter(args) -> int:
-    family, members = _family_members(args)
-    rng = np.random.default_rng(args.seed)
-    pool = rng.uniform(args.pool_low, args.pool_high, size=(args.pool_size, args.dim))
+    family, members, pool = _family_pool(args)
     search = PseudodimBudget(max_n=args.max_n, trials_per_n=args.trials_per_n,
                              max_combos=args.max_combos, seed=args.seed)
     result = pseudodim_lower_bound(members, pool, search)
@@ -193,10 +206,7 @@ def _cmd_shatter(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    _, members = _family_members(args)
-    rng = np.random.default_rng(args.seed)
-    sample = rng.uniform(args.pool_low, args.pool_high,
-                         size=(args.pool_size, args.dim))
+    _, members, sample = _family_pool(args)
     out_dir = _ensure_out_dir(args)
     with open(os.path.join(out_dir, "cover.csv"), "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, "cover", [
@@ -222,63 +232,47 @@ _EXPERIMENT_KEYS = {
     "delta", "trials", "mc_samples", "n_grid", "grid_resolution",
     "refine_rounds", "max_candidates", "max_iters",
 }
-_EXPERIMENT_INT_KEYS = ("sparsity", "n", "m", "trials", "mc_samples",
-                        "grid_resolution", "refine_rounds", "max_candidates",
-                        "max_iters")
 
 
-def _load_experiment_config(path: str) -> dict:
-    config = read_json(path, "experiment config")
+def _present(config: dict, keys) -> dict:
+    """The entries of ``config`` under ``keys`` that the file holds."""
+    return {key: config[key] for key in keys if key in config}
+
+
+def _cmd_experiment(args) -> int:
+    config = read_json(args.config, "experiment config")
     require_keys(config, _EXPERIMENT_KEYS, "experiment config",
                  ("mode", "environment"))
-    if config["mode"] == "overhead":
+    mode = config["mode"]
+    if mode == "overhead":
         require_keys(config, _EXPERIMENT_KEYS, "overhead experiment config",
                      ("n_grid",))
         if not isinstance(config["n_grid"], list):
             raise InputError("experiment n_grid must be a list of task counts")
-        for n in config["n_grid"]:
-            require_int(n, "experiment n_grid entry")
-    for key in _EXPERIMENT_INT_KEYS:
-        if key in config:
-            require_int(config[key], f"experiment {key}")
-    for key in ("gamma", "delta"):
-        if key in config:
-            require_number(config[key], f"experiment {key}")
-    return config
-
-
-def _experiment_family(config, env):
-    variant = config.get("family_variant", "convex_combo")
-    if variant not in COMBO_VARIANTS:
-        raise InputError("experiment family_variant must be a dictionary variant")
-    return KernelFamily(variant=variant, dictionary=env.dictionary,
-                        sparsity=config.get("sparsity"))
-
-
-def _cmd_experiment(args) -> int:
-    config = _load_experiment_config(args.config)
     env_spec = config["environment"]
     if isinstance(env_spec, str):
         env = envsim.load_environment(
             os.path.join(os.path.dirname(args.config), env_spec))
     else:
         env = envsim.environment_from_dict(env_spec)
-    family = _experiment_family(config, env)
-    budget = SearchBudget(
-        grid_resolution=config.get("grid_resolution", 1),
-        refine_rounds=config.get("refine_rounds", 0),
-        max_candidates=config.get("max_candidates", 4096))
+    variant = config.get("family_variant", "convex_combo")
+    if variant not in COMBO_VARIANTS:
+        raise InputError("experiment family_variant must be a dictionary variant")
+    family = KernelFamily(variant=variant, dictionary=env.dictionary,
+                          **_present(config, ("sparsity",)))
+    # run_trial and overhead_curve own the defaults of these
+    present = _present(config, ("mc_samples", "max_iters"))
+    present["budget"] = SearchBudget(**_present(
+        config, ("grid_resolution", "refine_rounds", "max_candidates")))
     gamma = config.get("gamma", 0.1)
-    max_iters = config.get("max_iters", 2000)
-    mode = config["mode"]
+    trials = config.get("trials", 10)
+    m = config.get("m", 20 if mode == "overhead" else 32)
     out_dir = _ensure_out_dir(args)
 
     if mode == "overhead":
         points = envsim.overhead_curve(
-            env, family, m=config.get("m", 20), n_grid=config["n_grid"],
-            trials=config.get("trials", 10), seed=args.seed, gamma=gamma,
-            mc_samples=config.get("mc_samples", 20_000), budget=budget,
-            max_iters=max_iters)
+            env, family, m=m, n_grid=config["n_grid"], trials=trials,
+            seed=args.seed, gamma=gamma, **present)
         with open(os.path.join(out_dir, "trials.csv"), "w",
                   encoding="utf-8") as fh:
             writer = _csv_writer(fh, "overhead", [
@@ -301,17 +295,15 @@ def _cmd_experiment(args) -> int:
         print("overhead: " + "  ".join(
             f"n={n}:{e:.4f}" for n, e in zip(ns, excess)))
     elif mode in ("sandwich", "guarantee"):
-        trials = config.get("trials", 10)
-        n, m = config.get("n", 4), config.get("m", 32)
-        delta = config.get("delta", 0.05)
+        require_int(trials, "trials", 1)
+        n, delta = config.get("n", 4), config.get("delta", 0.05)
         rows = []
         root = np.random.SeedSequence(args.seed)
         for trial in range(trials):
             outcome = envsim.run_trial(
                 env, family, n=n, m=m, gamma=gamma, delta=delta,
-                seed=root.spawn(1)[0], mc_samples=config.get("mc_samples", 100_000),
-                budget=budget, max_iters=max_iters,
-                evaluate_guarantee=(mode == "guarantee"))
+                seed=root.spawn(1)[0], evaluate_guarantee=(mode == "guarantee"),
+                **present)
             rows.append((trial, outcome))
         with open(os.path.join(out_dir, "trials.csv"), "w",
                   encoding="utf-8") as fh:
@@ -360,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--max-iters", type=int, default=MarginParams.max_iters)
     _add_grid_flags(p)
-    p.add_argument("--refine-rounds", type=int, default=0)
+    p.add_argument("--refine-rounds", type=int, default=SearchBudget.refine_rounds)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("bound", help="evaluate or invert the bound formulas")
@@ -376,37 +368,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,
                    help="deviation radius (lifelong mode)")
-    p.add_argument("--C", type=float, default=1.0,
-                   help="kernel-cover constant (existence-only; default 1)")
-    p.add_argument("--c", type=float, default=1.0,
-                   help="sample-size constant (existence-only; default 1)")
+    p.add_argument("--C", type=float, default=bounds.BoundConstants.C,
+                   help="kernel-cover constant (existence-only; default %(default)s)")
+    p.add_argument("--c", type=float, default=bounds.BoundConstants.c,
+                   help="sample-size constant (existence-only; default %(default)s)")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("shatter", help="pseudodimension lower-bound search")
     common(p)
-    p.add_argument("--family", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--pool-size", type=int, default=8)
-    p.add_argument("--pool-low", type=float, default=-1.0)
-    p.add_argument("--pool-high", type=float, default=1.0)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--trials-per-n", type=int, default=16)
-    p.add_argument("--max-combos", type=int, default=200_000)
-    _add_grid_flags(p)
+    _add_pool_flags(p, pool_size=8)
+    p.add_argument("--max-n", type=int, default=PseudodimBudget.max_n)
+    p.add_argument("--trials-per-n", type=int, default=PseudodimBudget.trials_per_n)
+    p.add_argument("--max-combos", type=int, default=PseudodimBudget.max_combos)
     p.set_defaults(func=_cmd_shatter)
 
     p = sub.add_parser("cover", help="greedy epsilon-net over family members")
     common(p)
-    p.add_argument("--family", required=True)
+    _add_pool_flags(p, pool_size=16)
     p.add_argument("--metric", choices=("kernel_sup", "kernel_mean_dev"),
                    default="kernel_sup")
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--pool-size", type=int, default=16)
-    p.add_argument("--pool-low", type=float, default=-1.0)
-    p.add_argument("--pool-high", type=float, default=1.0)
-    p.add_argument("--probe-budget", type=int, default=16)
-    _add_grid_flags(p)
+    p.add_argument("--probe-budget", type=int, default=CoverRequest.probe_budget)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("experiment", help="seeded trial batteries from a config")

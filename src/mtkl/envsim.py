@@ -21,10 +21,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import BoundInputs, multitask_epsilon
-from .errors import (InputError, NumericError, read_json, require_int,
-                     require_keys, require_number)
-from .kernels import (Kernel, KernelFamily, kernel_from_dict, number_array,
-                      pd_upper_bound)
+from .errors import (InputError, NumericError, number_array, read_json,
+                     require_int, require_keys, require_number)
+from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
 # enumerate_candidates and fit_candidate are not called here: run_trial
@@ -51,19 +50,20 @@ class InputLaw:
     def __post_init__(self):
         if self.kind not in ("uniform_cube", "gaussian_mixture"):
             raise InputError(f"unknown input law {self.kind!r}")
-        if self.dim < 1:
-            raise InputError("input dimension must be >= 1")
+        require_int(self.dim, "input_law dim", 1)
+        require_number(self.low, "input_law low")
+        require_number(self.high, "input_law high")
         if self.kind == "uniform_cube" and not self.low < self.high:
             raise InputError("uniform_cube requires low < high")
         if self.kind == "gaussian_mixture":
             if self.means is None:
                 raise InputError("gaussian_mixture requires component means")
-            means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
+            means = np.atleast_2d(number_array(self.means, "input_law means"))
             k = means.shape[0]
             scales = np.ones(k) if self.scales is None else \
-                np.asarray(self.scales, dtype=np.float64).ravel()
+                number_array(self.scales, "input_law scales").ravel()
             weights = np.full(k, 1.0 / k) if self.weights is None else \
-                np.asarray(self.weights, dtype=np.float64).ravel()
+                number_array(self.weights, "input_law weights").ravel()
             if means.shape[1] != self.dim or len(scales) != k or len(weights) != k:
                 raise InputError("inconsistent gaussian_mixture shapes")
             if np.any(scales <= 0) or np.any(weights < 0) or weights.sum() <= 0:
@@ -139,9 +139,10 @@ class Distribution:
 
 
 def make_planted_distribution(input_law: InputLaw, kernel: Kernel, anchors,
-                              coeffs, margin_gap: float = 0.0,
-                              flip_rate: float = 0.0,
-                              component: int = 0) -> Distribution:
+                              coeffs, margin_gap: float = Distribution.margin_gap,
+                              flip_rate: float = Distribution.flip_rate,
+                              component: int = Distribution.component
+                              ) -> Distribution:
     """Normalize ``coeffs`` to unit K-norm and build the distribution."""
     anchors = np.asarray(anchors, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
@@ -164,8 +165,8 @@ class TaskCluster:
     sign-biased planted rules yield near-constant labelings that any kernel
     fits trivially."""
 
-    weight: float
     kernel_index: int
+    weight: float = 1.0
     n_anchors: int = 6
     margin_gap: float = 0.25
     flip_rate: float = 0.0
@@ -173,11 +174,10 @@ class TaskCluster:
 
     def __post_init__(self):
         require_int(self.kernel_index, "cluster kernel_index")
-        require_int(self.n_anchors, "cluster n_anchors")
-        if self.weight <= 0:
-            raise InputError("cluster weight must be positive")
-        if self.n_anchors < 1:
-            raise InputError("n_anchors must be >= 1")
+        require_int(self.n_anchors, "cluster n_anchors", 1)
+        require_number(self.weight, "cluster weight", positive=True)
+        for name in ("margin_gap", "flip_rate", "balance_slack"):
+            require_number(getattr(self, name), f"cluster {name}")
         if not 0.0 < self.balance_slack <= 0.5:
             raise InputError("balance_slack must be in (0, 0.5]")
 
@@ -188,11 +188,13 @@ class TaskEnvironment:
 
     dictionary: tuple[Kernel, ...]
     input_law: InputLaw
-    clusters: tuple[TaskCluster, ...] = (TaskCluster(weight=1.0, kernel_index=0),)
+    clusters: tuple[TaskCluster, ...] = (TaskCluster(kernel_index=0),)
 
     def __post_init__(self):
         if not self.dictionary:
             raise InputError("environment needs a kernel dictionary")
+        if not self.clusters:
+            raise InputError("environment needs at least one cluster")
         for c in self.clusters:
             if not 0 <= c.kernel_index < len(self.dictionary):
                 raise InputError(f"cluster kernel_index {c.kernel_index} out of range")
@@ -235,8 +237,7 @@ class TaskEnvironment:
 
 def sample_lifelong(env: TaskEnvironment, n: int, seed) -> list[Distribution]:
     """n i.i.d. task draws from the environment; deterministic per seed."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    require_int(n, "n", 1)
     streams = as_seed_sequence(seed).spawn(n)
     return [env.draw_task(np.random.default_rng(s)) for s in streams]
 
@@ -252,8 +253,7 @@ def _draw_per_task(distributions, m: int, seed) -> list:
 def sample_multitask(distributions: Sequence[Distribution], m: int,
                      seed) -> MultiTaskSample:
     """m i.i.d. draws per task with distinct per-task substreams."""
-    if m < 1:
-        raise InputError("m must be >= 1")
+    require_int(m, "m", 1)
     return MultiTaskSample(tasks=tuple(
         TaskData(X=X, y=y) for X, y in _draw_per_task(distributions, m, seed)))
 
@@ -317,8 +317,7 @@ def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
     if len(distributions) != len(predictors):
         raise InputError(
             f"{len(distributions)} distributions for {len(predictors)} tasks")
-    if mc_samples < 1:
-        raise InputError("mc_samples must be >= 1")
+    require_int(mc_samples, "mc_samples", 1)
     mc_data = _draw_per_task(distributions, mc_samples, seed)
     return _avg_error(_mc_scores(predictors, mc_data), gamma)
 
@@ -335,13 +334,19 @@ def searched_family_bound(family: KernelFamily) -> float:
 def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               family: KernelFamily, n: int, m: int, gamma: float, delta: float,
               seed, mc_samples: int = 100_000,
-              budget: SearchBudget = SearchBudget(), max_iters: int = 2000,
+              budget: SearchBudget = SearchBudget(),
+              max_iters: int = MarginParams.max_iters,
               evaluate_guarantee: bool = True) -> TrialOutcome:
     """One seeded end-to-end trial: sample tasks and data, run ERM (the same
     search as ``erm_fit``, budget included), Monte Carlo the true risks,
     evaluate the deviation bound, and check the two-sided sandwich (and
     optionally the ERM guarantee against the best grid candidate under the
     double-margin risk)."""
+    params = MarginParams(gamma=gamma, max_iters=max_iters)
+    require_int(mc_samples, "mc_samples", 1)
+    bound_inputs = BoundInputs(
+        n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
+        B=searched_family_bound(family), gamma=gamma, delta=delta)
     root = as_seed_sequence(seed)
     ss_tasks, ss_data, ss_mc = root.spawn(3)
     if isinstance(source, TaskEnvironment):
@@ -351,7 +356,6 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
         if len(distributions) != n:
             raise InputError(f"got {len(distributions)} distributions for n={n}")
     sample = sample_multitask(distributions, m, ss_data)
-    params = MarginParams(gamma=gamma, max_iters=max_iters)
 
     solution, _, grid_fits = erm_search(family, sample, params, budget)
     predictors = solution.predictors
@@ -361,9 +365,7 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     er = _avg_error(chosen_scores, 0.0)
     er_2g = _avg_error(chosen_scores, 2.0 * gamma)
 
-    eps_res = multitask_epsilon(BoundInputs(
-        n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
-        B=searched_family_bound(family), gamma=gamma, delta=delta))
+    eps_res = multitask_epsilon(bound_inputs)
     eps = eps_res.epsilon
     er_hat = solution.avg_empirical_margin_error
     report = TrialReport(
@@ -405,7 +407,7 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
                    n_grid: Sequence[int], trials: int, seed, gamma: float,
                    mc_samples: int = 20_000,
                    budget: SearchBudget = SearchBudget(),
-                   max_iters: int = 2000) -> list[OverheadPoint]:
+                   max_iters: int = MarginParams.max_iters) -> list[OverheadPoint]:
     """Excess error of the ERM learner over the true-kernel oracle learner,
     and its estimation gap, for each task count in ``n_grid``.
 
@@ -413,9 +415,13 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
     planted kernel; its true errors are estimated on the same Monte Carlo
     draws as the ERM learner's, so the excess is a paired comparison.
     """
+    for n in n_grid:
+        require_int(n, "n_grid entry", 1)
     if list(n_grid) != sorted(n_grid) or len(n_grid) == 0:
         raise InputError("n_grid must be a nondecreasing nonempty sequence")
     params = MarginParams(gamma=gamma, max_iters=max_iters)
+    require_int(trials, "trials", 1)
+    require_int(mc_samples, "mc_samples", 1)
     oracle_kernel = env.dictionary[env.shared_kernel_index]
     root = as_seed_sequence(seed)
     points = []
@@ -448,36 +454,16 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
     for key in ("dictionary", "clusters"):
         if not isinstance(spec[key], list):
             raise InputError(f"environment {key} must be a list")
-    law_spec = spec["input_law"]
-    require_keys(law_spec, {"kind", "dim", "low", "high", "means", "scales",
-                            "weights"}, "input_law spec", ("dim",))
-    require_int(law_spec["dim"], "input_law dim")
-    for key in ("low", "high"):
-        if key in law_spec:
-            require_number(law_spec[key], f"input_law {key}")
-    arrays = {key: number_array(law_spec[key], f"input_law {key}")
-              for key in ("means", "scales", "weights")
-              if law_spec.get(key) is not None}
-    law = InputLaw(
-        kind=law_spec.get("kind", "uniform_cube"), dim=law_spec["dim"],
-        low=law_spec.get("low", -1.0), high=law_spec.get("high", 1.0),
-        **arrays)
-    clusters = []
+    require_keys(spec["input_law"], {"kind", "dim", "low", "high", "means",
+                                     "scales", "weights"}, "input_law spec", ("dim",))
     for c in spec["clusters"]:
         require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
                          "flip_rate", "balance_slack"}, "cluster spec",
                      ("kernel_index",))
-        for key in ("weight", "margin_gap", "flip_rate", "balance_slack"):
-            if key in c:
-                require_number(c[key], f"cluster {key}")
-        clusters.append(TaskCluster(
-            weight=c.get("weight", 1.0), kernel_index=c["kernel_index"],
-            n_anchors=c.get("n_anchors", 6), margin_gap=c.get("margin_gap", 0.25),
-            flip_rate=c.get("flip_rate", 0.0),
-            balance_slack=c.get("balance_slack", 0.5)))
-    dictionary = tuple(kernel_from_dict(k) for k in spec["dictionary"])
-    return TaskEnvironment(dictionary=dictionary, input_law=law,
-                           clusters=tuple(clusters))
+    return TaskEnvironment(
+        dictionary=tuple(kernel_from_dict(k) for k in spec["dictionary"]),
+        input_law=InputLaw(**spec["input_law"]),
+        clusters=tuple(TaskCluster(**c) for c in spec["clusters"]))
 
 
 def load_environment(path) -> TaskEnvironment:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, require_int
 from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, instantiate
 from .margin import MarginParams, Predictor, TaskData, empirical_margin_error, \
     fit_single_task, fit_stack
@@ -77,10 +77,9 @@ class SearchBudget:
     max_candidates: int = 4096
 
     def __post_init__(self):
-        if self.grid_resolution < 1:
-            raise InputError("grid_resolution must be >= 1")
-        if self.refine_rounds < 0 or self.max_candidates < 1:
-            raise InputError("refine_rounds must be >= 0, max_candidates >= 1")
+        require_int(self.grid_resolution, "grid_resolution", 1)
+        require_int(self.refine_rounds, "refine_rounds", 0)
+        require_int(self.max_candidates, "max_candidates", 1)
 
 
 @dataclass(frozen=True, eq=False)

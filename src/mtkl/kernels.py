@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _accel
-from .errors import (InputError, NumericError, read_json, require_int,
-                     require_keys, require_number)
+from .errors import (InputError, NumericError, number_array, read_json,
+                     require_int, require_keys, require_number)
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
@@ -38,7 +38,6 @@ PSD_TOL_FACTOR = 1e-8
 # last ulp, but the 20k, 40k and 100k rows the benchmark scores do not.
 EVAL_BLOCK = 4096
 
-_BASE_KINDS = ("linear", "rbf", "poly", "gaussian_metric", "custom")
 # variants whose members are weighted combinations of a kernel dictionary
 COMBO_VARIANTS = ("linear_combo", "convex_combo", "sparse_combo")
 VARIANTS = COMBO_VARIANTS + ("gaussian_covariance", "gaussian_low_rank")
@@ -61,13 +60,22 @@ def as_points(sample) -> np.ndarray:
     return X
 
 
+# The number fields each base kernel kind reads; every kind declares a bound
+# on K(x, x). The bound and an rbf bandwidth must be positive.
+_NUMBER_FIELDS = {"rbf": ("bandwidth", "bound_b"), "linear": ("scale", "bound_b"),
+                  "poly": ("scale", "coef0", "bound_b"),
+                  "gaussian_metric": ("bound_b",), "custom": ("bound_b",)}
+
+
 @dataclass(frozen=True, eq=False)
 class BaseKernel:
     """One evaluable kernel term.
 
     ``dims`` restricts evaluation to a coordinate subset (None = all).
     ``bound_b`` is the declared bound on K(x, x); it is checked against
-    samples by :func:`check_kernel_invariants`, not inferred.
+    samples by :func:`check_kernel_invariants`, not inferred. Only the fields
+    that ``kind`` reads are checked; its numbers are stored as floats and
+    its degree as an int.
     """
 
     kind: str
@@ -81,30 +89,46 @@ class BaseKernel:
     bound_b: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _BASE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _NUMBER_FIELDS:
             raise InputError(f"unknown base kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.bandwidth <= 0:
-            raise InputError("rbf bandwidth must be positive")
+        for name in _NUMBER_FIELDS[self.kind]:
+            value = getattr(self, name)
+            require_number(value, f"{self.kind} kernel {name}",
+                           positive=name in ("bandwidth", "bound_b"))
+            object.__setattr__(self, name, float(value))
+        if self.kind == "poly":
+            require_int(self.degree, "poly kernel degree")
+            object.__setattr__(self, "degree", int(self.degree))
         if self.kind == "gaussian_metric":
             if self.metric is None:
                 raise InputError("gaussian_metric kernel needs a metric matrix")
-            M = np.asarray(self.metric, dtype=np.float64)
+            M = number_array(self.metric, "gaussian_metric kernel metric")
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise InputError("metric must be a square matrix")
-            if not np.allclose(M, M.T, atol=1e-12):
+            # np.allclose(M, M.T, atol=1e-12) without its call overhead,
+            # which is four times the arithmetic on a metric of a few rows
+            if not (np.abs(M - M.T) <= 1e-12 + 1e-5 * np.abs(M.T)).all():
                 raise InputError("metric must be symmetric")
             if np.linalg.eigvalsh(M).min() < -1e-10:
                 raise InputError("metric must be positive semidefinite")
             object.__setattr__(self, "metric", M)
         if self.kind == "custom" and self.func is None:
             raise InputError("custom kernel needs an evaluator function")
-        if self.bound_b <= 0:
-            raise InputError("bound_b must be positive")
+        if self.dims is not None:
+            if not isinstance(self.dims, (list, tuple, np.ndarray)):
+                raise InputError("kernel dims must be a list of coordinate indices")
+            for d in self.dims:
+                require_int(d, "kernel dims entry", 0)
+            object.__setattr__(self, "dims", tuple(self.dims))
 
     def _select(self, X: np.ndarray) -> np.ndarray:
         if self.dims is None:
             return X
-        return np.ascontiguousarray(X[:, list(self.dims)])
+        try:
+            return np.ascontiguousarray(X[:, list(self.dims)])
+        except IndexError:
+            raise InputError(f"kernel dims entry {max(self.dims)} is out of "
+                             f"range for points of width {X.shape[1]}") from None
 
     def _values(self, Xs: np.ndarray, Zs: np.ndarray) -> np.ndarray:
         if self.kind == "rbf":
@@ -208,38 +232,38 @@ def _combine(parts) -> Kernel:
     return Kernel(terms=tuple(terms), bound_b=bound)
 
 
-def rbf_kernel(bandwidth: float = 1.0, dims: Optional[Sequence[int]] = None) -> Kernel:
-    base = BaseKernel(kind="rbf", bandwidth=float(bandwidth),
-                      dims=None if dims is None else tuple(dims), bound_b=1.0)
-    return Kernel(terms=((1.0, base),), bound_b=1.0)
+def _single(base: BaseKernel) -> Kernel:
+    return Kernel(terms=((1.0, base),), bound_b=base.bound_b)
 
 
-def linear_kernel(dims: Optional[Sequence[int]] = None, scale: float = 1.0,
-                  bound_b: float = 1.0) -> Kernel:
+def rbf_kernel(bandwidth: float = BaseKernel.bandwidth,
+               dims: Optional[Sequence[int]] = None) -> Kernel:
+    return _single(BaseKernel(kind="rbf", bandwidth=bandwidth, dims=dims))
+
+
+def linear_kernel(dims: Optional[Sequence[int]] = None,
+                  scale: float = BaseKernel.scale,
+                  bound_b: float = BaseKernel.bound_b) -> Kernel:
     """Linear kernel ``scale * <x_S, x'_S>``; ``bound_b`` must reflect the
     input domain (e.g. ``scale * |S|`` for inputs in the unit cube)."""
-    base = BaseKernel(kind="linear", scale=float(scale),
-                      dims=None if dims is None else tuple(dims), bound_b=float(bound_b))
-    return Kernel(terms=((1.0, base),), bound_b=float(bound_b))
+    return _single(BaseKernel(kind="linear", scale=scale, dims=dims,
+                              bound_b=bound_b))
 
 
-def poly_kernel(degree: int = 2, scale: float = 1.0, coef0: float = 0.0,
-                dims: Optional[Sequence[int]] = None, bound_b: float = 1.0) -> Kernel:
-    base = BaseKernel(kind="poly", degree=int(degree), scale=float(scale),
-                      coef0=float(coef0), dims=None if dims is None else tuple(dims),
-                      bound_b=float(bound_b))
-    return Kernel(terms=((1.0, base),), bound_b=float(bound_b))
+def poly_kernel(degree: int = BaseKernel.degree, scale: float = BaseKernel.scale,
+                coef0: float = BaseKernel.coef0,
+                dims: Optional[Sequence[int]] = None,
+                bound_b: float = BaseKernel.bound_b) -> Kernel:
+    return _single(BaseKernel(kind="poly", degree=degree, scale=scale,
+                              coef0=coef0, dims=dims, bound_b=bound_b))
 
 
 def gaussian_metric_kernel(metric) -> Kernel:
-    base = BaseKernel(kind="gaussian_metric", metric=np.asarray(metric, dtype=np.float64),
-                      bound_b=1.0)
-    return Kernel(terms=((1.0, base),), bound_b=1.0)
+    return _single(BaseKernel(kind="gaussian_metric", metric=metric))
 
 
 def custom_kernel(func: Callable[[np.ndarray, np.ndarray], float], bound_b: float) -> Kernel:
-    base = BaseKernel(kind="custom", func=func, bound_b=float(bound_b))
-    return Kernel(terms=((1.0, base),), bound_b=float(bound_b))
+    return _single(BaseKernel(kind="custom", func=func, bound_b=bound_b))
 
 
 def min_eigenvalue(G) -> float:
@@ -284,16 +308,19 @@ class KernelFamily:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown family variant {self.variant!r}")
+        for name in ("sparsity", "dimension", "max_rank"):
+            if getattr(self, name) is not None:
+                require_int(getattr(self, name), f"family {name}", 1)
         if self.variant in COMBO_VARIANTS:
             if not self.dictionary:
                 raise InputError(f"{self.variant} requires a kernel dictionary")
         if self.variant == "sparse_combo":
-            if self.sparsity is None or self.sparsity < 1:
+            if self.sparsity is None:
                 raise InputError("sparse_combo requires sparsity >= 1")
             if self.sparsity > len(self.dictionary):
                 raise InputError("sparsity exceeds dictionary size")
         if self.variant in ("gaussian_covariance", "gaussian_low_rank"):
-            if self.dimension is None or self.dimension < 1:
+            if self.dimension is None:
                 raise InputError(f"{self.variant} requires dimension >= 1")
         if self.variant == "gaussian_low_rank":
             if self.max_rank is None or not 1 <= self.max_rank <= self.dimension:
@@ -368,55 +395,22 @@ def pd_upper_bound(family: KernelFamily) -> float:
 # ---------------------------------------------------------------------------
 
 
-def number_array(value, context: str) -> np.ndarray:
-    """A parsed JSON number or rectangular list of numbers as a float array.
-
-    Ragged rows leave lists among the object array's entries, so they fail
-    the entry check along with bools, strings and None."""
-    entries = np.asarray(value, dtype=object)
-    for v in entries.flat:
-        require_number(v, context)
-    return entries.astype(np.float64)
-
-
-def _base_spec_dims(spec: dict, allowed: set[str]):
-    """Strict-key and type checks of an rbf, linear or poly spec; returns
-    its ``dims``, a list of integers or None."""
-    kind = spec["type"]
-    require_keys(spec, allowed, f"{kind} kernel spec")
-    for key in ("bandwidth", "scale", "coef0", "bound"):
-        if key in spec:
-            require_number(spec[key], f"{kind} kernel {key}")
-    if "degree" in spec:
-        require_int(spec["degree"], f"{kind} kernel degree")
-    dims = spec.get("dims")
-    if dims is not None and not isinstance(dims, list):
-        raise InputError("kernel dims must be a list of coordinate indices")
-    for d in dims or ():
-        require_int(d, "kernel dims entry")
-    return dims
+# The constructor of each base kernel type and its JSON keys, in the order
+# kernel_to_dict writes them. A key names the constructor's parameter, but
+# for "bound".
+_FIELD_OF = {"bound": "bound_b"}
+_BASE_SPECS = {
+    "rbf": (rbf_kernel, ("bandwidth", "dims")),
+    "linear": (linear_kernel, ("scale", "bound", "dims")),
+    "poly": (poly_kernel, ("degree", "scale", "coef0", "bound", "dims")),
+    "gaussian_metric": (gaussian_metric_kernel, ("metric",)),
+}
 
 
 def kernel_from_dict(spec: dict) -> Kernel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise InputError("kernel spec must be an object with a 'type' key")
     kind = spec["type"]
-    if kind == "rbf":
-        dims = _base_spec_dims(spec, {"type", "bandwidth", "dims"})
-        return rbf_kernel(spec.get("bandwidth", 1.0), dims)
-    if kind == "linear":
-        dims = _base_spec_dims(spec, {"type", "scale", "dims", "bound"})
-        return linear_kernel(dims, spec.get("scale", 1.0), spec.get("bound", 1.0))
-    if kind == "poly":
-        dims = _base_spec_dims(spec, {"type", "degree", "scale", "coef0", "dims",
-                                      "bound"})
-        return poly_kernel(spec.get("degree", 2), spec.get("scale", 1.0),
-                           spec.get("coef0", 0.0), dims, spec.get("bound", 1.0))
-    if kind == "gaussian_metric":
-        require_keys(spec, {"type", "metric"}, "gaussian_metric kernel spec",
-                     ("metric",))
-        return gaussian_metric_kernel(
-            number_array(spec["metric"], "gaussian_metric kernel metric"))
     if kind == "combo":
         require_keys(spec, {"type", "terms"}, "combo kernel spec", ("terms",))
         if not isinstance(spec["terms"], list) or not all(
@@ -426,46 +420,41 @@ def kernel_from_dict(spec: dict) -> Kernel:
             require_number(w, "combo kernel term weight")
         return _combine([(float(w), kernel_from_dict(inner))
                          for w, inner in spec["terms"]])
-    raise InputError(f"unknown kernel type {kind!r}")
+    if not isinstance(kind, str) or kind not in _BASE_SPECS:
+        raise InputError(f"unknown kernel type {kind!r}")
+    make, keys = _BASE_SPECS[kind]
+    require_keys(spec, {"type", *keys}, f"{kind} kernel spec",
+                 ("metric",) if kind == "gaussian_metric" else ())
+    return make(**{_FIELD_OF.get(key, key): value for key, value in spec.items()
+                   if key != "type"})
 
 
 def kernel_to_dict(kernel: Kernel) -> dict:
-    def base_to_dict(w: float, base: BaseKernel) -> dict:
-        if base.kind == "rbf":
-            d = {"type": "rbf", "bandwidth": base.bandwidth}
-        elif base.kind == "linear":
-            d = {"type": "linear", "scale": base.scale, "bound": base.bound_b}
-        elif base.kind == "poly":
-            d = {"type": "poly", "degree": base.degree, "scale": base.scale,
-                 "coef0": base.coef0, "bound": base.bound_b}
-        elif base.kind == "gaussian_metric":
-            d = {"type": "gaussian_metric", "metric": base.metric.tolist()}
-        else:
+    def base_to_dict(base: BaseKernel) -> dict:
+        if base.kind not in _BASE_SPECS:
             raise InputError("custom kernels cannot be serialized")
-        if base.dims is not None:
-            d["dims"] = list(base.dims)
-        return d
+        spec = {"type": base.kind}
+        for key in _BASE_SPECS[base.kind][1]:
+            value = getattr(base, _FIELD_OF.get(key, key))
+            if value is not None:
+                spec[key] = np.asarray(value).tolist()
+        return spec
 
     if len(kernel.terms) == 1 and kernel.terms[0][0] == 1.0:
-        return base_to_dict(1.0, kernel.terms[0][1])
+        return base_to_dict(kernel.terms[0][1])
     return {"type": "combo",
-            "terms": [[w, base_to_dict(w, b)] for w, b in kernel.terms]}
+            "terms": [[w, base_to_dict(b)] for w, b in kernel.terms]}
 
 
 def family_from_dict(spec: dict) -> KernelFamily:
     require_keys(spec, {"variant", "dictionary", "sparsity", "dimension", "max_rank"},
                  "family spec", ("variant",))
-    for key in ("sparsity", "dimension", "max_rank"):
-        if spec.get(key) is not None:
-            require_int(spec[key], f"family {key}")
-    dictionary = tuple(kernel_from_dict(k) for k in spec.get("dictionary", []))
-    return KernelFamily(
-        variant=spec["variant"],
-        dictionary=dictionary,
-        sparsity=spec.get("sparsity"),
-        dimension=spec.get("dimension"),
-        max_rank=spec.get("max_rank"),
-    )
+    if "dictionary" in spec:
+        if not isinstance(spec["dictionary"], list):
+            raise InputError("family dictionary must be a list of kernel specs")
+        spec = {**spec, "dictionary": tuple(kernel_from_dict(k)
+                                            for k in spec["dictionary"])}
+    return KernelFamily(**spec)
 
 
 def load_family(path) -> KernelFamily:
@@ -476,10 +465,7 @@ def family_to_dict(family: KernelFamily) -> dict:
     spec: dict = {"variant": family.variant}
     if family.dictionary:
         spec["dictionary"] = [kernel_to_dict(k) for k in family.dictionary]
-    if family.sparsity is not None:
-        spec["sparsity"] = family.sparsity
-    if family.dimension is not None:
-        spec["dimension"] = family.dimension
-    if family.max_rank is not None:
-        spec["max_rank"] = family.max_rank
+    for key in ("sparsity", "dimension", "max_rank"):
+        if getattr(family, key) is not None:
+            spec[key] = getattr(family, key)
     return spec

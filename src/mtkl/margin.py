@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_int, require_number
 from .kernels import Kernel, as_points, psd_defect
 
 
@@ -59,12 +59,9 @@ class MarginParams:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InputError("gamma must be positive")
-        if self.tolerance <= 0:
-            raise InputError("tolerance must be positive")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be >= 1")
+        require_number(self.gamma, "gamma", positive=True)
+        require_number(self.tolerance, "tolerance", positive=True)
+        require_int(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True, eq=False)

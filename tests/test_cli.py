@@ -168,7 +168,9 @@ class TestLearnCommand:
         {"dictionary": [{"type": "rbf", "dims": [0.5]}]},
         {"dictionary": [{"type": "rbf", "dims": "01"}]},
         {"variant": "sparse_combo", "sparsity": "1"},
-    ], ids=["bandwidth_string", "dims_float", "dims_string", "sparsity_string"])
+        {"dictionary": 5},
+    ], ids=["bandwidth_string", "dims_float", "dims_string", "sparsity_string",
+            "dictionary_not_list"])
     def test_malformed_family_field_exit2(self, data_file, tmp_path, capsys,
                                           family_part):
         family = {"variant": "convex_combo",
@@ -180,6 +182,35 @@ class TestLearnCommand:
                    "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "error-category: input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exit2(self, family_file, data_file, tmp_path,
+                                    capsys, gamma):
+        # both pass a plain gamma > 0 test and would run, reporting margin
+        # error 0 (nan) or 1 (inf)
+        rc = main(["learn", "--family", family_file, "--data", data_file,
+                   "--gamma", gamma, "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "gamma" in err
+
+    def test_dims_past_data_width_exit2(self, tmp_path, capsys):
+        # numpy indexing raises IndexError (exit 1) for an entry past the
+        # data's width
+        family = {"variant": "convex_combo",
+                  "dictionary": [{"type": "rbf", "dims": [2, 3]}]}
+        family_path = tmp_path / "family.json"
+        family_path.write_text(json.dumps(family))
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("t0,0.1,0.2,0.3,1\nt0,-0.1,0.2,-0.3,-1\n"
+                             "t1,0.4,0.1,0.3,1\nt1,-0.4,0.2,-0.1,-1\n")
+        rc = main(["learn", "--family", str(family_path), "--data",
+                   str(data_path), "--gamma", "0.1",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err
+        assert "dims entry 3" in err and "width 3" in err
 
 
 class TestShatterCoverCommands:
@@ -309,6 +340,7 @@ class TestExperimentCommand:
             {"type": "combo", "terms": [["a", {"type": "rbf"}]]}]}, {}),
         ("sandwich", {"dictionary": [{"type": "gaussian_metric"}]}, {}),
         ("sandwich", {"clusters": 5}, {}),
+        ("sandwich", {"clusters": []}, {}),
         ("sandwich", {"clusters": [{"weight": 1.0, "kernel_index": "0"}]}, {}),
         ("sandwich", {}, {"trials": "3"}),
         ("sandwich", {}, {"trials": True}),
@@ -343,7 +375,7 @@ class TestExperimentCommand:
     ], ids=["input_law_dim", "cluster_kernel_index", "overhead_n_grid",
             "combo_terms", "combo_term_not_pair", "combo_term_short",
             "combo_weight_not_number", "gaussian_metric_metric",
-            "clusters_not_list", "kernel_index_string", "trials_string",
+            "clusters_not_list", "clusters_empty", "kernel_index_string", "trials_string",
             "trials_bool", "n_grid_entry_string", "gamma_string",
             "gamma_bool", "delta_string", "cluster_weight_string",
             "margin_gap_string", "input_law_dim_string",
@@ -365,6 +397,55 @@ class TestExperimentCommand:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "error-category: input" in capsys.readouterr().err
+
+    def _run_modified(self, tmp_path, mode, env_part, **config_part):
+        """Exit code of the experiment in ``_config`` with the environment
+        updated by ``env_part``."""
+        cfg_path = self._config(tmp_path, mode, n=2, m=12, n_grid=[1],
+                                **config_part)
+        with open(cfg_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        config["environment"].update(env_part)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        return main(["experiment", "--config", cfg_path,
+                     "--out-dir", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("env_part,config_part", [
+        ({}, {"gamma": float("nan")}),
+        ({"clusters": [{"kernel_index": 0, "weight": float("nan")}]}, {}),
+    ], ids=["gamma_nan", "cluster_weight_nan"])
+    def test_non_finite_number_exit2(self, tmp_path, capsys, env_part,
+                                     config_part):
+        # JSON NaN parses to a float, which passes a type test and a plain
+        # sign test
+        rc = self._run_modified(tmp_path, "sandwich", env_part, **config_part)
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["sandwich", "overhead"])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_exit2(self, tmp_path, capsys, mode, trials):
+        # zero trials would write an empty trials.csv, then fail in the plot
+        rc = self._run_modified(tmp_path, mode, {}, trials=trials)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "trials" in err
+        out_dir = tmp_path / "o"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("dims,needles", [
+        ([5], ["dims entry 5", "width 4"]), ([-1], ["dims entry", "-1"])],
+        ids=["past_width", "negative"])
+    def test_dims_out_of_range_exit2(self, tmp_path, capsys, dims, needles):
+        # numpy indexing reads [-1] as the last coordinate and raises
+        # IndexError (exit 1) for [5]
+        rc = self._run_modified(tmp_path, "sandwich", {"dictionary": [
+            {"type": "rbf", "bandwidth": 0.6, "dims": dims}]})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err
+        assert all(needle in err for needle in needles)
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg = self._config(tmp_path, "sandwich", n=2, m=10)

@@ -226,6 +226,27 @@ class TestInvariantChecks:
             check_kernel_invariants(k, [[0.0, 0.0]])
 
 
+class TestMetricValidation:
+    @pytest.mark.parametrize("delta", [0.0, 5e-13, 2e-12, 1e-6, 2.9e-6, 3.1e-6,
+                                       1e-3])
+    def test_symmetry_check_matches_allclose(self, delta):
+        M = np.array([[2.0, 0.3], [0.3 + delta, 1.0]])
+        if np.allclose(M, M.T, atol=1e-12):
+            gaussian_metric_kernel(M)
+        else:
+            with pytest.raises(InputError, match="symmetric"):
+                gaussian_metric_kernel(M)
+
+    @pytest.mark.parametrize("metric,needle", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+        ([[1.0, 2.0], [2.0, 1.0]], "semidefinite"),
+        ([[1.0, float("nan")], [float("nan"), 1.0]], "finite"),
+    ], ids=["not_square", "indefinite", "nan"])
+    def test_bad_metric_rejected(self, metric, needle):
+        with pytest.raises(InputError, match=needle):
+            gaussian_metric_kernel(metric)
+
+
 def _inverse_quadratic(a, b):
     return 1.0 / (1.0 + math.fsum((p - q) ** 2 for p, q in zip(a, b)))
 
