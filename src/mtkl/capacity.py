@@ -13,11 +13,13 @@ Two complementary tools:
 
 Thresholds for shattering are restricted to midpoints between consecutive
 clusters (``TIE_RTOL``) of kernel values per pair: sign patterns only change
-at the values themselves, so midpoints lose nothing.
+at the values themselves, so midpoints lose nothing. They and their scan rows
+are computed once per value table, and a single pair needs no scan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,37 +99,51 @@ def _witness(V: np.ndarray, thresholds: np.ndarray) -> Optional[ShatterWitness]:
     return None
 
 
-def _shatter_values(V: np.ndarray, max_combos: int,
-                    thresholds: Optional[np.ndarray] = None
-                    ) -> tuple[bool, Optional[ShatterWitness]]:
-    """``is_shattered`` on the value table V[member, pair]."""
-    p = V.shape[1]
+def _pair_thresholds(V: np.ndarray) -> list[Optional[np.ndarray]]:
+    """Per column of the value table V[member, pair]: the ascending midpoints
+    between its value clusters (``TIE_RTOL``), or None for one cluster. Exact
+    duplicates differ by 0 and never split, so no ``np.unique`` is needed."""
+    S = np.sort(V, axis=0)
+    lo, hi = S[:-1], S[1:]
+    split = hi - lo > TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(lo),
+                                                            np.abs(hi)))
+    mids = (lo + hi) / 2.0
+    return [mids[split[:, i], i] if split[:, i].any() else None
+            for i in range(V.shape[1])]
+
+
+def _threshold_table(V: np.ndarray) -> list:
+    """Per column i of V: None, or its candidates t with the scan rows
+    ``V[:, i] > t[:, None]``."""
+    return [None if t is None else (t, V[:, i] > t[:, None])
+            for i, t in enumerate(_pair_thresholds(V))]
+
+
+def _shatter_values(V: np.ndarray, table: list, subset: Sequence[int],
+                    max_combos: int) -> tuple[bool, Optional[ShatterWitness]]:
+    """``is_shattered`` on the columns ``subset`` of V, with ``table`` =
+    ``_threshold_table(V)``."""
+    p = len(subset)
     if p > MAX_SHATTER_PAIRS:
         raise InputError(f"at most {MAX_SHATTER_PAIRS} pairs supported, got {p}")
-    if thresholds is not None:
-        witness = _witness(V, thresholds)
-        return witness is not None, witness
     if V.shape[0] < 2 ** p:
         return False, None
-    threshold_lists = []
-    for i in range(p):
-        v = np.unique(V[:, i])
-        size = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-        split = np.diff(v) > TIE_RTOL * size
-        if not split.any():
-            return False, None
-        threshold_lists.append((v[:-1][split] + v[1:][split]) / 2.0)
-    above = np.concatenate([V[:, i] > t[:, None]
-                            for i, t in enumerate(threshold_lists)])
-    counts = np.array([len(t) for t in threshold_lists], dtype=np.int64)
-    status, choice = _accel.shatter_scan(above, counts, max_combos)
+    rows = [table[i] for i in subset]
+    if None in rows:
+        return False, None
+    counts = np.array([len(t) for t, _ in rows], dtype=np.int64)
+    if p == 1:  # first midpoint: the lowest cluster below, the rest above
+        status, choice = (-1 if counts[0] > max_combos else 1), (0,)
+    else:
+        status, choice = _accel.shatter_scan(
+            np.concatenate([above for _, above in rows]), counts, max_combos)
     if status == -1:
         raise BudgetError(
             f"threshold search for {p} pairs exceeds max_combos={max_combos}")
     if status == 0:
         return False, None
-    thresholds = np.array([threshold_lists[i][choice[i]] for i in range(p)])
-    witness = _witness(V, thresholds)
+    thresholds = np.array([t[c] for (t, _), c in zip(rows, choice)])
+    witness = _witness(V[:, list(subset)], thresholds)
     if witness is None:
         raise NumericError("shatter scan accepted thresholds that do not "
                            "realize every sign pattern")
@@ -163,15 +179,21 @@ def is_shattered(instance: ShatterInstance,
     The values come from the Gram of the instance's 2p points, left points
     first: pair i's value is the entry (i, p + i). Candidate thresholds lie
     between clusters of each pair's values (see ``TIE_RTOL``), never between
-    values that differ only by rounding. Raises BudgetError whenever the
-    product of the per-pair threshold candidate counts exceeds
-    ``max_combos``, even if an early combination would shatter; the search
+    values that differ only by rounding; they are computed once for the
+    instance's value table. Raises BudgetError whenever the product of the
+    per-pair threshold candidate counts exceeds ``max_combos``, even if an
+    early combination would shatter (a single pair included); the search
     never silently returns False in that case.
     """
     p = instance.n_pairs
     pool = np.concatenate((instance.pairs[:, 0, :], instance.pairs[:, 1, :]))
     V = _pool_values(instance.members, pool, np.arange(p), np.arange(p, 2 * p))
-    return _shatter_values(V, max_combos, instance.thresholds)
+    if instance.thresholds is None:
+        return _shatter_values(V, _threshold_table(V), range(p), max_combos)
+    if p > MAX_SHATTER_PAIRS:
+        raise InputError(f"at most {MAX_SHATTER_PAIRS} pairs supported, got {p}")
+    witness = _witness(V, instance.thresholds)
+    return witness is not None, witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,48 +217,32 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
     if not members:
         raise InputError("need at least one family member")
     V = _pool_values(members, pool, *np.triu_indices(len(pool)))
+    table = _threshold_table(V)
     n_pairs = V.shape[1]
     rng = np.random.default_rng(budget.seed)
     exhausted = False
-
-    def try_subset(subset: tuple[int, ...]):
-        nonlocal exhausted
-        try:
-            return _shatter_values(V[:, list(subset)], budget.max_combos)
-        except BudgetError:
-            exhausted = True
-            return False, None
-
-    best: tuple[tuple[int, ...], Optional[ShatterWitness]] = ((), None)
-    current: list[tuple[int, ...]] = [()]
+    pairs: tuple[int, ...] = ()
+    witness: Optional[ShatterWitness] = None
     for n in range(1, budget.max_n + 1):
-        found = None
-        # greedy: extend each current witness set by one pool pair
-        for base in current:
-            for extra in range(n_pairs):
-                if extra in base:
-                    continue
-                subset = tuple(sorted(base + (extra,)))
-                ok, wit = try_subset(subset)
-                if ok:
-                    found = (subset, wit)
-                    break
-            if found:
+        # greedy: extend the best set by one pool pair, lowest index first;
+        # then random restarts
+        greedy = (tuple(sorted(pairs + (extra,)))
+                  for extra in range(n_pairs) if extra not in pairs)
+        restarts = (tuple(sorted(rng.choice(n_pairs, size=n,
+                                            replace=False).tolist()))
+                    for _ in range(budget.trials_per_n if n_pairs >= n else 0))
+        for subset in itertools.chain(greedy, restarts):
+            try:
+                ok, wit = _shatter_values(V, table, subset, budget.max_combos)
+            except BudgetError:
+                exhausted, ok = True, False
+            if ok:
+                pairs, witness = subset, wit
                 break
-        if not found and n_pairs >= n:
-            for _ in range(budget.trials_per_n):
-                subset = tuple(sorted(rng.choice(n_pairs, size=n,
-                                                 replace=False).tolist()))
-                ok, wit = try_subset(subset)
-                if ok:
-                    found = (subset, wit)
-                    break
-        if not found:
+        else:
             break
-        best = found
-        current = [found[0]]
-    return PseudodimResult(lower_bound=len(best[0]), pair_indices=best[0],
-                           witness=best[1], budget_exhausted=exhausted)
+    return PseudodimResult(lower_bound=len(pairs), pair_indices=pairs,
+                           witness=witness, budget_exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,9 @@ def _add_pool_flags(p: argparse.ArgumentParser, pool_size: int) -> None:
 
 def _family_pool(args):
     """The family, its grid members, and the point pool drawn from --seed."""
+    require_int(args.seed, "--seed", 0)
+    require_int(args.dim, "--dim", 1)
+    require_int(args.pool_size, "--pool-size", 1)
     family = load_family(args.family)
     budget = SearchBudget(grid_resolution=args.grid_resolution,
                           max_candidates=args.max_candidates)
@@ -240,6 +243,7 @@ def _present(config: dict, keys) -> dict:
 
 
 def _cmd_experiment(args) -> int:
+    require_int(args.seed, "--seed", 0)
     config = read_json(args.config, "experiment config")
     require_keys(config, _EXPERIMENT_KEYS, "experiment config",
                  ("mode", "environment"))

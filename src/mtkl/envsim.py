@@ -53,8 +53,9 @@ class InputLaw:
         require_int(self.dim, "input_law dim", 1)
         require_number(self.low, "input_law low")
         require_number(self.high, "input_law high")
-        if self.kind == "uniform_cube" and not self.low < self.high:
-            raise InputError("uniform_cube requires low < high")
+        # sample's in-place scaling would turn an overflowing span into inf
+        if self.kind == "uniform_cube" and not 0 < self._span() < np.inf:
+            raise InputError("uniform_cube requires a finite high - low > 0")
         if self.kind == "gaussian_mixture":
             if self.means is None:
                 raise InputError("gaussian_mixture requires component means")
@@ -72,9 +73,16 @@ class InputLaw:
             object.__setattr__(self, "scales", scales)
             object.__setattr__(self, "weights", weights / weights.sum())
 
+    def _span(self) -> float:
+        return float(self.high) - float(self.low)
+
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform_cube":
-            return rng.uniform(self.low, self.high, size=(m, self.dim))
+            # rng.uniform's low + (high - low) * u, bit for bit, in place
+            X = rng.random((m, self.dim))
+            X *= self._span()
+            X += self.low
+            return X
         comp = rng.choice(len(self.weights), size=m, p=self.weights)
         return self.means[comp] + self.scales[comp, None] * \
             rng.standard_normal((m, self.dim))

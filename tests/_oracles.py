@@ -3,7 +3,9 @@
 These deliberately share no code with the package: bound formulas are
 re-evaluated term by term in mpmath arbitrary precision, covers are found by
 exhaustive subset search, shattering by naive pattern enumeration (and the
-threshold scan by a brute-force scan over Python integer sets), sparse search
+threshold scan by a brute-force scan over Python integer sets, threshold
+candidates by a per-column ``np.unique`` loop, and the pseudodimension search
+by deciding every subset with a brute-force threshold loop), sparse search
 grids by filtering every count vector, and tiny fits by dense grids over the
 dual coefficients. Kernel expansions are summed entry by entry with
 ``math.fsum`` from textbook kernel formulas. The scalar hinge solver is the
@@ -179,6 +181,76 @@ def shatter_scan_reference(above, counts, max_combos):
         if all(cells):
             return 1, list(choice)
     return 0, None
+
+
+def pair_thresholds_reference(V: np.ndarray, tie_rtol: float = 1e-12):
+    """Threshold candidates of each column of V, one column at a time: its
+    distinct values (``np.unique``), the gaps wider than ``tie_rtol`` times
+    max(1, |either end|), and the midpoints of those gaps in ascending order;
+    None when no gap is wide enough."""
+    out = []
+    for i in range(V.shape[1]):
+        v = np.unique(V[:, i])
+        size = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        split = np.diff(v) > tie_rtol * size
+        out.append((v[:-1][split] + v[1:][split]) / 2.0 if split.any() else None)
+    return out
+
+
+def pseudodim_reference(V: np.ndarray, max_n: int, trials_per_n: int,
+                        max_combos: int, seed: int, tie_rtol: float = 1e-12):
+    """The pseudodimension search on the value table V[member, pair]: greedy
+    extension of the best subset by one pair (lowest pair index first), then
+    ``trials_per_n`` random subsets drawn from ``default_rng(seed)``, stopping
+    at the first size with no shattered subset. Each subset is decided by
+    brute force over its pairs' candidates in odometer order (pair 0
+    fastest): the first combination under which every one of the 2^p sign
+    patterns occurs among the members wins. A subset whose pairs have
+    more than ``max_combos`` combinations marks the budget exhausted and
+    counts as not shattered. Returns (lower_bound, pair_indices, thresholds
+    or None, budget_exhausted)."""
+    candidates = pair_thresholds_reference(V, tie_rtol)
+    n_members, n_pairs = V.shape
+    rng = np.random.default_rng(seed)
+    exhausted = False
+
+    def decide(subset):
+        nonlocal exhausted
+        p = len(subset)
+        lists = [candidates[i] for i in subset]
+        if n_members < 2 ** p or any(t is None for t in lists):
+            return None
+        if math.prod(len(t) for t in lists) > max_combos:
+            exhausted = True
+            return None
+        for combo in itertools.product(*(t.tolist() for t in reversed(lists))):
+            chosen = combo[::-1]
+            patterns = {tuple(V[j, i] > t for i, t in zip(subset, chosen))
+                        for j in range(n_members)}
+            if len(patterns) == 2 ** p:
+                return chosen
+        return None
+
+    best, best_t = (), None
+    for n in range(1, max_n + 1):
+        found = None
+        for extra in range(n_pairs):
+            if extra not in best:
+                subset = tuple(sorted(best + (extra,)))
+                if (t := decide(subset)) is not None:
+                    found = subset, t
+                    break
+        if found is None and n_pairs >= n:
+            for _ in range(trials_per_n):
+                subset = tuple(sorted(rng.choice(n_pairs, size=n,
+                                                 replace=False).tolist()))
+                if (t := decide(subset)) is not None:
+                    found = subset, t
+                    break
+        if found is None:
+            break
+        best, best_t = found
+    return len(best), best, best_t, exhausted
 
 
 def sparse_candidates_reference(n_dict, sparsity, res):

@@ -1,12 +1,15 @@
 """Shattering search, greedy covers, and the empirical kernel distance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mtkl import (BudgetError, CoverRequest, InputError, KernelFamily,
                   NumericError, PseudodimBudget, ShatterInstance, capacity,
-                  greedy_cover, is_shattered, kernel_deviation_distance,
-                  pd_upper_bound, pseudodim_lower_bound, rbf_kernel)
+                  greedy_cover, instantiate, is_shattered,
+                  kernel_deviation_distance, pd_upper_bound,
+                  pseudodim_lower_bound, rbf_kernel)
 from mtkl.capacity import PseudodimResult
 from mtkl.kernels import custom_kernel, linear_kernel
 
@@ -118,6 +121,34 @@ class TestIsShattered:
         with pytest.raises(BudgetError):
             is_shattered(inst, max_combos=10)
 
+    def test_single_pair_over_budget_raises(self):
+        # one pair with four values has three candidates
+        inst = ShatterInstance(pairs=index_pairs(1), members=value_matrix_members(
+            [[0.0], [1.0], [2.0], [3.0]]))
+        with pytest.raises(BudgetError):
+            is_shattered(inst, max_combos=2)
+        ok, wit = is_shattered(inst, max_combos=3)
+        assert ok and wit.thresholds.tolist() == [0.5]
+
+    def test_single_pair_decided_without_scan(self, monkeypatch):
+        def no_scan(above, counts, max_combos):
+            raise AssertionError("a single pair needs no scan")
+        monkeypatch.setattr(capacity._accel, "shatter_scan", no_scan)
+        inst = ShatterInstance(pairs=index_pairs(1), members=value_matrix_members(
+            [[2.0], [-1.0], [2.0], [0.0]]))
+        ok, wit = is_shattered(inst)
+        assert ok and wit.thresholds.tolist() == [-0.5]
+        assert wit.pattern_members == {(1,): 0, (-1,): 1}
+
+    def test_single_pair_witness_rechecked(self, monkeypatch):
+        # a first candidate that every member exceeds realizes one pattern
+        monkeypatch.setattr(capacity, "_pair_thresholds",
+                            lambda V: [np.array([-5.0, 0.5])])
+        inst = ShatterInstance(pairs=index_pairs(1),
+                               members=value_matrix_members([[0.0], [1.0]]))
+        with pytest.raises(NumericError):
+            is_shattered(inst)
+
     def test_scan_hit_rechecked_by_witness(self, monkeypatch):
         # combo (1, 0) puts thresholds at 1.5 and 0.5: no member is (+, -)
         V = [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]
@@ -193,6 +224,131 @@ class TestPseudodimLowerBound:
         assert isinstance(res, PseudodimResult)
         assert res.lower_bound >= 1
         assert res.witness is not None
+
+
+class TestThresholdTable:
+    def test_pair_thresholds_match_unique_loop(self):
+        rng = np.random.default_rng(31)
+        levels = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+        outcomes = set()
+        for _ in range(400):
+            shape = (int(rng.integers(1, 10)), int(rng.integers(1, 5)))
+            V = rng.choice(levels, size=shape)  # exact ties, both zeros
+            # moves of 1e-14 and 1e-13 times max(1, |v|) stay in a TIE_RTOL
+            # cluster; 1e-9 leaves it
+            near = rng.random(shape) < 0.3
+            V[near] += rng.choice([1e-14, -1e-13, 1e-9], size=near.sum()) * \
+                np.maximum(1.0, np.abs(V[near]))
+            if rng.random() < 0.2:
+                V[:, 0] = V[0, 0]  # a single-value column
+            got = capacity._pair_thresholds(V)
+            want = orc.pair_thresholds_reference(V, capacity.TIE_RTOL)
+            assert len(got) == len(want) == shape[1]
+            for g, w in zip(got, want):
+                outcomes.add(w is None)
+                if w is None:
+                    assert g is None
+                else:
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert outcomes == {True, False}
+
+
+def deck_family(rng, variant):
+    """Members of a random family of one variant (0 convex, 1 sparse,
+    2 Gaussian covariance) and the input dimension."""
+    if variant == 0:
+        k = int(rng.integers(2, 5))
+        dictionary = tuple(rbf_kernel(float(b)) for b in rng.uniform(0.2, 2.5, k))
+        family = KernelFamily(variant="convex_combo", dictionary=dictionary)
+        return dictionary + tuple(instantiate(family, rng.dirichlet(np.ones(k)))
+                                  for _ in range(3)), 2
+    if variant == 1:
+        n_dict = int(rng.integers(2, 6))
+        return tuple(rbf_kernel(float(b))
+                     for b in rng.uniform(0.2, 2.5, n_dict)), 2
+    ell = int(rng.integers(1, 3))
+    family = KernelFamily(variant="gaussian_covariance", dimension=ell)
+    return tuple(instantiate(family, float(s) * np.eye(ell))
+                 for s in rng.uniform(0.1, 4.0, 4)), ell
+
+
+def pool_value_table(members, pool):
+    left, right = np.triu_indices(len(pool))
+    return np.stack([kern.gram(pool)[left, right] for kern in members])
+
+
+class TestPseudodimReference:
+    def check_against_reference(self, members, pool, budget):
+        res = pseudodim_lower_bound(members, pool, budget)
+        lb, pairs, thresholds, exhausted = orc.pseudodim_reference(
+            pool_value_table(members, pool), budget.max_n, budget.trials_per_n,
+            budget.max_combos, budget.seed, capacity.TIE_RTOL)
+        assert (res.lower_bound, res.pair_indices, res.budget_exhausted) == \
+            (lb, pairs, exhausted)
+        if lb:
+            assert res.witness.thresholds.tobytes() == \
+                np.array(thresholds).tobytes()
+        else:
+            assert res.witness is None
+        return res
+
+    def test_matches_reference_on_random_families(self):
+        rng = np.random.default_rng(32)
+        seen = set()
+        for trial in range(45):
+            members, dim = deck_family(rng, trial % 3)
+            pool = rng.uniform(-1, 1, (int(rng.integers(2, 6)), dim))
+            budget = PseudodimBudget(
+                max_n=int(rng.integers(1, 4)), trials_per_n=4,
+                max_combos=int(rng.choice([2, 50_000, 50_000])),
+                seed=int(rng.integers(2**31)))
+            res = self.check_against_reference(members, pool, budget)
+            seen.add((res.lower_bound, res.budget_exhausted))
+        assert {lb for lb, _ in seen} >= {0, 1, 2}
+        assert {ex for _, ex in seen} == {True, False}
+
+    def test_single_pair_over_budget(self):
+        # pair (0, 1) takes four values, so three candidates; the (i, i)
+        # pairs take K(x, x) = 1 only
+        members = tuple(rbf_kernel(b) for b in (0.3, 0.7, 1.5, 3.0))
+        pool = np.array([[0.1, 0.2], [0.5, -0.3]])
+        res = self.check_against_reference(
+            members, pool, PseudodimBudget(max_n=2, trials_per_n=4, max_combos=2))
+        assert res.lower_bound == 0 and res.budget_exhausted
+        res = self.check_against_reference(
+            members, pool, PseudodimBudget(max_n=2, trials_per_n=4, max_combos=3))
+        assert res.lower_bound == 1 and not res.budget_exhausted
+
+
+# sha256 of the deck's results (bounds, pairs, budget flags, witness
+# thresholds and pattern members) as the search first certified them; a change
+# that moves any witness changes it
+DECK_DIGEST = \
+    "fdb1c58dd021292232ed5af6d14a18da548607baba7449ee46e414776f3f9f03"
+
+
+def capacity_deck_digest():
+    """Digest of pseudodim_lower_bound on a seeded deck shaped like the
+    capacity benchmark's: 8 families of each variant, pool of 4, max_n=2."""
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for variant in np.repeat(np.arange(3), 8):
+        members, dim = deck_family(rng, variant)
+        pool = rng.uniform(-1.0, 1.0, (4, dim))
+        budget = PseudodimBudget(max_n=2, trials_per_n=4, max_combos=50_000,
+                                 seed=int(rng.integers(2**31)))
+        res = pseudodim_lower_bound(members, pool, budget)
+        digest.update(np.array([res.lower_bound, *res.pair_indices,
+                                res.budget_exhausted], dtype=np.int64).tobytes())
+        if res.witness is not None:
+            digest.update(res.witness.thresholds.tobytes())
+            digest.update(repr(sorted(res.witness.pattern_members.items()))
+                          .encode())
+    return digest.hexdigest()
+
+
+def test_capacity_deck_results_pinned():
+    assert capacity_deck_digest() == DECK_DIGEST
 
 
 def cluster_candidates(rng, clusters=4, per_cluster=4, points=8, spread=0.04):

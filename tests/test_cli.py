@@ -235,6 +235,23 @@ class TestShatterCoverCommands:
         assert lines[0].startswith("# mtkl-csv")
         assert len(lines) == 4  # comment + header + one row per epsilon
 
+    @pytest.mark.parametrize("command,extra", [
+        ("shatter", ["--seed", "-1"]), ("cover", ["--seed", "-1"]),
+        ("shatter", ["--pool-size", "0"]), ("cover", ["--pool-size", "-3"]),
+        ("shatter", ["--dim", "0"]), ("cover", ["--dim", "-2"]),
+    ])
+    def test_negative_seed_or_size_exit2(self, family_file, tmp_path, capsys,
+                                         command, extra):
+        # numpy raises ValueError on these in default_rng and uniform
+        eps = ["--epsilon", "0.5"] if command == "cover" else []
+        out_dir = tmp_path / "o"
+        rc = main([command, "--family", family_file, "--dim", "2", *eps,
+                   *extra, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and extra[0] in err
+        assert not out_dir.exists()
+
     def test_cover_rejects_predictor_metric(self, family_file, tmp_path):
         # cover's candidates are kernels, which have no predictors
         with pytest.raises(SystemExit) as exc:
@@ -446,6 +463,19 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "error-category: input" in err
         assert all(needle in err for needle in needles)
+
+    @pytest.mark.parametrize("mode", ["sandwich", "overhead"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, mode):
+        # SeedSequence(-1) raises ValueError
+        extra = {"n_grid": [1]} if mode == "overhead" else {}
+        cfg = self._config(tmp_path, mode, **extra)
+        out_dir = tmp_path / "o"
+        rc = main(["experiment", "--config", cfg, "--out-dir", str(out_dir),
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "--seed" in err
+        assert not out_dir.exists()
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg = self._config(tmp_path, "sandwich", n=2, m=10)

@@ -304,6 +304,22 @@ class TestEnvironmentFiles:
             "clusters": [{"kernel_index": 0}],
         }
 
+    def test_uniform_cube_draws_match_rng_uniform_bitwise(self):
+        for low, high, m, dim in [(-1.0, 1.0, 40, 32), (0, 1, 7, 3),
+                                  (-3.5, 1e-3, 1000, 2), (2.0, 2.0 + 1e-9, 5, 4),
+                                  (-1e300, 1e300, 16, 1), (-1, 4.25, 0, 3)]:
+            law = InputLaw(dim=dim, low=low, high=high)
+            got = law.sample(m, np.random.default_rng(m + dim))
+            want = np.random.default_rng(m + dim).uniform(low, high, (m, dim))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("low,high", [(-1e308, 1e308), (-1.7e308, 0.5e308)])
+    def test_uniform_cube_span_overflow_rejected(self, low, high):
+        # rng.uniform raises OverflowError here; scaling by an infinite span
+        # would draw infinities
+        with pytest.raises(InputError, match="finite"):
+            InputLaw(dim=2, low=low, high=high)
+
     def test_gaussian_mixture_input_law(self):
         means = np.array([[-10.0, 0.0], [10.0, 5.0]])
         scales, N = np.array([0.5, 1.5]), 20_000
