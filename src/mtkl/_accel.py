@@ -1,9 +1,8 @@
 """Hot numeric kernels, in numpy: the cross-Gram builders, the hinge solver
-(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``), pairwise
-sup-distances and the shattering scan. A Gram is a cross-Gram of one array
-with itself (see ``BaseKernel.gram``). Everything here is deterministic for a
-fixed input; ``tests/test_accel.py`` checks each function against an
-independent oracle.
+(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``) and the shattering
+scan. A Gram is a cross-Gram of one array with itself (see
+``BaseKernel.gram``). Everything here is deterministic for a fixed input;
+``tests/test_accel.py`` checks each function against an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "metric_cross",
     "hinge_pgd",
     "hinge_pgd_batch",
-    "chebyshev_pdist",
     "shatter_scan",
 ]
 
@@ -241,18 +239,6 @@ def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol):
                 break
     alpha[live], obj[live] = a, f
     return alpha, obj, iters, converged
-
-
-def chebyshev_pdist(V):
-    """(n, n) matrix of sup-norm distances max_t |V[i, t] - V[j, t]|."""
-    n = V.shape[0]
-    D = np.zeros((n, n))
-    # chunk the broadcast so candidate sets of a few thousand stay in cache
-    chunk = max(1, int(2**22 // max(V.shape[1] * n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        D[start:stop] = np.max(np.abs(V[start:stop, None, :] - V[None, :, :]), axis=2)
-    return D
 
 
 # Largest temporaries of one chunk of shatter_scan combos: the members' codes

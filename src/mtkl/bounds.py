@@ -1,10 +1,14 @@
 """Closed-form capacity and generalization bound formulas.
 
 Everything here is evaluated in log space, term by term, so inputs up to
-``n, m ~ 1e9`` never overflow. Two existence-only constants appear in the
-source formulas and are mandatory explicit inputs (:class:`BoundConstants`):
-``C`` scales the distribution-level kernel-cover bound and ``c`` scales the
-empirical-to-distributional sample size. Both default to 1 and any reported
+``n, m ~ 1e9`` never overflow. :class:`BoundInputs` is the problem
+``(n, m, d_phi, B, gamma)``; each function takes it with only the query it
+answers: the multi-task bound turns a confidence ``delta`` into a radius,
+the lifelong bound turns a radius ``epsilon`` into a failure probability.
+Two existence-only constants appear in the source formulas
+(:class:`BoundConstants`): ``C`` scales the distribution-level kernel-cover
+bound and ``c`` scales the empirical-to-distributional sample size. They
+are passed to the functions that read them, default to 1, and any reported
 number is only meaningful relative to that choice.
 
 Log conventions: natural logs everywhere except the function-class cover
@@ -22,25 +26,9 @@ meant for (tiny m, huge margins).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, NumericError, require_int, require_number
-
-__all__ = [
-    "BoundConstants",
-    "BoundInputs",
-    "LogBound",
-    "EpsilonResult",
-    "DeltaResult",
-    "cover_bound_hn",
-    "cover_bound_fk",
-    "cover_bound_kernel_nm",
-    "cover_bound_kernel_dn",
-    "appendix_sample_size",
-    "multitask_epsilon",
-    "lifelong_delta",
-    "invert_epsilon",
-]
 
 EPSILON_BRACKET = (1e-6, 2.0)
 INVERT_TOL = 1e-9
@@ -65,8 +53,6 @@ class BoundInputs:
     d_phi: float
     B: float
     gamma: float
-    delta: float
-    constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
         require_int(self.n, "n", 1)
@@ -76,9 +62,6 @@ class BoundInputs:
             raise InputError("d_phi must be >= 1")
         require_number(self.B, "B", positive=True)
         require_number(self.gamma, "gamma", positive=True)
-        require_number(self.delta, "delta")
-        if not 0.0 < self.delta <= 1.0:
-            raise InputError("delta must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,8 +90,13 @@ class DeltaResult:
 
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        if not value > 0:
-            raise InputError(f"{name} must be positive, got {value!r}")
+        require_number(value, name, positive=True)
+
+
+def _require_probability(value, context: str) -> None:
+    require_number(value, context)
+    if not 0.0 < value <= 1.0:
+        raise InputError(f"{context} must be in (0, 1], got {value!r}")
 
 
 def _clog(x: float, label: str, warnings: list[str], base2: bool = False) -> float:
@@ -186,8 +174,9 @@ def appendix_sample_size(d_phi: float, B: float, epsilon: float,
     return constants.c * d_phi**2 * B**2.5 / epsilon**5
 
 
-def multitask_epsilon(inputs: BoundInputs) -> EpsilonResult:
-    """Estimation-error radius for n tasks with m samples each:
+def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
+    """Estimation-error radius for n tasks with m samples each, holding with
+    probability at least ``1 - delta``:
 
         eps = sqrt(8 [ (2 log2 - log delta)/n + log2
                        + (d_phi/n) log(128 e n^2 m^3 B / (gamma^2 d_phi))
@@ -197,8 +186,9 @@ def multitask_epsilon(inputs: BoundInputs) -> EpsilonResult:
     The self-referential validity condition ``m > 2/eps^2`` is evaluated on
     the computed eps and surfaced as ``valid``, never silently.
     """
+    _require_probability(delta, "delta")
     n, m = inputs.n, inputs.m
-    d_phi, B, gamma, delta = inputs.d_phi, inputs.B, inputs.gamma, inputs.delta
+    d_phi, B, gamma = inputs.d_phi, inputs.B, inputs.gamma
     warns: list[str] = []
     t_confidence = (2.0 * math.log(2.0) - math.log(delta)) / n
     t_patterns = math.log(2.0)
@@ -219,11 +209,10 @@ def multitask_epsilon(inputs: BoundInputs) -> EpsilonResult:
     )
 
 
-def _lifelong_log_terms(inputs: BoundInputs, epsilon: float,
+def _lifelong_log_terms(inputs: BoundInputs, epsilon: float, C: float,
                         warns: list[str]) -> tuple[float, float]:
     n, m = inputs.n, inputs.m
     d_phi, B, gamma = inputs.d_phi, inputs.B, inputs.gamma
-    C = inputs.constants.C
     log_sample = ((n + 2) * math.log(2.0)
                   + d_phi * _clog(512.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi),
                                   "512en^2m^3B/(gamma^2 d_phi)", warns)
@@ -240,7 +229,8 @@ def _lifelong_log_terms(inputs: BoundInputs, epsilon: float,
     return log_sample, log_env
 
 
-def lifelong_delta(inputs: BoundInputs, epsilon: float) -> DeltaResult:
+def lifelong_delta(inputs: BoundInputs, epsilon: float,
+                   constants: BoundConstants = BoundConstants()) -> DeltaResult:
     """Failure probability for learning a kernel over a task environment:
     a within-task deviation summand plus a task-environment cover summand,
     both evaluated in log space. The returned probability is their sum
@@ -250,7 +240,8 @@ def lifelong_delta(inputs: BoundInputs, epsilon: float) -> DeltaResult:
     """
     _require_positive(epsilon=epsilon)
     warns: list[str] = []
-    log_sample, log_env = _lifelong_log_terms(inputs, epsilon, warns)
+    log_sample, log_env = _lifelong_log_terms(inputs, epsilon, constants.C,
+                                              warns)
     overflow = log_sample > 0.0 or log_env > 0.0
     total_log = _log_add(log_sample, log_env)
     delta = 1.0 if total_log > 0.0 else math.exp(total_log)
@@ -265,29 +256,25 @@ def lifelong_delta(inputs: BoundInputs, epsilon: float) -> DeltaResult:
     )
 
 
-def invert_epsilon(target_confidence: float, n: int, m: int, d_phi: float,
-                   B: float, gamma: float,
+def invert_epsilon(inputs: BoundInputs, target: float,
                    constants: BoundConstants = BoundConstants()) -> float:
-    """Solve ``lifelong_delta(eps) = target_confidence`` for eps by bisection
-    on the bracket [1e-6, 2] (the failure probability is continuous and
-    strictly decreasing in eps). Raises InputError when the target is not
-    bracketed at this scale."""
-    if not 0.0 < target_confidence <= 1.0:
-        raise InputError("target confidence must be in (0, 1]")
-    inputs = BoundInputs(n=n, m=m, d_phi=d_phi, B=B, gamma=gamma,
-                         delta=min(target_confidence, 1.0), constants=constants)
-    log_target = math.log(target_confidence)
+    """Solve ``lifelong_delta(inputs, eps, constants) = target`` for eps by
+    bisection on the bracket [1e-6, 2] (the failure probability is
+    continuous and strictly decreasing in eps). Raises InputError when the
+    target is not bracketed at this scale."""
+    _require_probability(target, "target")
+    log_target = math.log(target)
     warns: list[str] = []
 
     def log_total(eps: float) -> float:
-        return _log_add(*_lifelong_log_terms(inputs, eps, warns))
+        return _log_add(*_lifelong_log_terms(inputs, eps, constants.C, warns))
 
     lo, hi = EPSILON_BRACKET
     f_lo = log_total(lo) - log_target
     f_hi = log_total(hi) - log_target
     if f_lo < 0.0 or f_hi > 0.0:
         raise InputError(
-            f"target {target_confidence:g} not bracketed on {EPSILON_BRACKET}: "
+            f"target {target:g} not bracketed on {EPSILON_BRACKET}: "
             "bound infeasible at this scale")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -298,9 +285,9 @@ def invert_epsilon(target_confidence: float, n: int, m: int, d_phi: float,
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
     eps = 0.5 * (lo + hi)
-    achieved = lifelong_delta(inputs, eps).delta
-    if abs(achieved - target_confidence) > INVERT_TOL:
+    achieved = lifelong_delta(inputs, eps, constants).delta
+    if abs(achieved - target) > INVERT_TOL:
         raise NumericError(
             f"bisection stalled: |delta(eps) - target| = "
-            f"{abs(achieved - target_confidence):g} > {INVERT_TOL:g}")
+            f"{abs(achieved - target):g} > {INVERT_TOL:g}")
     return eps

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -220,6 +221,8 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
     table = _threshold_table(V)
     n_pairs = V.shape[1]
     rng = np.random.default_rng(budget.seed)
+    # a subset decided again failed or ran out of budget the first time
+    decided: set[tuple[int, ...]] = set()
     exhausted = False
     pairs: tuple[int, ...] = ()
     witness: Optional[ShatterWitness] = None
@@ -232,6 +235,9 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
                                             replace=False).tolist()))
                     for _ in range(budget.trials_per_n if n_pairs >= n else 0))
         for subset in itertools.chain(greedy, restarts):
+            if subset in decided:
+                continue
+            decided.add(subset)
             try:
                 ok, wit = _shatter_values(V, table, subset, budget.max_combos)
             except BudgetError:
@@ -337,7 +343,8 @@ def pairwise_distances(request: CoverRequest) -> np.ndarray:
                     request.candidates[i], request.candidates[j], sample,
                     request.probe_budget)
         return D
-    return _accel.chebyshev_pdist(_candidate_values(request))
+    V = _candidate_values(request)
+    return cdist(V, V, "chebyshev")
 
 
 def greedy_cover(request: CoverRequest) -> CoverResult:

@@ -118,34 +118,41 @@ def _cmd_learn(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The query and constant flags each mode reads; its first is required.
+_BOUND_READS = {"multitask": ("delta",), "lifelong": ("epsilon", "C"),
+                "invert": ("delta", "C")}
+
+
 def _cmd_bound(args) -> int:
-    constants = bounds.BoundConstants(C=args.C, c=args.c)
-    writer = _csv_writer(sys.stdout, f"bound-{args.mode}", [
-        "mode", "value", "valid", "overflow", "term_1", "term_2", "term_3",
-        "term_4", "warnings"])
+    reads = _BOUND_READS[args.mode]
+    for flag in ("delta", "epsilon", "C"):
+        given = getattr(args, flag) is not None
+        if not given and flag == reads[0]:
+            raise InputError(f"--mode {args.mode} requires --{flag}")
+        if given and flag not in reads:
+            raise InputError(f"--mode {args.mode} does not read --{flag}")
+    inputs = bounds.BoundInputs(n=args.n, m=args.m, d_phi=args.dphi, B=args.B,
+                                gamma=args.gamma)
+    constants = (bounds.BoundConstants() if args.C is None
+                 else bounds.BoundConstants(C=args.C))
     if args.mode == "multitask":
-        res = bounds.multitask_epsilon(bounds.BoundInputs(
-            n=args.n, m=args.m, d_phi=args.dphi, B=args.B, gamma=args.gamma,
-            delta=args.delta, constants=constants))
+        res = bounds.multitask_epsilon(inputs, args.delta)
         t = res.terms
-        writer.writerow(["multitask", repr(res.epsilon), res.valid, "",
-                         repr(t["confidence"]), repr(t["patterns"]),
-                         repr(t["kernel_overhead"]), repr(t["function_cover"]),
-                         "; ".join(res.warnings)])
+        row = ["multitask", repr(res.epsilon), res.valid, "",
+               repr(t["confidence"]), repr(t["patterns"]),
+               repr(t["kernel_overhead"]), repr(t["function_cover"]),
+               "; ".join(res.warnings)]
     elif args.mode == "lifelong":
-        if args.epsilon is None:
-            raise InputError("--epsilon is required for --mode lifelong")
-        res = bounds.lifelong_delta(bounds.BoundInputs(
-            n=args.n, m=args.m, d_phi=args.dphi, B=args.B, gamma=args.gamma,
-            delta=args.delta, constants=constants), args.epsilon)
-        writer.writerow(["lifelong", repr(res.delta), res.valid, res.overflow,
-                         repr(res.log_sample_term), repr(res.log_environment_term),
-                         "", "", "; ".join(res.warnings)])
+        res = bounds.lifelong_delta(inputs, args.epsilon, constants)
+        row = ["lifelong", repr(res.delta), res.valid, res.overflow,
+               repr(res.log_sample_term), repr(res.log_environment_term),
+               "", "", "; ".join(res.warnings)]
     else:  # invert
-        eps = bounds.invert_epsilon(args.delta, n=args.n, m=args.m,
-                                    d_phi=args.dphi, B=args.B, gamma=args.gamma,
-                                    constants=constants)
-        writer.writerow(["invert", repr(eps), True, "", "", "", "", "", ""])
+        eps = bounds.invert_epsilon(inputs, args.delta, constants)
+        row = ["invert", repr(eps), True, "", "", "", "", "", ""]
+    _csv_writer(sys.stdout, f"bound-{args.mode}", [
+        "mode", "value", "valid", "overflow", "term_1", "term_2", "term_3",
+        "term_4", "warnings"]).writerow(row)
     return 0
 
 
@@ -230,11 +237,17 @@ def _cmd_cover(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "mode", "environment", "family_variant", "sparsity", "n", "m", "gamma",
-    "delta", "trials", "mc_samples", "n_grid", "grid_resolution",
-    "refine_rounds", "max_candidates", "max_iters",
+_COMMON_KEYS = {
+    "mode", "environment", "family_variant", "sparsity", "m", "gamma",
+    "trials", "mc_samples", "grid_resolution", "refine_rounds",
+    "max_candidates", "max_iters",
 }
+# per mode: the keys it reads, and those it requires
+_EXPERIMENT_KEYS = {
+    "overhead": (_COMMON_KEYS | {"n_grid"}, ("environment", "n_grid")),
+    "sandwich": (_COMMON_KEYS | {"n", "delta"}, ("environment",)),
+}
+_EXPERIMENT_KEYS["guarantee"] = _EXPERIMENT_KEYS["sandwich"]
 
 
 def _present(config: dict, keys) -> dict:
@@ -245,14 +258,14 @@ def _present(config: dict, keys) -> dict:
 def _cmd_experiment(args) -> int:
     require_int(args.seed, "--seed", 0)
     config = read_json(args.config, "experiment config")
-    require_keys(config, _EXPERIMENT_KEYS, "experiment config",
-                 ("mode", "environment"))
-    mode = config["mode"]
-    if mode == "overhead":
-        require_keys(config, _EXPERIMENT_KEYS, "overhead experiment config",
-                     ("n_grid",))
-        if not isinstance(config["n_grid"], list):
-            raise InputError("experiment n_grid must be a list of task counts")
+    mode = config.get("mode") if isinstance(config, dict) else None
+    if mode not in tuple(_EXPERIMENT_KEYS):  # a JSON list is unhashable
+        raise InputError(f"experiment mode must be one of "
+                         f"{sorted(_EXPERIMENT_KEYS)}, got {mode!r}")
+    allowed, required = _EXPERIMENT_KEYS[mode]
+    require_keys(config, allowed, f"{mode} experiment config", required)
+    if mode == "overhead" and not isinstance(config["n_grid"], list):
+        raise InputError("experiment n_grid must be a list of task counts")
     env_spec = config["environment"]
     if isinstance(env_spec, str):
         env = envsim.load_environment(
@@ -298,7 +311,7 @@ def _cmd_experiment(args) -> int:
             xlabel="tasks n", ylabel="error", logx=True)
         print("overhead: " + "  ".join(
             f"n={n}:{e:.4f}" for n, e in zip(ns, excess)))
-    elif mode in ("sandwich", "guarantee"):
+    else:  # sandwich, guarantee
         require_int(trials, "trials", 1)
         n, delta = config.get("n", 4), config.get("delta", 0.05)
         rows = []
@@ -330,8 +343,6 @@ def _cmd_experiment(args) -> int:
             title="per-trial error estimates", xlabel="trial", ylabel="error")
         n_ok = sum(o.report.sandwich_ok for _, o in rows)
         print(f"sandwich held in {n_ok}/{len(rows)} trials")
-    else:
-        raise InputError(f"unknown experiment mode {mode!r}")
 
     _write_manifest(args, config)
     return 0
@@ -369,13 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dphi", type=float, required=True)
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="deviation radius (lifelong mode)")
-    p.add_argument("--C", type=float, default=bounds.BoundConstants.C,
-                   help="kernel-cover constant (existence-only; default %(default)s)")
-    p.add_argument("--c", type=float, default=bounds.BoundConstants.c,
-                   help="sample-size constant (existence-only; default %(default)s)")
+    p.add_argument("--delta", type=float, help="confidence (multitask, invert)")
+    p.add_argument("--epsilon", type=float, help="deviation radius (lifelong)")
+    p.add_argument("--C", type=float, help="existence-only kernel-cover constant "
+                   f"(lifelong, invert; default {bounds.BoundConstants.C})")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("shatter", help="pseudodimension lower-bound search")

@@ -345,16 +345,16 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               budget: SearchBudget = SearchBudget(),
               max_iters: int = MarginParams.max_iters,
               evaluate_guarantee: bool = True) -> TrialOutcome:
-    """One seeded end-to-end trial: sample tasks and data, run ERM (the same
-    search as ``erm_fit``, budget included), Monte Carlo the true risks,
-    evaluate the deviation bound, and check the two-sided sandwich (and
-    optionally the ERM guarantee against the best grid candidate under the
-    double-margin risk)."""
+    """One seeded end-to-end trial: evaluate the deviation bound (so a bad
+    ``delta`` fails before any draw), sample tasks and data, run ERM (the
+    same search as ``erm_fit``), Monte Carlo the true risks, and check the
+    two-sided sandwich (and optionally the ERM guarantee against the best
+    grid candidate under the double-margin risk)."""
+    eps_res = multitask_epsilon(BoundInputs(
+        n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
+        B=searched_family_bound(family), gamma=gamma), delta)
     params = MarginParams(gamma=gamma, max_iters=max_iters)
     require_int(mc_samples, "mc_samples", 1)
-    bound_inputs = BoundInputs(
-        n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
-        B=searched_family_bound(family), gamma=gamma, delta=delta)
     root = as_seed_sequence(seed)
     ss_tasks, ss_data, ss_mc = root.spawn(3)
     if isinstance(source, TaskEnvironment):
@@ -373,7 +373,6 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     er = _avg_error(chosen_scores, 0.0)
     er_2g = _avg_error(chosen_scores, 2.0 * gamma)
 
-    eps_res = multitask_epsilon(bound_inputs)
     eps = eps_res.epsilon
     er_hat = solution.avg_empirical_margin_error
     report = TrialReport(

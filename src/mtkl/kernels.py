@@ -41,6 +41,11 @@ EVAL_BLOCK = 4096
 # variants whose members are weighted combinations of a kernel dictionary
 COMBO_VARIANTS = ("linear_combo", "convex_combo", "sparse_combo")
 VARIANTS = COMBO_VARIANTS + ("gaussian_covariance", "gaussian_low_rank")
+# The family fields each variant reads and requires; it accepts no other.
+VARIANT_FIELDS = {"linear_combo": ("dictionary",), "convex_combo": ("dictionary",),
+                  "sparse_combo": ("dictionary", "sparsity"),
+                  "gaussian_covariance": ("dimension",),
+                  "gaussian_low_rank": ("dimension", "max_rank")}
 
 
 def as_points(sample) -> np.ndarray:
@@ -308,23 +313,20 @@ class KernelFamily:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown family variant {self.variant!r}")
-        for name in ("sparsity", "dimension", "max_rank"):
-            if getattr(self, name) is not None:
-                require_int(getattr(self, name), f"family {name}", 1)
-        if self.variant in COMBO_VARIANTS:
-            if not self.dictionary:
-                raise InputError(f"{self.variant} requires a kernel dictionary")
-        if self.variant == "sparse_combo":
-            if self.sparsity is None:
-                raise InputError("sparse_combo requires sparsity >= 1")
-            if self.sparsity > len(self.dictionary):
-                raise InputError("sparsity exceeds dictionary size")
-        if self.variant in ("gaussian_covariance", "gaussian_low_rank"):
-            if self.dimension is None:
-                raise InputError(f"{self.variant} requires dimension >= 1")
-        if self.variant == "gaussian_low_rank":
-            if self.max_rank is None or not 1 <= self.max_rank <= self.dimension:
-                raise InputError("gaussian_low_rank requires 1 <= max_rank <= dimension")
+        reads = VARIANT_FIELDS[self.variant]
+        for name in ("dictionary", "sparsity", "dimension", "max_rank"):
+            value = getattr(self, name)
+            if value is None or name == "dictionary" and not value:
+                if name in reads:
+                    raise InputError(f"{self.variant} requires {name}")
+            elif name not in reads:
+                raise InputError(f"{self.variant} family does not read {name}")
+            elif name != "dictionary":
+                require_int(value, f"family {name}", 1)
+        if self.variant == "sparse_combo" and self.sparsity > len(self.dictionary):
+            raise InputError("sparsity exceeds dictionary size")
+        if self.variant == "gaussian_low_rank" and self.max_rank > self.dimension:
+            raise InputError("gaussian_low_rank requires max_rank <= dimension")
 
     @property
     def dictionary_bound(self) -> float:

@@ -1,8 +1,7 @@
 """The numeric kernels in ``mtkl._accel`` against independent oracles:
 entry-wise textbook kernel formulas (through ``BaseKernel``, which builds
-Grams and cross-Grams from the ``_accel`` builders), brute-force
-sup-distances, a brute-force threshold scan, and the scalar hinge reference
-loop."""
+Grams and cross-Grams from the ``_accel`` builders), a brute-force
+threshold scan, and the scalar hinge reference loop."""
 
 import inspect
 import math
@@ -140,18 +139,6 @@ def test_stacked_solver_matches_reference(seed, m, gamma, max_iters, tol,
         np.testing.assert_allclose(alpha[b], ref[0], rtol=0, atol=1e-12)
         assert abs(obj[b] - ref[1]) <= 1e-12
         assert (iters[b], converged[b]) == ref[2:]
-
-
-@pytest.mark.parametrize("n,d", [(20, 7), (2100, 1)])
-def test_chebyshev_pdist_matches_brute_force(n, d):
-    # at n=2100, d=1 the broadcast runs in two row chunks
-    V = np.random.default_rng(n).uniform(-2, 2, (n, d))
-    if d == 1:
-        expected = np.abs(np.subtract.outer(V[:, 0], V[:, 0]))
-    else:
-        expected = np.array([[max(abs(a - b) for a, b in zip(u, w))
-                              for w in V.tolist()] for u in V.tolist()])
-    assert np.array_equal(_accel.chebyshev_pdist(V), expected)
 
 
 def test_shatter_scan_matches_brute_force(monkeypatch):

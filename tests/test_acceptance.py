@@ -109,14 +109,12 @@ def test_criterion_1_formula_fidelity(report):
         if hn.warnings:
             continue  # degenerate-regime tuples clamp; fidelity targets the
             # formulas on their intended domain
-        mt = multitask_epsilon(BoundInputs(
-            n=t["n"], m=t["m"], d_phi=t["d_phi"], B=t["B"], gamma=t["gamma"],
-            delta=t["delta"]))
+        problem = BoundInputs(n=t["n"], m=t["m"], d_phi=t["d_phi"], B=t["B"],
+                              gamma=t["gamma"])
+        mt = multitask_epsilon(problem, t["delta"])
         if mt.warnings:
             continue
-        ll = lifelong_delta(BoundInputs(
-            n=t["n"], m=t["m"], d_phi=t["d_phi"], B=t["B"], gamma=t["gamma"],
-            delta=t["delta"]), t["epsilon"])
+        ll = lifelong_delta(problem, t["epsilon"])
         if ll.warnings:
             continue
         ls, le = orc.mp_lifelong_log_terms(
@@ -174,8 +172,8 @@ def test_criterion_2_vanishing_overhead(report):
 
     d_phi = pd_upper_bound(family)
     term = {n: multitask_epsilon(BoundInputs(
-        n=n, m=20, d_phi=d_phi, B=1.0, gamma=0.05,
-        delta=0.05)).terms["kernel_overhead"] for n in (1, 32)}
+        n=n, m=20, d_phi=d_phi, B=1.0, gamma=0.05),
+        0.05).terms["kernel_overhead"] for n in (1, 32)}
     ratio = term[32] / term[1]
     elapsed = time.time() - start
     ok = rho <= -0.8 and ratio < 1.0 / 8.0 and elapsed < 15 * 60

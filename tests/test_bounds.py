@@ -1,5 +1,6 @@
 """Bound-formula fidelity, identities, and structural behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,32 +103,32 @@ class TestAppendixSampleSize:
 
 
 def make_inputs(**over):
-    base = dict(n=4, m=64, d_phi=3.0, B=1.0, gamma=0.25, delta=0.05)
+    base = dict(n=4, m=64, d_phi=3.0, B=1.0, gamma=0.25)
     base.update(over)
     return BoundInputs(**base)
 
 
 class TestMultitaskEpsilon:
     def test_reference_vs_oracle(self):
-        res = multitask_epsilon(make_inputs())
+        res = multitask_epsilon(make_inputs(), 0.05)
         oracle = orc.mp_multitask_epsilon(4, 64, 3.0, 1.0, 0.25, 0.05)
         assert orc.rel_err(res.epsilon, oracle) < 1e-12
 
     def test_strictly_decreasing_in_m(self):
-        values = [multitask_epsilon(make_inputs(m=m)).epsilon
+        values = [multitask_epsilon(make_inputs(m=m), 0.05).epsilon
                   for m in (32, 64, 128, 256, 512, 1024, 2048, 4096)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_kernel_term_vanishes_in_n(self):
-        res = multitask_epsilon(make_inputs(n=10**6))
+        res = multitask_epsilon(make_inputs(n=10**6), 0.05)
         assert res.terms["kernel_overhead"] < 1e-3
 
     def test_delta_one_zeroes_confidence_log(self):
-        res = multitask_epsilon(make_inputs(delta=1.0))
+        res = multitask_epsilon(make_inputs(), 1.0)
         assert res.terms["confidence"] == pytest.approx(2 * math.log(2) / 4)
 
     def test_validity_flag_small_m(self):
-        res = multitask_epsilon(make_inputs())
+        res = multitask_epsilon(make_inputs(), 0.05)
         # epsilon is huge at desk scale, so m > 2/eps^2 holds easily
         assert res.valid
         assert res.epsilon > 1
@@ -136,13 +137,13 @@ class TestMultitaskEpsilon:
         ms = [2 ** k for k in range(6, 21)]
         ratios = []
         for m in ms:
-            eps = multitask_epsilon(make_inputs(m=m)).epsilon
+            eps = multitask_epsilon(make_inputs(m=m), 0.05).epsilon
             ratios.append(eps * math.sqrt(m) / math.sqrt(math.log(m)))
         assert min(ratios) > 0
         assert max(ratios) / min(ratios) < 4.0
 
     def test_degenerate_regime_warns(self):
-        res = multitask_epsilon(make_inputs(m=1, gamma=2.0))
+        res = multitask_epsilon(make_inputs(m=1, gamma=2.0), 0.05)
         assert res.warnings
 
 
@@ -200,22 +201,23 @@ def find_invertible_inputs():
 class TestInvertEpsilon:
     def test_round_trip(self):
         args = find_invertible_inputs()
-        eps0 = invert_epsilon(0.3, **args)
-        inp = BoundInputs(delta=0.3, **args)
+        inp = BoundInputs(**args)
+        eps0 = invert_epsilon(inp, 0.3)
         target = lifelong_delta(inp, eps0).delta
         assert abs(target - 0.3) <= 1e-9
-        eps = invert_epsilon(target, **args)
+        eps = invert_epsilon(inp, target)
         assert abs(eps - eps0) < 1e-6
 
     def test_smaller_target_needs_larger_epsilon(self):
-        args = find_invertible_inputs()
-        e1 = invert_epsilon(0.2, **args)
-        e2 = invert_epsilon(0.002, **args)
+        inp = BoundInputs(**find_invertible_inputs())
+        e1 = invert_epsilon(inp, 0.2)
+        e2 = invert_epsilon(inp, 0.002)
         assert e2 > e1
 
     def test_infeasible_at_tiny_n(self):
         with pytest.raises(InputError, match="infeasible"):
-            invert_epsilon(0.05, n=4, m=16, d_phi=2.0, B=1.0, gamma=0.25)
+            invert_epsilon(BoundInputs(n=4, m=16, d_phi=2.0, B=1.0, gamma=0.25),
+                           0.05)
 
 
 class TestRandomTupleFidelity:
@@ -242,17 +244,62 @@ class TestRandomTupleFidelity:
 class TestValidation:
     def test_bad_inputs_rejected(self):
         with pytest.raises(InputError):
-            BoundInputs(n=0, m=4, d_phi=1.0, B=1.0, gamma=0.1, delta=0.05)
+            BoundInputs(n=0, m=4, d_phi=1.0, B=1.0, gamma=0.1)
         with pytest.raises(InputError):
-            BoundInputs(n=1, m=4, d_phi=0.5, B=1.0, gamma=0.1, delta=0.05)
+            BoundInputs(n=1, m=4, d_phi=0.5, B=1.0, gamma=0.1)
         with pytest.raises(InputError):
-            BoundInputs(n=1, m=4, d_phi=1.0, B=1.0, gamma=0.1, delta=1.5)
+            multitask_epsilon(BoundInputs(n=1, m=4, d_phi=1.0, B=1.0, gamma=0.1),
+                              1.5)
         with pytest.raises(InputError):
             BoundConstants(C=-1.0)
 
     def test_no_overflow_at_large_scale(self):
-        res = multitask_epsilon(make_inputs(n=10**9, m=10**9))
+        res = multitask_epsilon(make_inputs(n=10**9, m=10**9), 0.05)
         assert math.isfinite(res.epsilon)
         d = lifelong_delta(make_inputs(n=10**9, m=10**9), epsilon=1.0)
         assert math.isfinite(d.log_sample_term)
         assert math.isfinite(d.log_environment_term)
+
+
+class TestProblemRecord:
+    def test_fields_are_the_problem(self):
+        # delta is the multi-task query and the constants belong to the
+        # functions that read them; neither is part of the problem
+        assert [f.name for f in dataclasses.fields(BoundInputs)] == \
+            ["n", "m", "d_phi", "B", "gamma"]
+
+    def test_lifelong_constant_vs_oracle(self):
+        inp = make_inputs(n=200, m=500, gamma=0.5, d_phi=2.0)
+        res = lifelong_delta(inp, 0.8, BoundConstants(C=7.0))
+        _, le = orc.mp_lifelong_log_terms(200, 500, 2.0, 1.0, 0.5, 0.8, C=7.0)
+        assert orc.rel_err(res.log_environment_term, le) < 1e-12
+
+    def test_invert_reads_the_constant(self):
+        inp = BoundInputs(**find_invertible_inputs())
+        constants = BoundConstants(C=1.5)
+        eps = invert_epsilon(inp, 0.3, constants)
+        assert abs(lifelong_delta(inp, eps, constants).delta - 0.3) <= 1e-9
+        assert eps > invert_epsilon(inp, 0.3)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan"),
+                                       float("inf"), True, "0.05", None])
+    def test_delta_and_target_share_one_check(self, value):
+        with pytest.raises(InputError, match="delta"):
+            multitask_epsilon(make_inputs(), value)
+        with pytest.raises(InputError, match="target"):
+            invert_epsilon(BoundInputs(**find_invertible_inputs()), value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: cover_bound_fk(True, 1.0, 0.1),
+        lambda: cover_bound_fk(math.inf, 1.0, 0.1),
+        lambda: appendix_sample_size(2.0, math.inf, 0.5),
+        lambda: cover_bound_hn(n=2, m=4, B=1.0, d_phi=1.0, epsilon=math.nan),
+        lambda: cover_bound_kernel_dn(3, "2", 1.0, 0.5),
+        lambda: lifelong_delta(make_inputs(), math.inf),
+    ], ids=["bool_m", "inf_m", "inf_B", "nan_epsilon", "string_d_phi",
+            "inf_epsilon"])
+    def test_formula_arguments_are_finite_positive_numbers(self, call):
+        # a bool passed as m = 1, and an infinity gave log_value=inf or inf
+        # with no warning
+        with pytest.raises(InputError):
+            call()

@@ -351,6 +351,41 @@ def test_capacity_deck_results_pinned():
     assert capacity_deck_digest() == DECK_DIGEST
 
 
+def test_no_subset_decided_twice_in_one_call(monkeypatch):
+    # a greedy extension or an earlier restart of the same call can draw a
+    # subset again; it failed or ran out of budget the first time. Each
+    # pseudodim_lower_bound call builds its threshold table once.
+    real_table, real_decide = capacity._threshold_table, capacity._shatter_values
+    decided = []
+
+    def threshold_table(V):
+        decided.append([])
+        return real_table(V)
+
+    def shatter_values(V, table, subset, max_combos):
+        decided[-1].append(tuple(subset))
+        return real_decide(V, table, subset, max_combos)
+
+    monkeypatch.setattr(capacity, "_threshold_table", threshold_table)
+    monkeypatch.setattr(capacity, "_shatter_values", shatter_values)
+    assert capacity_deck_digest() == DECK_DIGEST
+    assert len(decided) == 24
+    assert all(len(set(call)) == len(call) for call in decided)
+
+
+@pytest.mark.parametrize("n,d", [(20, 7), (16, 120), (2100, 1)])
+def test_sup_distances_match_brute_force(n, d):
+    V = np.random.default_rng(n).uniform(-2, 2, (n, d))
+    if d == 1:
+        expected = np.abs(np.subtract.outer(V[:, 0], V[:, 0]))
+    else:
+        expected = np.array([[max(abs(a - b) for a, b in zip(u, w))
+                              for w in V.tolist()] for u in V.tolist()])
+    request = CoverRequest(metric="predictor_sup", epsilon=1.0,
+                           candidates=tuple(V))
+    assert np.array_equal(capacity.pairwise_distances(request), expected)
+
+
 def cluster_candidates(rng, clusters=4, per_cluster=4, points=8, spread=0.04):
     centers = rng.uniform(-1, 1, (clusters, points))
     rows = []

@@ -3,11 +3,12 @@
 import argparse
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
-from mtkl import BoundInputs, multitask_epsilon
+from mtkl import BoundConstants, BoundInputs, lifelong_delta, multitask_epsilon
 from mtkl.cli import build_parser, main
 from mtkl.kernels import family_to_dict, KernelFamily, rbf_kernel
 
@@ -74,19 +75,110 @@ class TestBoundCommand:
         out = capsys.readouterr().out
         row = out.strip().splitlines()[-1].split(",")
         expected = multitask_epsilon(BoundInputs(
-            n=4, m=64, d_phi=3.0, B=1.0, gamma=0.25, delta=0.05))
+            n=4, m=64, d_phi=3.0, B=1.0, gamma=0.25), 0.05)
         assert float(row[1]) == expected.epsilon
         assert row[2] == "True"
 
     def test_lifelong_requires_epsilon(self, capsys):
         rc = main(["bound", "--mode", "lifelong", "--n", "4", "--m", "64",
-                   "--dphi", "3", "--gamma", "0.25", "--delta", "0.05"])
+                   "--dphi", "3", "--gamma", "0.25"])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error-category: input" in captured.err
+        assert "requires --epsilon" in captured.err
 
     def test_invert_infeasible_exit_code(self, capsys):
         rc = main(["bound", "--mode", "invert", "--n", "4", "--m", "16",
                    "--dphi", "2", "--gamma", "0.25", "--delta", "0.05"])
         assert rc == 2
+        # the row is computed before the CSV comment and header are written
+        assert capsys.readouterr().out == ""
+
+    PROBLEM = ["--n", "4", "--m", "64", "--dphi", "3", "--gamma", "0.25"]
+
+    @pytest.mark.parametrize("mode,flags,needle", [
+        ("multitask", [], "requires --delta"),
+        ("multitask", ["--delta", "0.05", "--epsilon", "7"],
+         "does not read --epsilon"),
+        ("multitask", ["--delta", "0.05", "--C", "2"], "does not read --C"),
+        ("lifelong", ["--C", "2"], "requires --epsilon"),
+        ("lifelong", ["--epsilon", "0.5", "--delta", "0.05"],
+         "does not read --delta"),
+        ("invert", ["--C", "2"], "requires --delta"),
+        ("invert", ["--delta", "0.3", "--epsilon", "0.5"],
+         "does not read --epsilon"),
+    ])
+    def test_mode_takes_only_the_flags_it_reads(self, capsys, mode, flags,
+                                                needle):
+        rc = main(["bound", "--mode", mode, *self.PROBLEM, *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error-category: input" in captured.err and needle in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "multitask", "--n", "0", "--m", "64", "--dphi", "3",
+         "--gamma", "0.25", "--delta", "0.05"],
+        ["--mode", "multitask", *PROBLEM, "--delta", "1.5"],
+        ["--mode", "lifelong", *PROBLEM, "--epsilon", "0"],
+        ["--mode", "invert", *PROBLEM, "--delta", "0.3", "--C", "-1"],
+    ], ids=["n_zero", "delta_above_one", "epsilon_zero", "C_negative"])
+    def test_bad_value_exit2_with_empty_stdout(self, capsys, flags):
+        assert main(["bound", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error-category: input" in captured.err
+
+    def test_sample_size_constant_flag_is_gone(self, capsys):
+        # no mode reads c: only appendix_sample_size does
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--mode", "multitask", *self.PROBLEM,
+                  "--delta", "0.05", "--c", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_lifelong_constant_read(self, capsys):
+        rows = []
+        for extra in ([], ["--C", "1"], ["--C", "7"]):
+            assert main(["bound", "--mode", "lifelong", *self.PROBLEM,
+                         "--epsilon", "0.5", *extra]) == 0
+            rows.append(capsys.readouterr().out.splitlines()[-1].split(","))
+        assert rows[0] == rows[1]
+        expected = lifelong_delta(BoundInputs(n=4, m=64, d_phi=3.0, B=1.0,
+                                              gamma=0.25), 0.5,
+                                  BoundConstants(C=7.0))
+        assert float(rows[2][5]) == expected.log_environment_term
+        assert rows[2][5] != rows[0][5]
+
+
+def readme_bound_commands():
+    """Every ``mtkl bound`` command in README.md, continuation lines joined,
+    as argv lists."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("mtkl bound ")]
+
+
+# The rows the README's three bound examples printed when these tests were
+# written (the lifelong one then also passed an unread --delta 0.05)
+README_BOUND_ROWS = [
+    "multitask,161.13268889440528,True,,0.5477533293342352,0.6931471805599453,"
+    "56.95805428893257,830781.5908161195,",
+    "lifelong,1.0,True,True,69569376899.77115,48.83366401137545,,,",
+    "invert,0.5216454275847,True,,,,,,",
+]
+
+
+def test_readme_bound_commands_run_and_print_pinned_rows(capsys):
+    commands = readme_bound_commands()
+    assert len(commands) == len(README_BOUND_ROWS)
+    for argv, row in zip(commands, README_BOUND_ROWS):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"# mtkl-csv v1 bound-{argv[argv.index('--mode') + 1]}"
+        assert out[2:] == [row]
 
 
 class TestLearnCommand:
@@ -404,7 +496,9 @@ class TestExperimentCommand:
                                             env_part, config_part):
         # each of these raised KeyError, TypeError, IndexError or
         # ValueError, or ran with the value coerced or truncated
-        cfg_path = self._config(tmp_path, mode, n=2, m=12, **config_part)
+        # overhead reads no n; its n_grid is in config_part or missing
+        n = {} if mode == "overhead" else {"n": 2}
+        cfg_path = self._config(tmp_path, mode, m=12, **n, **config_part)
         with open(cfg_path, encoding="utf-8") as fh:
             config = json.load(fh)
         config["environment"].update(env_part)
@@ -418,8 +512,8 @@ class TestExperimentCommand:
     def _run_modified(self, tmp_path, mode, env_part, **config_part):
         """Exit code of the experiment in ``_config`` with the environment
         updated by ``env_part``."""
-        cfg_path = self._config(tmp_path, mode, n=2, m=12, n_grid=[1],
-                                **config_part)
+        sizes = {"n_grid": [1]} if mode == "overhead" else {"n": 2}
+        cfg_path = self._config(tmp_path, mode, m=12, **sizes, **config_part)
         with open(cfg_path, encoding="utf-8") as fh:
             config = json.load(fh)
         config["environment"].update(env_part)
@@ -476,6 +570,51 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "error-category: input" in err and "--seed" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode,sizes,foreign", [
+        ("overhead", {"n_grid": [1]}, {"n": "four"}),
+        ("overhead", {"n_grid": [1]}, {"delta": "x"}),
+        ("overhead", {"n_grid": [1]}, {"n": 2}),
+        ("sandwich", {"n": 2}, {"n_grid": "zz"}),
+        ("guarantee", {"n": 2}, {"n_grid": [1, 2]}),
+    ])
+    def test_key_of_another_mode_exit2(self, tmp_path, capsys, mode, sizes,
+                                       foreign):
+        # each ran and exited 0 with the key ignored, and the manifest
+        # recorded it
+        cfg = self._config(tmp_path, mode, m=12, **sizes, **foreign)
+        out_dir = tmp_path / "o"
+        rc = main(["experiment", "--config", cfg, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        key = next(iter(foreign))
+        assert "error-category: input" in err and repr(key) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode", [None, "sandwhich", ["overhead"]])
+    def test_missing_or_unknown_mode_exit2(self, tmp_path, capsys, mode):
+        cfg = self._config(tmp_path, mode, n=2)
+        if mode is None:
+            with open(cfg, encoding="utf-8") as fh:
+                config = json.load(fh)
+            del config["mode"]
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+        rc = main(["experiment", "--config", cfg,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "experiment mode" in err
+
+    def test_family_field_of_another_variant_exit2(self, tmp_path, capsys):
+        # sparsity is read by sparse_combo only; convex_combo ran without it
+        cfg = self._config(tmp_path, "sandwich", n=2, m=12,
+                           family_variant="convex_combo", sparsity=1)
+        rc = main(["experiment", "--config", cfg,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "sparsity" in err
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg = self._config(tmp_path, "sandwich", n=2, m=10)

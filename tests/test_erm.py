@@ -194,7 +194,8 @@ class TestErmFit:
         # fake error is the weight on dictionary kernel 0, so every move off
         # it improves, and the last one must drop that kernel exactly
         dictionary = tuple(rbf_kernel(0.5 + i) for i in range(5))
-        fam = KernelFamily(variant=variant, dictionary=dictionary, sparsity=4)
+        sparsity = {"sparsity": 4} if variant == "sparse_combo" else {}
+        fam = KernelFamily(variant=variant, dictionary=dictionary, **sparsity)
         first = dictionary[0].terms[0][1]
 
         def fake_fit(kernel, sample, params):

@@ -214,6 +214,40 @@ class TestFamilyFiles:
         np.testing.assert_array_equal(k.gram(X), round_tripped.gram(X))
 
 
+# every optional field of a family, as a family file and as a Python caller
+# write it, with a value that some variant accepts
+FAMILY_FILE_FIELDS = {"dictionary": [{"type": "rbf", "bandwidth": 0.5},
+                                     {"type": "rbf", "bandwidth": 1.0}],
+                      "sparsity": 1, "dimension": 2, "max_rank": 1}
+FAMILY_FIELDS = {**FAMILY_FILE_FIELDS,
+                 "dictionary": (rbf_kernel(0.5), rbf_kernel(1.0))}
+VARIANT_READS = {
+    "linear_combo": {"dictionary"}, "convex_combo": {"dictionary"},
+    "sparse_combo": {"dictionary", "sparsity"},
+    "gaussian_covariance": {"dimension"},
+    "gaussian_low_rank": {"dimension", "max_rank"},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_READS))
+def test_family_accepts_exactly_the_fields_it_reads(variant):
+    reads = VARIANT_READS[variant]
+    KernelFamily(variant=variant, **{k: FAMILY_FIELDS[k] for k in reads})
+    for name in sorted(set(FAMILY_FIELDS) - reads):
+        # pd_upper_bound and instantiate ignore these, so a family file that
+        # set sparsity on a convex variant ran a convex search
+        with pytest.raises(InputError, match=f"does not read {name}"):
+            KernelFamily(variant=variant, **{k: FAMILY_FIELDS[k]
+                                             for k in reads | {name}})
+        with pytest.raises(InputError, match=f"does not read {name}"):
+            family_from_dict({"variant": variant, **{
+                k: FAMILY_FILE_FIELDS[k] for k in reads | {name}}})
+    for name in sorted(reads):
+        with pytest.raises(InputError, match=f"requires {name}"):
+            KernelFamily(variant=variant, **{k: FAMILY_FIELDS[k]
+                                             for k in reads - {name}})
+
+
 class TestInvariantChecks:
     def test_indefinite_matrix_flagged(self):
         G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
