@@ -9,17 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "rbf_cross",
-    "linear_cross",
-    "poly_cross",
-    "metric_cross",
-    "hinge_pgd",
-    "hinge_pgd_batch",
-    "shatter_scan",
-]
-
-
 # ---------------------------------------------------------------------------
 # Cross-Gram builders.
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ bound and ``c`` scales the empirical-to-distributional sample size. They
 are passed to the functions that read them, default to 1, and any reported
 number is only meaningful relative to that choice.
 
-Log conventions: natural logs everywhere except the function-class cover
-exponent of :func:`cover_bound_fk`, which is written with a base-2 log in its
-source and is kept that way. The exponent log of :func:`cover_bound_hn` is
-natural by default with a ``log2_exponent`` switch, since its source leaves
-the base ambiguous.
+The multi-task bound is built from :func:`cover_bound_hn` at radius
+``gamma/2`` on ``2m`` points, the lifelong bound from that cover at radius
+``gamma/4`` on ``2m`` points and :func:`cover_bound_kernel_dn` at radius
+``eps gamma/64``. Logs are natural except the function-cover exponent log
+of :func:`cover_bound_fk`, which is base 2 as in its source.
 
 Degenerate log arguments (<= 1) clamp that log factor to 0 and add a warning
 instead of raising: a covering number is always >= 1, so clamping keeps the
@@ -112,26 +112,34 @@ def _log_add(a: float, b: float) -> float:
     return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 
-def cover_bound_hn(n: int, m: int, B: float, d_phi: float, epsilon: float,
-                   log2_exponent: bool = False) -> LogBound:
+def _hn_logs(n: int, m: int, B: float, d_phi: float, scale: float, k: int,
+             exponent_n: int, warns: list[str]) -> tuple[float, float]:
+    """:func:`cover_bound_hn`'s kernel log and function term at eps = scale/k,
+    with ``exponent_n`` as the n of ``64 B n / eps^2``. eps^2 is taken as
+    scale**2 / k**2, since the pow in (scale/k)**2 can be an ulp off it."""
+    eps = scale / k
+    eps2 = scale**2 / k**2
+    cover = f" of hn(m={m}, eps={eps:g})"
+    log_kernel = _clog(4.0 * math.e * n**2 * m**3 * B / (eps2 * d_phi),
+                       "4en^2m^3B/(eps^2 d_phi)" + cover, warns)
+    t_function = (64.0 * B * exponent_n / eps2) * _clog(
+        math.e * eps * m / (8.0 * math.sqrt(B)), "e*eps*m/(8 sqrt(B))" + cover,
+        warns) * _clog(16.0 * m * B / eps2, "16mB/eps^2" + cover, warns)
+    return log_kernel, t_function
+
+
+def cover_bound_hn(n: int, m: int, B: float, d_phi: float,
+                   epsilon: float) -> LogBound:
     """Natural log of the sup-metric cover bound for n-tuples of unit-ball
     predictors over a kernel family:
 
         2^n (4 e n^2 m^3 B / (eps^2 d_phi))^{d_phi}
             * (16 m B / eps^2)^{(64 B n / eps^2) log(e eps m / (8 sqrt(B)))}
-
-    ``log2_exponent`` switches the exponent's inner log to base 2.
     """
     _require_positive(n=n, m=m, B=B, d_phi=d_phi, epsilon=epsilon)
     warns: list[str] = []
-    t_patterns = n * math.log(2.0)
-    t_kernel = d_phi * _clog(4.0 * math.e * n**2 * m**3 * B / (epsilon**2 * d_phi),
-                             "4en^2m^3B/(eps^2 d_phi)", warns)
-    exp_log = _clog(math.e * epsilon * m / (8.0 * math.sqrt(B)),
-                    "e*eps*m/(8 sqrt(B))", warns, base2=log2_exponent)
-    t_function = (64.0 * B * n / epsilon**2) * exp_log * _clog(
-        16.0 * m * B / epsilon**2, "16mB/eps^2", warns)
-    return LogBound(log_value=t_patterns + t_kernel + t_function,
+    log_kernel, t_function = _hn_logs(n, m, B, d_phi, epsilon, 1, n, warns)
+    return LogBound(log_value=n * math.log(2.0) + d_phi * log_kernel + t_function,
                     warnings=tuple(warns))
 
 
@@ -178,25 +186,21 @@ def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
     """Estimation-error radius for n tasks with m samples each, holding with
     probability at least ``1 - delta``:
 
-        eps = sqrt(8 [ (2 log2 - log delta)/n + log2
-                       + (d_phi/n) log(128 e n^2 m^3 B / (gamma^2 d_phi))
-                       + (256 B/gamma^2) log(gamma e m / (8 sqrt(B)))
-                                        * log(128 m B / gamma^2) ] / m)
+        eps = sqrt(8 [ (2 log2 - log delta)/n + H/n ] / m)
 
-    The self-referential validity condition ``m > 2/eps^2`` is evaluated on
-    the computed eps and surfaced as ``valid``, never silently.
+    with ``H`` the log of :func:`cover_bound_hn` at radius ``gamma/2`` on
+    ``2m`` points, divided by n term by term. The self-referential validity
+    condition ``m > 2/eps^2`` is evaluated on the computed eps and surfaced
+    as ``valid``, never silently.
     """
     _require_probability(delta, "delta")
     n, m = inputs.n, inputs.m
-    d_phi, B, gamma = inputs.d_phi, inputs.B, inputs.gamma
     warns: list[str] = []
+    log_kernel, t_function = _hn_logs(n, 2 * m, inputs.B, inputs.d_phi,
+                                      inputs.gamma, 2, 1, warns)
     t_confidence = (2.0 * math.log(2.0) - math.log(delta)) / n
     t_patterns = math.log(2.0)
-    t_kernel = (d_phi / n) * _clog(128.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi),
-                                   "128en^2m^3B/(gamma^2 d_phi)", warns)
-    t_function = (256.0 * B / gamma**2) * _clog(
-        gamma * math.e * m / (8.0 * math.sqrt(B)), "gamma*e*m/(8 sqrt(B))", warns) * _clog(
-        128.0 * m * B / gamma**2, "128mB/gamma^2", warns)
+    t_kernel = (inputs.d_phi / n) * log_kernel
     total = t_confidence + t_patterns + t_kernel + t_function
     epsilon = math.sqrt(8.0 * total / m)
     valid = epsilon > 0 and m > 2.0 / epsilon**2
@@ -209,39 +213,33 @@ def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
     )
 
 
-def _lifelong_log_terms(inputs: BoundInputs, epsilon: float, C: float,
-                        warns: list[str]) -> tuple[float, float]:
+def _lifelong_log_terms(inputs: BoundInputs, epsilon: float,
+                        constants: BoundConstants, warns: list[str]):
     n, m = inputs.n, inputs.m
     d_phi, B, gamma = inputs.d_phi, inputs.B, inputs.gamma
-    log_sample = ((n + 2) * math.log(2.0)
-                  + d_phi * _clog(512.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi),
-                                  "512en^2m^3B/(gamma^2 d_phi)", warns)
-                  + (1024.0 * B * n / gamma**2)
-                  * _clog(math.e * gamma * m / (16.0 * math.sqrt(B)),
-                          "e*gamma*m/(16 sqrt(B))", warns)
-                  * _clog(512.0 * m * B / gamma**2, "512mB/gamma^2", warns)
+    log_kernel, t_function = _hn_logs(n, 2 * m, B, d_phi, gamma, 4, n, warns)
+    log_sample = ((n + 2) * math.log(2.0) + d_phi * log_kernel + t_function
                   - n * m * epsilon**2 / 32.0)
     log_env = (math.log(4.0)
-               + d_phi * (math.log(32.0 * C) + 5.0 * math.log(n)
-                          + 5.0 * math.log(d_phi)
-                          + 17.0 * math.log(64.0 * math.sqrt(B) / (epsilon * gamma)))
+               + cover_bound_kernel_dn(n, d_phi, B, epsilon * gamma / 64.0,
+                                       BoundConstants(C=32.0 * constants.C))
                - n * epsilon**2 / 128.0)
     return log_sample, log_env
 
 
 def lifelong_delta(inputs: BoundInputs, epsilon: float,
                    constants: BoundConstants = BoundConstants()) -> DeltaResult:
-    """Failure probability for learning a kernel over a task environment:
-    a within-task deviation summand plus a task-environment cover summand,
-    both evaluated in log space. The returned probability is their sum
-    clamped to [0, 1]; an ``overflow`` flag records a summand whose log
-    exceeded 0. The preconditions ``n > 8/eps^2`` and ``m > 8/eps^2`` are
-    reported via ``valid``; the value is computed either way.
+    """Failure probability ``4 H e^{-n m eps^2/32} + 4 K e^{-n eps^2/128}``
+    for learning a kernel over a task environment, evaluated in log space.
+    ``H`` and ``K`` are the covers of :func:`cover_bound_hn` at radius
+    ``gamma/4`` on ``2m`` points and :func:`cover_bound_kernel_dn` at radius
+    ``eps gamma/64`` with constant ``32 C``. The result is clamped to [0, 1]; ``overflow`` records a summand
+    whose log exceeded 0. The preconditions ``n > 8/eps^2`` and ``m >
+    8/eps^2`` are reported via ``valid``; the value is computed either way.
     """
     _require_positive(epsilon=epsilon)
     warns: list[str] = []
-    log_sample, log_env = _lifelong_log_terms(inputs, epsilon, constants.C,
-                                              warns)
+    log_sample, log_env = _lifelong_log_terms(inputs, epsilon, constants, warns)
     overflow = log_sample > 0.0 or log_env > 0.0
     total_log = _log_add(log_sample, log_env)
     delta = 1.0 if total_log > 0.0 else math.exp(total_log)
@@ -267,7 +265,7 @@ def invert_epsilon(inputs: BoundInputs, target: float,
     warns: list[str] = []
 
     def log_total(eps: float) -> float:
-        return _log_add(*_lifelong_log_terms(inputs, eps, constants.C, warns))
+        return _log_add(*_lifelong_log_terms(inputs, eps, constants, warns))
 
     lo, hi = EPSILON_BRACKET
     f_lo = log_total(lo) - log_target

@@ -28,9 +28,9 @@ from .margin import MarginParams, Predictor, TaskData, fit_single_task
 from .seeding import as_seed_sequence
 # enumerate_candidates and fit_candidate are not called here: run_trial
 # searches through erm_search. perfbench/tracer.py wraps these bindings.
-from .erm import (LINEAR_COMBO_SCALES, MultiTaskSample, MultiTaskSolution,
-                  SearchBudget, enumerate_candidates, erm_fit, erm_search,
-                  fit_candidate)
+from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
+                  enumerate_candidates, erm_fit, erm_search, fit_candidate,
+                  searched_family_bound)
 
 MAX_REJECTION_ROUNDS = 1000
 
@@ -286,14 +286,8 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class ErmGuaranteeReport:
-    n: int
-    m: int
-    gamma: float
-    epsilon: float
-    er_erm: float
     er_2gamma_best: float
     holds: bool
-    epsilon_valid: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,15 +324,6 @@ def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
     return _avg_error(_mc_scores(predictors, mc_data), gamma)
 
 
-def searched_family_bound(family: KernelFamily) -> float:
-    """Kernel bound B over the family as searched by the ERM grid."""
-    if family.variant in ("convex_combo", "sparse_combo"):
-        return family.dictionary_bound
-    if family.variant == "linear_combo":
-        return max(LINEAR_COMBO_SCALES) * family.dictionary_bound
-    return 1.0  # gaussian families
-
-
 def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               family: KernelFamily, n: int, m: int, gamma: float, delta: float,
               seed, mc_samples: int = 100_000,
@@ -365,7 +350,7 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
             raise InputError(f"got {len(distributions)} distributions for n={n}")
     sample = sample_multitask(distributions, m, ss_data)
 
-    solution, _, grid_fits = erm_search(family, sample, params, budget)
+    solution, grid_fits = erm_search(family, sample, params, budget)
     predictors = solution.predictors
 
     mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
@@ -389,9 +374,7 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
             else _avg_error(_mc_scores(preds, mc_data), 2.0 * gamma)
             for preds, _ in grid_fits)
         guarantee = ErmGuaranteeReport(
-            n=n, m=m, gamma=gamma, epsilon=eps, er_erm=er,
-            er_2gamma_best=best_2g, holds=bool(er <= best_2g + 2.0 * eps),
-            epsilon_valid=eps_res.valid)
+            er_2gamma_best=best_2g, holds=bool(er <= best_2g + 2.0 * eps))
     return TrialOutcome(report=report, guarantee=guarantee, solution=solution)
 
 

@@ -186,6 +186,15 @@ def enumerate_candidates(family: KernelFamily, budget: SearchBudget) -> list[Can
     return out
 
 
+def searched_family_bound(family: KernelFamily) -> float:
+    """The largest ``bound_b`` of the candidates the grid above builds."""
+    if family.variant in ("convex_combo", "sparse_combo"):
+        return family.dictionary_bound
+    if family.variant == "linear_combo":
+        return max(LINEAR_COMBO_SCALES) * family.dictionary_bound
+    return 1.0  # gaussian families
+
+
 def fit_candidates(kernels: Sequence[Kernel], sample: MultiTaskSample,
                    params: MarginParams
                    ) -> list[tuple[tuple[Predictor, ...], tuple[float, ...]]]:
@@ -251,9 +260,9 @@ def _refine_weights(family, sample, params, budget, best_w, best_err):
 
 def erm_search(family: KernelFamily, sample: MultiTaskSample,
                params: MarginParams, budget: SearchBudget = SearchBudget()
-               ) -> tuple[MultiTaskSolution, list[Candidate], list]:
-    """``erm_fit`` together with its grid: returns (solution, candidates,
-    fits), where ``fits[k]`` is candidate k's (predictors, errors)."""
+               ) -> tuple[MultiTaskSolution, list]:
+    """``erm_fit`` together with its grid: returns (solution, fits), where
+    ``fits[k]`` is candidate k's (predictors, errors)."""
     candidates = enumerate_candidates(family, budget)
     fits = fit_candidates([c.kernel for c in candidates], sample, params)
     averages = [float(np.mean(errors)) for _, errors in fits]
@@ -282,7 +291,7 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
         candidate_index=cand.index,
         candidate_label=label,
     )
-    return solution, candidates, fits
+    return solution, fits
 
 
 def erm_fit(family: KernelFamily, sample: MultiTaskSample, params: MarginParams,

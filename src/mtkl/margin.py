@@ -23,6 +23,9 @@ from . import _accel
 from .errors import InputError, NumericError, require_int, require_number
 from .kernels import Kernel, as_points, psd_defect
 
+# The solver stops at the first accepted step that gains less than this.
+PGD_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class TaskData:
@@ -56,11 +59,9 @@ class MarginParams:
 
     gamma: float
     max_iters: int = 2000
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         require_number(self.gamma, "gamma", positive=True)
-        require_number(self.tolerance, "tolerance", positive=True)
         require_int(self.max_iters, "max_iters", 1)
 
 
@@ -108,7 +109,7 @@ def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Pre
     """
     G, alpha0 = _training_problem(kernel, data)
     alpha, _obj, _iters, converged = _accel.hinge_pgd(
-        G, data.y, params.gamma, alpha0, params.max_iters, params.tolerance)
+        G, data.y, params.gamma, alpha0, params.max_iters, PGD_TOL)
     return Predictor(alphas=alpha, support_sample=data.X, kernel=kernel,
                      converged=bool(converged))
 
@@ -124,7 +125,7 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
                           for kernel, task in problems))
     alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
         np.stack(grams), np.stack([task.y for _, task in problems]),
-        params.gamma, np.stack(starts), params.max_iters, params.tolerance)
+        params.gamma, np.stack(starts), params.max_iters, PGD_TOL)
     return [Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
                       converged=bool(ok))
             for (kernel, task), alpha, ok in zip(problems, alphas, converged)]

@@ -1,16 +1,17 @@
 """Independent oracles used by the test suite.
 
 These deliberately share no code with the package: bound formulas are
-re-evaluated term by term in mpmath arbitrary precision, covers are found by
-exhaustive subset search, shattering by naive pattern enumeration (and the
-threshold scan by a brute-force scan over Python integer sets, threshold
-candidates by a per-column ``np.unique`` loop, and the pseudodimension search
-by deciding every subset with a brute-force threshold loop), sparse search
-grids by filtering every count vector, and tiny fits by dense grids over the
-dual coefficients. Kernel expansions are summed entry by entry with
-``math.fsum`` from textbook kernel formulas. The scalar hinge solver is the
-one-problem, one-trial-step-at-a-time loop that the vectorised solver in
-``mtkl._accel`` must reproduce bit for bit.
+re-evaluated term by term in mpmath arbitrary precision, and in plain floats
+with their constants multiplied in (the form the package must match bit for
+bit), covers are found by exhaustive subset search, shattering by naive
+pattern enumeration (and the threshold scan by a brute-force scan over Python
+integer sets, threshold candidates by a per-column ``np.unique`` loop, and
+the pseudodimension search by deciding every subset with a brute-force
+threshold loop), sparse search grids by filtering every count vector, and
+tiny fits by dense grids over the dual coefficients. Kernel expansions are
+summed entry by entry with ``math.fsum`` from textbook kernel formulas. The
+scalar hinge solver is the one-problem, one-trial-step-at-a-time loop that
+the vectorised solver in ``mtkl._accel`` must reproduce bit for bit.
 """
 
 import itertools
@@ -29,12 +30,11 @@ def clog(x, base2=False):
     return mp.log(x, 2) if base2 else mp.log(x)
 
 
-def mp_cover_bound_hn(n, m, B, d_phi, epsilon, log2_exponent=False):
+def mp_cover_bound_hn(n, m, B, d_phi, epsilon):
     n, m, B, d, e = map(mp.mpf, (n, m, B, d_phi, epsilon))
     return (n * mp.log(2)
             + d * clog(4 * mp.e * n**2 * m**3 * B / (e**2 * d))
-            + (64 * B * n / e**2) * clog(mp.e * e * m / (8 * mp.sqrt(B)),
-                                         base2=log2_exponent)
+            + (64 * B * n / e**2) * clog(mp.e * e * m / (8 * mp.sqrt(B)))
             * clog(16 * m * B / e**2))
 
 
@@ -85,6 +85,90 @@ def mp_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C=1.0):
 def mp_lifelong_delta(n, m, d_phi, B, gamma, epsilon, C=1.0):
     ls, le = mp_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C)
     return min(mp.e**ls + mp.e**le, mp.mpf(1))
+
+
+def _float_clog(x, clamped):
+    if x <= 1.0:
+        clamped.append(x)
+        return 0.0
+    return math.log(x)
+
+
+def float_multitask_epsilon(n, m, d_phi, B, gamma, delta):
+    """The multi-task radius in floats, with the cover constants multiplied
+    in: (epsilon, valid, terms, clamped log arguments in order)."""
+    clamped = []
+    t_confidence = (2.0 * math.log(2.0) - math.log(delta)) / n
+    t_patterns = math.log(2.0)
+    t_kernel = (d_phi / n) * _float_clog(
+        128.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi), clamped)
+    t_function = (256.0 * B / gamma**2) * _float_clog(
+        gamma * math.e * m / (8.0 * math.sqrt(B)), clamped) * _float_clog(
+        128.0 * m * B / gamma**2, clamped)
+    epsilon = math.sqrt(
+        8.0 * (t_confidence + t_patterns + t_kernel + t_function) / m)
+    terms = {"confidence": t_confidence, "patterns": t_patterns,
+             "kernel_overhead": t_kernel, "function_cover": t_function}
+    return epsilon, epsilon > 0 and m > 2.0 / epsilon**2, terms, clamped
+
+
+def float_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C, clamped):
+    """The lifelong bound's two log summands in floats, with the cover
+    constants multiplied in; clamped log arguments are appended."""
+    log_sample = ((n + 2) * math.log(2.0)
+                  + d_phi * _float_clog(
+                      512.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi),
+                      clamped)
+                  + (1024.0 * B * n / gamma**2)
+                  * _float_clog(math.e * gamma * m / (16.0 * math.sqrt(B)),
+                                clamped)
+                  * _float_clog(512.0 * m * B / gamma**2, clamped)
+                  - n * m * epsilon**2 / 32.0)
+    log_env = (math.log(4.0)
+               + d_phi * (math.log(32.0 * C) + 5.0 * math.log(n)
+                          + 5.0 * math.log(d_phi)
+                          + 17.0 * math.log(64.0 * math.sqrt(B)
+                                            / (epsilon * gamma)))
+               - n * epsilon**2 / 128.0)
+    return log_sample, log_env
+
+
+def _float_log_add(a, b):
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def float_lifelong_delta(n, m, d_phi, B, gamma, epsilon, C=1.0):
+    """(delta, log_sample, log_env, overflow, valid, clamped) in floats."""
+    clamped = []
+    ls, le = float_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C,
+                                      clamped)
+    total = _float_log_add(ls, le)
+    delta = min(1.0 if total > 0.0 else math.exp(total), 1.0)
+    valid = n > 8.0 / epsilon**2 and m > 8.0 / epsilon**2
+    return delta, ls, le, ls > 0.0 or le > 0.0, valid, clamped
+
+
+def float_invert_epsilon(n, m, d_phi, B, gamma, target, C=1.0):
+    """Bisection for the radius whose float lifelong failure probability is
+    ``target`` on the bracket [1e-6, 2]; None when it is not bracketed."""
+    log_target = math.log(target)
+
+    def log_total(eps):
+        return _float_log_add(*float_lifelong_log_terms(
+            n, m, d_phi, B, gamma, eps, C, []))
+
+    lo, hi = 1e-6, 2.0
+    if log_total(lo) - log_target < 0.0 or log_total(hi) - log_target > 0.0:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if log_total(mid) - log_target > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def base_kernel_entry(base, s, x) -> float:

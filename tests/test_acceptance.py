@@ -200,9 +200,9 @@ def test_criterion_3_sandwich_validity(trial_battery, report):
 def test_criterion_4_erm_guarantee(trial_battery, report):
     mc_se = 0.5 / math.sqrt(100_000)
     holds = [
-        o.guarantee.er_erm <= o.guarantee.er_2gamma_best
-        + 2.0 * o.guarantee.epsilon + 3.0 * mc_se
-        for o in trial_battery if o.guarantee.epsilon_valid]
+        o.report.er <= o.guarantee.er_2gamma_best
+        + 2.0 * o.report.epsilon + 3.0 * mc_se
+        for o in trial_battery if o.report.epsilon_valid]
     frac = np.mean(holds)
     report(4, "ERM guarantee", len(holds) == 200 and frac >= 0.99,
            f"held in {sum(holds)}/{len(holds)} trials")

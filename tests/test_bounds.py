@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mtkl import (BoundConstants, BoundInputs, InputError, appendix_sample_size,
-                  cover_bound_fk, cover_bound_hn, cover_bound_kernel_dn,
-                  cover_bound_kernel_nm, invert_epsilon, lifelong_delta,
-                  multitask_epsilon)
+from mtkl import (BoundConstants, BoundInputs, InputError, NumericError,
+                  appendix_sample_size, cover_bound_fk, cover_bound_hn,
+                  cover_bound_kernel_dn, cover_bound_kernel_nm, invert_epsilon,
+                  lifelong_delta, multitask_epsilon)
 
 import _oracles as orc
 
@@ -40,12 +42,6 @@ class TestCoverBoundHn:
             * math.log(16 * 128 / 0.25)
         expected = v1 + 3 * math.log(2) + 2.0 * math.log(4.0) + fk_term
         assert v2 == pytest.approx(expected, rel=1e-12)
-
-    def test_log2_exponent_switch(self):
-        nat = cover_bound_hn(**REF).log_value
-        b2 = cover_bound_hn(**REF, log2_exponent=True).log_value
-        assert b2 > nat  # log2(x) > ln(x) for x > 1
-        assert orc.rel_err(b2, orc.mp_cover_bound_hn(**REF, log2_exponent=True)) < 1e-12
 
     def test_degenerate_clamp_warns(self):
         res = cover_bound_hn(n=1, m=2, B=100.0, d_phi=1.0, epsilon=0.1)
@@ -303,3 +299,66 @@ class TestProblemRecord:
         # with no warning
         with pytest.raises(InputError):
             call()
+
+
+def clamped_values(warnings):
+    """The clamped log arguments a result's warnings name, as printed."""
+    return [w.split(" = ")[-1].split(" <= 1")[0] for w in warnings]
+
+
+PROBLEM = dict(
+    n=st.one_of(st.integers(1, 8), st.integers(1, 10**7)),
+    m=st.one_of(st.integers(1, 4), st.integers(1, 10**7)),
+    d_phi=st.floats(1.0, 50.0),
+    B=st.floats(1e-8, 1e3),
+    gamma=st.floats(1e-4, 1e3))
+
+
+class TestFloatOracleEquality:
+    """The bounds, built from the covers, equal bit for bit the formulas with
+    the cover constants multiplied in."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(delta=st.floats(1e-12, 1.0), epsilon=st.floats(1e-4, 3.0),
+           C=st.floats(1e-2, 1e2), **PROBLEM)
+    @example(n=1, m=1, d_phi=1.0, B=1.0, gamma=2.0, delta=0.05, epsilon=0.5,
+             C=1.0)
+    @example(n=3, m=32, d_phi=4.0, B=1.0, gamma=0.1, delta=0.05, epsilon=0.5,
+             C=1.0)
+    @example(n=10**7, m=10**7, d_phi=50.0, B=1e-8, gamma=1e3, delta=1e-12,
+             epsilon=1e-4, C=1e2)
+    # (gamma/2)**2 and gamma**2/4 differ in the last bit at this gamma
+    @example(n=100000, m=1000, d_phi=2.0, B=1.0, gamma=0.012493241393569547,
+             delta=0.05, epsilon=0.6, C=1.0)
+    def test_multitask_and_lifelong(self, n, m, d_phi, B, gamma, delta,
+                                    epsilon, C):
+        inputs = BoundInputs(n=n, m=m, d_phi=d_phi, B=B, gamma=gamma)
+        res = multitask_epsilon(inputs, delta)
+        eps, valid, terms, clamped = orc.float_multitask_epsilon(
+            n, m, d_phi, B, gamma, delta)
+        assert (res.epsilon, res.valid, res.terms) == (eps, valid, terms)
+        assert clamped_values(res.warnings) == [f"{x:g}" for x in clamped]
+        got = lifelong_delta(inputs, epsilon, BoundConstants(C=C))
+        *want, clamped = orc.float_lifelong_delta(n, m, d_phi, B, gamma,
+                                                  epsilon, C)
+        assert [got.delta, got.log_sample_term, got.log_environment_term,
+                got.overflow, got.valid] == want
+        assert clamped_values(got.warnings) == [f"{x:g}" for x in clamped]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5 * 10**4, 10**7), m=st.integers(10**4, 10**7),
+           d_phi=st.floats(1.0, 4.0), B=st.floats(1e-5, 1e-3),
+           gamma=st.floats(0.5, 2.0), target=st.floats(1e-3, 0.9))
+    @example(target=0.3, **find_invertible_inputs())
+    def test_invert_epsilon(self, n, m, d_phi, B, gamma, target):
+        inputs = BoundInputs(n=n, m=m, d_phi=d_phi, B=B, gamma=gamma)
+        want = orc.float_invert_epsilon(n, m, d_phi, B, gamma, target)
+        if want is None:
+            with pytest.raises(InputError, match="infeasible"):
+                invert_epsilon(inputs, target)
+        elif abs(orc.float_lifelong_delta(n, m, d_phi, B, gamma, want)[0]
+                 - target) > 1e-9:
+            with pytest.raises(NumericError, match="stalled"):
+                invert_epsilon(inputs, target)
+        else:
+            assert invert_epsilon(inputs, target) == want

@@ -8,9 +8,10 @@ import pytest
 from mtkl import (BudgetError, InputError, KernelFamily, MarginParams,
                   MultiTaskSample, SearchBudget, TaskData, erm_fit,
                   empirical_margin_error, fit_single_task,
-                  load_multitask_sample, rbf_kernel)
+                  linear_kernel, load_multitask_sample, rbf_kernel)
 from mtkl import erm
 from mtkl.erm import enumerate_candidates
+from mtkl.kernels import VARIANT_FIELDS
 
 from _oracles import sparse_candidates_reference
 
@@ -64,6 +65,22 @@ class TestEnumeration:
                 got = [(w.tolist(), label) for w, label in erm._combo_candidates(
                     fam, SearchBudget(grid_resolution=res))]
                 assert got == sparse_candidates_reference(n_dict, k, res)
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3])
+    @pytest.mark.parametrize("variant", sorted(VARIANT_FIELDS))
+    def test_searched_family_bound_is_the_largest_candidate_bound(
+            self, variant, resolution):
+        # distinct dictionary bounds, so no interior grid point ties the max
+        dictionary = tuple(linear_kernel(bound_b=b) for b in (0.5, 1.0, 3.0))
+        fields = {"linear_combo": {"dictionary": dictionary},
+                  "convex_combo": {"dictionary": dictionary},
+                  "sparse_combo": {"dictionary": dictionary, "sparsity": 2},
+                  "gaussian_covariance": {"dimension": 2},
+                  "gaussian_low_rank": {"dimension": 3, "max_rank": 2}}
+        fam = KernelFamily(variant=variant, **fields[variant])
+        cands = enumerate_candidates(fam, SearchBudget(grid_resolution=resolution))
+        assert erm.searched_family_bound(fam) == \
+            max(c.kernel.bound_b for c in cands)
 
     def test_max_candidates_budget(self):
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
@@ -172,8 +189,7 @@ class TestErmFit:
         rng = np.random.default_rng(8)
         sample = make_tasks(rng, n=3, m=24, flip=0.5)
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
-        capped = erm_fit(fam, sample, MarginParams(gamma=0.2, max_iters=1,
-                                                   tolerance=1e-16))
+        capped = erm_fit(fam, sample, MarginParams(gamma=0.2, max_iters=1))
         assert capped.nonconverged_fits == sum(
             not p.converged for p in capped.predictors) == 3
         assert erm_fit(fam, sample, PARAMS).nonconverged_fits == 0

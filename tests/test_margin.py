@@ -129,7 +129,7 @@ class TestFitSingleTask:
         X = rng.uniform(-1, 1, (24, 2))
         y = np.where(rng.random(24) < 0.5, 1.0, -1.0)
         pred = fit_single_task(rbf_kernel(0.6), TaskData(X=X, y=y),
-                               MarginParams(gamma=0.2, max_iters=1, tolerance=1e-16))
+                               MarginParams(gamma=0.2, max_iters=1))
         assert not pred.converged
 
 
