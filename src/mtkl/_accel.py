@@ -1,11 +1,13 @@
-"""Hot numeric kernels, in numpy: the cross-Gram builders, the hinge solver
-(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``) and the shattering
-scan. A Gram is a cross-Gram of one array with itself (see
+"""Hot numeric kernels: the cross-Gram builders and the hinge solver
+(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``) in numpy, and the
+pruned shattering search. A Gram is a cross-Gram of one array with itself (see
 ``BaseKernel.gram``). Everything here is deterministic for a fixed input;
 ``tests/test_accel.py`` checks each function against an independent oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -230,45 +232,45 @@ def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol):
     return alpha, obj, iters, converged
 
 
-# Largest temporaries of one chunk of shatter_scan combos: the members' codes
-# (int64) and one presence row of 2^p cells per combo.
-SCAN_BYTES = 256 * 1024
-
-
-def shatter_scan(above, counts, max_combos):
+def shatter_scan(sets, counts, max_combos, n_members):
     """Search threshold combinations for one that shatters the members.
 
-    ``counts[i]`` is the number of threshold candidates of pair i, and rows
-    ``offsets[i] .. offsets[i] + counts[i]`` of the boolean ``above``
-    (one column per member) mark the members above each candidate. Under a
-    combo, a member's code has bit i set when it is above pair i's chosen
-    candidate; the combo shatters when all 2^p codes occur. Combos are taken
-    in odometer order, pair 0's index moving fastest, in chunks whose
-    temporaries stay under ``SCAN_BYTES``, and the first hit wins.
+    ``counts[i]`` is the number of threshold candidates of pair i; the next
+    ``counts[i]`` ints of ``sets`` (pair 0's first) hold the members above
+    each candidate, bit j for member j of ``n_members``. A combo shatters
+    when each of its 2^p sign-pattern cells holds a member. The search fixes
+    pair p-1 first and pair 0 last, each in ascending candidate order, and
+    drops a partial combo once a cell holds fewer than 2^i members with i
+    pairs left to fix. That skips only combos that cannot shatter, so the
+    first hit is the first in odometer order (pair 0's index fastest).
 
-    Returns (status, chosen candidate index per pair): status 1 found, 0 not
-    found, -1 over budget. The budget rule: the search gives up (-1) whenever
-    the product of ``counts`` exceeds ``max_combos``, before testing any
-    combo, even if an early combo would shatter.
+    Returns (status, chosen candidate index per pair or None): status 1
+    found, 0 not found, -1 when the product of ``counts`` exceeds
+    ``max_combos``, before any combo is tested, even one that would shatter.
     """
-    p = counts.shape[0]
-    total = int(np.prod(counts.astype(np.float64)))
-    if total > max_combos:
-        return -1, np.zeros(p, dtype=np.int64)
-    n_cells = 1 << p
-    # bits[offsets[i] + c] is pair i's bit for candidate c, per member
-    bits = above.astype(np.int64) << np.repeat(np.arange(p), counts)[:, None]
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    chunk = max(1, SCAN_BYTES // (8 * above.shape[1] + n_cells))
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total))
-        # mixed-radix digits, least-significant pair first
-        digits = np.unravel_index(ids, counts, order="F")
-        codes = sum(bits[offsets[i] + d] for i, d in enumerate(digits))
-        seen = np.zeros((len(ids), n_cells), dtype=bool)
-        seen[np.arange(len(ids))[:, None], codes] = True
-        hits = seen.all(axis=1)
-        if hits.any():
-            k = hits.argmax()
-            return 1, np.array([d[k] for d in digits], dtype=np.int64)
-    return 0, np.zeros(p, dtype=np.int64)
+    counts = [int(c) for c in counts]
+    if math.prod(counts) > max_combos:
+        return -1, None
+    it = iter(sets)
+    groups = [[next(it) for _ in range(c)] for c in counts]
+
+    def search(i, cells):
+        # the first choice for pairs 0..i leaving no final cell empty, or None
+        if i < 0:
+            return []
+        need = 1 << i
+        for c, above in enumerate(groups[i]):
+            split = []
+            for cell in cells:
+                up, down = cell & above, cell & ~above
+                if up.bit_count() < need or down.bit_count() < need:
+                    break
+                split += (up, down)
+            else:
+                rest = search(i - 1, split)
+                if rest is not None:
+                    return rest + [c]
+        return None
+
+    choice = search(len(counts) - 1, [(1 << n_members) - 1])
+    return (0, None) if choice is None else (1, choice)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from .errors import InputError, NumericError, require_int, require_number
 
 EPSILON_BRACKET = (1e-6, 2.0)
-INVERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,8 @@ def invert_epsilon(inputs: BoundInputs, target: float,
                    constants: BoundConstants = BoundConstants()) -> float:
     """Solve ``lifelong_delta(inputs, eps, constants) = target`` for eps by
     bisection on the bracket [1e-6, 2] (the failure probability is
-    continuous and strictly decreasing in eps). Raises InputError when the
-    target is not bracketed at this scale."""
+    continuous and strictly decreasing in eps), until the bracket closes.
+    Raises InputError when the target is not bracketed at this scale."""
     _require_probability(target, "target")
     log_target = math.log(target)
     warns: list[str] = []
@@ -276,16 +275,11 @@ def invert_epsilon(inputs: BoundInputs, target: float,
             "bound infeasible at this scale")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # closed: narrow enough, or lo and hi adjacent floats
+        if hi - lo <= 1e-16 * max(1.0, hi) or mid in (lo, hi):
+            return mid
         if log_total(mid) - log_target > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    eps = 0.5 * (lo + hi)
-    achieved = lifelong_delta(inputs, eps, constants).delta
-    if abs(achieved - target) > INVERT_TOL:
-        raise NumericError(
-            f"bisection stalled: |delta(eps) - target| = "
-            f"{abs(achieved - target):g} > {INVERT_TOL:g}")
-    return eps
+    raise NumericError("bisection stalled: bracket open after 200 halvings")

@@ -13,8 +13,8 @@ Two complementary tools:
 
 Thresholds for shattering are restricted to midpoints between consecutive
 clusters (``TIE_RTOL``) of kernel values per pair: sign patterns only change
-at the values themselves, so midpoints lose nothing. They and their scan rows
-are computed once per value table, and a single pair needs no scan.
+at the values themselves, so midpoints lose nothing. They and the members
+above each are computed once per value table; one search decides every subset.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (BudgetError, InputError, NumericError, require_int,
                      require_number)
 from .kernels import Kernel, as_points
 
-MAX_SHATTER_PAIRS = 20
 # Sorted values of one pair that differ by at most TIE_RTOL * max(1, |v|) are
 # one value: for a coincident pair (x, x), RBF members give K(x, x) = 1 only up
 # to rounding, and a threshold between 1 and 1 - ulp would shatter on noise.
@@ -113,10 +112,16 @@ def _pair_thresholds(V: np.ndarray) -> list[Optional[np.ndarray]]:
             for i in range(V.shape[1])]
 
 
+def _member_sets(above: np.ndarray) -> list[int]:
+    """Each row of the boolean ``above`` as a Python int, bit j for column j."""
+    packed = np.packbits(above, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _threshold_table(V: np.ndarray) -> list:
-    """Per column i of V: None, or its candidates t with the scan rows
-    ``V[:, i] > t[:, None]``."""
-    return [None if t is None else (t, V[:, i] > t[:, None])
+    """Per column i of V: None, or its candidates t with, per candidate, the
+    members above it (``_member_sets`` of ``V[:, i] > t[:, None]``)."""
+    return [None if t is None else (t, _member_sets(V[:, i] > t[:, None]))
             for i, t in enumerate(_pair_thresholds(V))]
 
 
@@ -125,19 +130,14 @@ def _shatter_values(V: np.ndarray, table: list, subset: Sequence[int],
     """``is_shattered`` on the columns ``subset`` of V, with ``table`` =
     ``_threshold_table(V)``."""
     p = len(subset)
-    if p > MAX_SHATTER_PAIRS:
-        raise InputError(f"at most {MAX_SHATTER_PAIRS} pairs supported, got {p}")
     if V.shape[0] < 2 ** p:
         return False, None
     rows = [table[i] for i in subset]
     if None in rows:
         return False, None
-    counts = np.array([len(t) for t, _ in rows], dtype=np.int64)
-    if p == 1:  # first midpoint: the lowest cluster below, the rest above
-        status, choice = (-1 if counts[0] > max_combos else 1), (0,)
-    else:
-        status, choice = _accel.shatter_scan(
-            np.concatenate([above for _, above in rows]), counts, max_combos)
+    status, choice = _accel.shatter_scan(
+        [s for _, sets in rows for s in sets], [len(t) for t, _ in rows],
+        max_combos, V.shape[0])
     if status == -1:
         raise BudgetError(
             f"threshold search for {p} pairs exceeds max_combos={max_combos}")
@@ -181,18 +181,17 @@ def is_shattered(instance: ShatterInstance,
     first: pair i's value is the entry (i, p + i). Candidate thresholds lie
     between clusters of each pair's values (see ``TIE_RTOL``), never between
     values that differ only by rounding; they are computed once for the
-    instance's value table. Raises BudgetError whenever the product of the
-    per-pair threshold candidate counts exceeds ``max_combos``, even if an
-    early combination would shatter (a single pair included); the search
-    never silently returns False in that case.
+    instance's value table. The first combination in odometer order (pair
+    0's candidate fastest) that realizes all 2^p patterns wins. Raises
+    BudgetError whenever the product of the per-pair threshold candidate
+    counts exceeds ``max_combos``, even if an early combination would shatter
+    (a single pair included); the search never silently returns False then.
     """
     p = instance.n_pairs
     pool = np.concatenate((instance.pairs[:, 0, :], instance.pairs[:, 1, :]))
     V = _pool_values(instance.members, pool, np.arange(p), np.arange(p, 2 * p))
     if instance.thresholds is None:
         return _shatter_values(V, _threshold_table(V), range(p), max_combos)
-    if p > MAX_SHATTER_PAIRS:
-        raise InputError(f"at most {MAX_SHATTER_PAIRS} pairs supported, got {p}")
     witness = _witness(V, instance.thresholds)
     return witness is not None, witness
 

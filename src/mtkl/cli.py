@@ -217,14 +217,18 @@ def _cmd_shatter(args) -> int:
 
 def _cmd_cover(args) -> int:
     _, members, sample = _family_pool(args)
+    # every request is checked before cover.csv exists
+    requests = [CoverRequest(metric=args.metric, epsilon=eps,
+                             candidates=tuple(members),
+                             evaluation_sample=sample,
+                             probe_budget=args.probe_budget)
+                for eps in args.epsilon]
     out_dir = _ensure_out_dir(args)
     with open(os.path.join(out_dir, "cover.csv"), "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, "cover", [
             "metric", "epsilon", "cover_size", "max_distance", "candidates"])
-        for eps in args.epsilon:
-            result = greedy_cover(CoverRequest(
-                metric=args.metric, epsilon=eps, candidates=tuple(members),
-                evaluation_sample=sample, probe_budget=args.probe_budget))
+        for eps, request in zip(args.epsilon, requests):
+            result = greedy_cover(request)
             writer.writerow([args.metric, repr(eps), result.size,
                              repr(result.max_distance), len(members)])
             print(f"epsilon={eps:g}: cover size {result.size} "

@@ -133,29 +133,60 @@ def test_stacked_solver_matches_reference(seed, m, gamma, max_iters, tol,
         assert (iters[b], converged[b]) == ref[2:]
 
 
-def test_shatter_scan_matches_brute_force(monkeypatch):
+def member_sets(above):
+    """Each boolean row as a Python int, bit j for member j."""
+    return [sum(1 << j for j, bit in enumerate(row) if bit) for row in above]
+
+
+def scan_both(above, counts, max_combos):
+    """shatter_scan on the rows' member sets and the brute-force reference
+    on the rows themselves; asserts they agree and returns the scan's
+    (status, choice)."""
+    n_members = above.shape[1]
+    status, choice = _accel.shatter_scan(member_sets(above.tolist()), counts,
+                                         max_combos, n_members)
+    assert (status, choice) == shatter_scan_reference(above.tolist(), counts,
+                                                      max_combos)
+    return status, choice
+
+
+def test_shatter_scan_matches_brute_force():
     # rows as the capacity lab builds them: member j is above candidate
-    # threshold t of pair i when its value there exceeds t. A SCAN_BYTES of
-    # 1 puts each combo in its own chunk, 2000 a few to a hundred per chunk,
-    # so the first hit in odometer order is pinned across chunk boundaries.
-    for scan_bytes in (_accel.SCAN_BYTES, 1, 2000):
-        monkeypatch.setattr(_accel, "SCAN_BYTES", scan_bytes)
-        rng = np.random.default_rng(1)
-        statuses, late_hits = set(), 0
-        for _ in range(300):
-            p = int(rng.integers(1, 4))
-            members = int(rng.integers(2, 100))
-            counts = rng.integers(1, 6, size=p).astype(np.int64)
-            values = rng.random((members, p))
-            above = np.concatenate([values[:, i] > np.sort(rng.random(c))[:, None]
-                                    for i, c in enumerate(counts)])
-            max_combos = int(rng.integers(1, 2 * int(np.prod(counts)) + 1))
-            status, choice = _accel.shatter_scan(above, counts, max_combos)
-            ref_status, ref_choice = shatter_scan_reference(
-                above.tolist(), counts, max_combos)
-            assert status == ref_status
-            if status == 1:
-                assert choice.tolist() == ref_choice
-                late_hits += any(ref_choice)
-            statuses.add(status)
-        assert statuses == {-1, 0, 1} and late_hits > 0
+    # threshold t of pair i when its value there exceeds t
+    rng = np.random.default_rng(1)
+    statuses, late_hits, hit_sizes = set(), 0, set()
+    for _ in range(300):
+        p = int(rng.integers(1, 6))
+        members = int(rng.integers(2, 101))
+        counts = rng.integers(1, 6 if p <= 3 else 4, size=p).tolist()
+        values = rng.random((members, p))
+        above = np.concatenate([values[:, i] > np.sort(rng.random(c))[:, None]
+                                for i, c in enumerate(counts)])
+        max_combos = int(rng.integers(1, 2 * math.prod(counts) + 1))
+        status, choice = scan_both(above, counts, max_combos)
+        if status == 1:
+            late_hits += any(choice)
+            hit_sizes.add(p)
+        statuses.add(status)
+    assert statuses == {-1, 0, 1} and late_hits > 0
+    assert hit_sizes == {1, 2, 3, 4}
+    # five pairs: the first 32 of 100 members take 0.25 or 0.75 by the bits
+    # of their index, the rest lie in (0.3, 0.7); only the middle candidate
+    # of each pair leaves members on both sides
+    values = np.vstack([(np.arange(32)[:, None] >> np.arange(5)) % 2 / 2 + 0.25,
+                        rng.uniform(0.3, 0.7, (68, 5))])
+    above = np.concatenate([values[:, i] > np.array([0.1, 0.5, 0.9])[:, None]
+                            for i in range(5)])
+    assert scan_both(above, [3] * 5, 3 ** 5) == (1, [1] * 5)
+
+
+def test_shatter_scan_co_monotone_grid_has_no_hit():
+    # every pair reads the same member values, so a member's sign pattern
+    # depends only on where its value falls among the three thresholds: at
+    # most 4 of the 8 patterns occur, and pruning cuts every branch
+    rng = np.random.default_rng(2)
+    for members in (8, 40, 100):
+        values = np.sort(rng.random(members))
+        above = np.concatenate([values > np.sort(rng.random(20))[:, None]
+                                for _ in range(3)])
+        assert scan_both(above, [20, 20, 20], 20 ** 3) == (0, None)

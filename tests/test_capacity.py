@@ -130,24 +130,31 @@ class TestIsShattered:
         ok, wit = is_shattered(inst, max_combos=3)
         assert ok and wit.thresholds.tolist() == [0.5]
 
-    def test_single_pair_decided_without_scan(self, monkeypatch):
-        def no_scan(above, counts, max_combos):
-            raise AssertionError("a single pair needs no scan")
-        monkeypatch.setattr(capacity._accel, "shatter_scan", no_scan)
+    def test_single_pair_goes_through_scan(self, monkeypatch):
+        # candidates -0.5 and 1.0; the first leaves member 1 below
+        scans = []
+
+        def spy(sets, counts, max_combos, n_members):
+            scans.append(list(counts))
+            return real_scan(sets, counts, max_combos, n_members)
+
+        real_scan = capacity._accel.shatter_scan
+        monkeypatch.setattr(capacity._accel, "shatter_scan", spy)
         inst = ShatterInstance(pairs=index_pairs(1), members=value_matrix_members(
             [[2.0], [-1.0], [2.0], [0.0]]))
         ok, wit = is_shattered(inst)
+        assert scans == [[2]]
         assert ok and wit.thresholds.tolist() == [-0.5]
         assert wit.pattern_members == {(1,): 0, (-1,): 1}
 
-    def test_single_pair_witness_rechecked(self, monkeypatch):
-        # a first candidate that every member exceeds realizes one pattern
+    def test_single_pair_skips_candidate_that_does_not_split(self, monkeypatch):
+        # every member exceeds a first candidate of -5, so the scan takes 0.5
         monkeypatch.setattr(capacity, "_pair_thresholds",
                             lambda V: [np.array([-5.0, 0.5])])
         inst = ShatterInstance(pairs=index_pairs(1),
                                members=value_matrix_members([[0.0], [1.0]]))
-        with pytest.raises(NumericError):
-            is_shattered(inst)
+        ok, wit = is_shattered(inst)
+        assert ok and wit.thresholds.tolist() == [0.5]
 
     def test_scan_hit_rechecked_by_witness(self, monkeypatch):
         # combo (1, 0) puts thresholds at 1.5 and 0.5: no member is (+, -)
@@ -155,10 +162,23 @@ class TestIsShattered:
         inst = ShatterInstance(pairs=index_pairs(2),
                                members=value_matrix_members(V))
         assert is_shattered(inst)[0]
-        monkeypatch.setattr(capacity._accel, "shatter_scan",
-                            lambda above, counts, max_combos: (1, np.array([1, 0])))
+        monkeypatch.setattr(
+            capacity._accel, "shatter_scan",
+            lambda sets, counts, max_combos, n_members: (1, [1, 0]))
         with pytest.raises(NumericError):
             is_shattered(inst)
+
+    def test_more_pairs_than_members_can_shatter(self):
+        # 21 pairs need 2^21 members; four are decided False before any
+        # search, with thresholds searched or fixed
+        V = np.random.default_rng(18).random((4, 21))
+        inst = ShatterInstance(pairs=index_pairs(21),
+                               members=value_matrix_members(V))
+        assert is_shattered(inst) == (False, None)
+        fixed = ShatterInstance(pairs=index_pairs(21),
+                                members=value_matrix_members(V),
+                                thresholds=np.full(21, 0.5))
+        assert is_shattered(fixed) == (False, None)
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(InputError):

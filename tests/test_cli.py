@@ -344,6 +344,18 @@ class TestShatterCoverCommands:
         assert "error-category: input" in err and extra[0] in err
         assert not out_dir.exists()
 
+    def test_cover_bad_epsilon_writes_nothing(self, family_file, tmp_path,
+                                              capsys):
+        # the good first radius must not reach cover.csv before the bad one
+        # is rejected
+        out_dir = tmp_path / "cv"
+        rc = main(["cover", "--family", family_file, "--epsilon", "0.5", "-1",
+                   "--dim", "2", "--pool-size", "4", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert "error-category: input" in capsys.readouterr().err
+        assert not (out_dir / "cover.csv").exists()
+        assert not out_dir.exists()
+
     def test_cover_rejects_predictor_metric(self, family_file, tmp_path):
         # cover's candidates are kernels, which have no predictors
         with pytest.raises(SystemExit) as exc:
