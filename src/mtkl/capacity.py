@@ -19,6 +19,7 @@ above each are computed once per value table; one search decides every subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -38,6 +39,8 @@ from .kernels import Kernel, as_points
 # one value: for a coincident pair (x, x), RBF members give K(x, x) = 1 only up
 # to rounding, and a threshold between 1 and 1 - ulp would shatter on noise.
 TIE_RTOL = 1e-12
+# The value table's pairs (i, j), i <= j, built once per pool size; read only.
+_pool_pairs = functools.cache(np.triu_indices)
 METRICS = ("predictor_sup", "kernel_sup", "kernel_mean_dev")
 
 
@@ -216,7 +219,7 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
     members = tuple(members)
     if not members:
         raise InputError("need at least one family member")
-    V = _pool_values(members, pool, *np.triu_indices(len(pool)))
+    V = _pool_values(members, pool, *_pool_pairs(len(pool)))
     table = _threshold_table(V)
     n_pairs = V.shape[1]
     rng = np.random.default_rng(budget.seed)

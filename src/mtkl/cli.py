@@ -29,7 +29,7 @@ from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import (BudgetError, InputError, NumericError, read_json,
-                     require_int, require_keys)
+                     require_int, require_keys, require_number)
 from .kernels import COMBO_VARIANTS, KernelFamily, load_family, pd_upper_bound
 from .margin import MarginParams
 
@@ -43,15 +43,18 @@ def _flag_config(args) -> dict:
             if k not in ("func", "command", "out_dir", "seed")}
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(args, config: dict) -> None:
     payload = {"toolkit": "mtkl", "version": __version__, "command": args.command,
                "seed": args.seed, "config": config}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     payload["config_sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-    with open(os.path.join(args.out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out_dir, "manifest.json"), payload)
 
 
 def _ensure_out_dir(args) -> str:
@@ -81,7 +84,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_learn(args) -> int:
     family = load_family(args.family)
     sample = load_multitask_sample(args.data)
-    params = MarginParams(gamma=args.gamma, max_iters=args.max_iters)
+    params = MarginParams(gamma=args.gamma)
     budget = SearchBudget(grid_resolution=args.grid_resolution,
                           refine_rounds=args.refine_rounds,
                           max_candidates=args.max_candidates)
@@ -91,16 +94,14 @@ def _cmd_learn(args) -> int:
     kernel_params = solution.kernel_params
     if isinstance(kernel_params, np.ndarray):
         kernel_params = kernel_params.tolist()
-    with open(os.path.join(out_dir, "solution.json"), "w", encoding="utf-8") as fh:
-        json.dump({
-            "candidate_index": solution.candidate_index,
-            "candidate_label": solution.candidate_label,
-            "kernel_params": kernel_params,
-            "avg_empirical_margin_error": solution.avg_empirical_margin_error,
-            "nonconverged_fits": solution.nonconverged_fits,
-            "alphas": [p.alphas.tolist() for p in solution.predictors],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "solution.json"), {
+        "candidate_index": solution.candidate_index,
+        "candidate_label": solution.candidate_label,
+        "kernel_params": kernel_params,
+        "avg_empirical_margin_error": solution.avg_empirical_margin_error,
+        "nonconverged_fits": solution.nonconverged_fits,
+        "alphas": [p.alphas.tolist() for p in solution.predictors],
+    })
     with open(os.path.join(out_dir, "errors.csv"), "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, "learn-errors", ["task", "empirical_margin_error"])
         for i, err in enumerate(solution.per_task_errors):
@@ -175,6 +176,11 @@ def _family_pool(args):
     require_int(args.seed, "--seed", 0)
     require_int(args.dim, "--dim", 1)
     require_int(args.pool_size, "--pool-size", 1)
+    require_number(args.pool_low, "--pool-low")
+    require_number(args.pool_high, "--pool-high")
+    if not 0 <= args.pool_high - args.pool_low < np.inf:
+        raise InputError(f"--pool-high {args.pool_high!r} must be at least "
+                         f"--pool-low {args.pool_low!r}, a finite distance away")
     family = load_family(args.family)
     budget = SearchBudget(grid_resolution=args.grid_resolution,
                           max_candidates=args.max_candidates)
@@ -205,10 +211,8 @@ def _cmd_shatter(args) -> int:
             "pattern_members": {" ".join(map(str, k)): v for k, v in
                                 result.witness.pattern_members.items()},
         }
-    with open(os.path.join(out_dir, "witness.json"), "w", encoding="utf-8") as fh:
-        json.dump({"lower_bound": result.lower_bound, "witness": witness},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "witness.json"),
+                {"lower_bound": result.lower_bound, "witness": witness})
     _write_manifest(args, _flag_config(args))
     print(f"certified lower bound {result.lower_bound} "
           f"(analytic upper bound {upper:.6g})")
@@ -244,7 +248,7 @@ def _cmd_cover(args) -> int:
 _COMMON_KEYS = {
     "mode", "environment", "family_variant", "sparsity", "m", "gamma",
     "trials", "mc_samples", "grid_resolution", "refine_rounds",
-    "max_candidates", "max_iters",
+    "max_candidates",
 }
 # per mode: the keys it reads, and those it requires
 _EXPERIMENT_KEYS = {
@@ -282,7 +286,7 @@ def _cmd_experiment(args) -> int:
     family = KernelFamily(variant=variant, dictionary=env.dictionary,
                           **_present(config, ("sparsity",)))
     # run_trial and overhead_curve own the defaults of these
-    present = _present(config, ("mc_samples", "max_iters"))
+    present = _present(config, ("mc_samples",))
     present["budget"] = SearchBudget(**_present(
         config, ("grid_resolution", "refine_rounds", "max_candidates")))
     gamma = config.get("gamma", 0.1)
@@ -334,7 +338,7 @@ def _cmd_experiment(args) -> int:
             for trial, outcome in rows:
                 r = outcome.report
                 g = outcome.guarantee
-                writer.writerow([trial, r.n, r.m, repr(r.gamma), repr(r.er_hat),
+                writer.writerow([trial, n, m, repr(gamma), repr(r.er_hat),
                                  repr(r.er), repr(r.er_2gamma), repr(r.epsilon),
                                  r.sandwich_ok, r.epsilon_valid,
                                  "" if g is None else g.holds])
@@ -371,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=MarginParams.max_iters)
     _add_grid_flags(p)
     p.add_argument("--refine-rounds", type=int, default=SearchBudget.refine_rounds)
     p.set_defaults(func=_cmd_learn)

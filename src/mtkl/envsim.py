@@ -25,7 +25,6 @@ from .errors import (InputError, NumericError, number_array, read_json,
                      require_int, require_keys, require_number)
 from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
-from .seeding import as_seed_sequence
 # enumerate_candidates and fit_candidate are not called here: run_trial
 # searches through erm_search. perfbench/tracer.py wraps these bindings.
 from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
@@ -33,6 +32,13 @@ from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
                   searched_family_bound)
 
 MAX_REJECTION_ROUNDS = 1000
+
+
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """Accept an int, an entropy sequence, or an existing SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +154,7 @@ class Distribution:
 
 def make_planted_distribution(input_law: InputLaw, kernel: Kernel, anchors,
                               coeffs, margin_gap: float = Distribution.margin_gap,
-                              flip_rate: float = Distribution.flip_rate,
-                              component: int = Distribution.component
+                              flip_rate: float = Distribution.flip_rate
                               ) -> Distribution:
     """Normalize ``coeffs`` to unit K-norm and build the distribution."""
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -160,8 +165,7 @@ def make_planted_distribution(input_law: InputLaw, kernel: Kernel, anchors,
         raise InputError("planted coefficients have (near-)zero K-norm")
     return Distribution(input_law=input_law, kernel=kernel, anchors=anchors,
                         coeffs=coeffs / np.sqrt(norm_sq),
-                        margin_gap=margin_gap, flip_rate=flip_rate,
-                        component=component)
+                        margin_gap=margin_gap, flip_rate=flip_rate)
 
 
 @dataclass(frozen=True)
@@ -273,9 +277,6 @@ def sample_multitask(distributions: Sequence[Distribution], m: int,
 
 @dataclass(frozen=True)
 class TrialReport:
-    n: int
-    m: int
-    gamma: float
     er_hat: float
     er: float
     er_2gamma: float
@@ -328,7 +329,6 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
               family: KernelFamily, n: int, m: int, gamma: float, delta: float,
               seed, mc_samples: int = 100_000,
               budget: SearchBudget = SearchBudget(),
-              max_iters: int = MarginParams.max_iters,
               evaluate_guarantee: bool = True) -> TrialOutcome:
     """One seeded end-to-end trial: evaluate the deviation bound (so a bad
     ``delta`` fails before any draw), sample tasks and data, run ERM (the
@@ -338,7 +338,7 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     eps_res = multitask_epsilon(BoundInputs(
         n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
         B=searched_family_bound(family), gamma=gamma), delta)
-    params = MarginParams(gamma=gamma, max_iters=max_iters)
+    params = MarginParams(gamma=gamma)
     require_int(mc_samples, "mc_samples", 1)
     root = as_seed_sequence(seed)
     ss_tasks, ss_data, ss_mc = root.spawn(3)
@@ -361,8 +361,8 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     eps = eps_res.epsilon
     er_hat = solution.avg_empirical_margin_error
     report = TrialReport(
-        n=n, m=m, gamma=gamma, er_hat=er_hat, er=er, er_2gamma=er_2g,
-        epsilon=eps, sandwich_ok=bool(er_2g + eps >= er_hat >= er - eps),
+        er_hat=er_hat, er=er, er_2gamma=er_2g, epsilon=eps,
+        sandwich_ok=bool(er_2g + eps >= er_hat >= er - eps),
         epsilon_valid=eps_res.valid)
 
     guarantee = None
@@ -396,8 +396,7 @@ class OverheadPoint:
 def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
                    n_grid: Sequence[int], trials: int, seed, gamma: float,
                    mc_samples: int = 20_000,
-                   budget: SearchBudget = SearchBudget(),
-                   max_iters: int = MarginParams.max_iters) -> list[OverheadPoint]:
+                   budget: SearchBudget = SearchBudget()) -> list[OverheadPoint]:
     """Excess error of the ERM learner over the true-kernel oracle learner,
     and its estimation gap, for each task count in ``n_grid``.
 
@@ -409,7 +408,7 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
         require_int(n, "n_grid entry", 1)
     if list(n_grid) != sorted(n_grid) or len(n_grid) == 0:
         raise InputError("n_grid must be a nondecreasing nonempty sequence")
-    params = MarginParams(gamma=gamma, max_iters=max_iters)
+    params = MarginParams(gamma=gamma)
     require_int(trials, "trials", 1)
     require_int(mc_samples, "mc_samples", 1)
     oracle_kernel = env.dictionary[env.shared_kernel_index]

@@ -102,7 +102,7 @@ class MultiTaskSolution:
 
     @property
     def nonconverged_fits(self) -> int:
-        """How many of the selected per-task fits hit max_iters unconverged."""
+        """How many selected per-task fits hit PGD_MAX_ITERS unconverged."""
         return sum(not p.converged for p in self.predictors)
 
 

@@ -29,6 +29,8 @@ from .errors import (InputError, NumericError, number_array, read_json,
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
+# check_kernel_invariants lets the Gram diagonal exceed bound_b by this share
+BOUND_REL_TOL = 1e-9
 # Rows per block of Kernel.expand. A criteria 3-4 trial, which scores 100k
 # Monte Carlo points against 32 support points, took 0.34-0.47 s in blocks of
 # 1024 to 8192 rows (no size consistently ahead) and 0.58-0.70 s in one
@@ -182,8 +184,10 @@ class Kernel:
         if not self.terms:
             raise InputError("kernel needs at least one term")
         for w, _ in self.terms:
+            require_number(w, "kernel combination weight")
             if w < 0:
                 raise InputError("kernel combination weights must be nonnegative")
+        require_number(self.bound_b, "kernel bound_b", positive=True)
 
     def __call__(self, x, y) -> float:
         X = as_points([np.atleast_1d(np.asarray(x, dtype=np.float64))])
@@ -286,14 +290,14 @@ def psd_defect(G) -> float:
     return -(min_eigenvalue(entries) + PSD_TOL_FACTOR * float(np.trace(entries)))
 
 
-def check_kernel_invariants(kernel: Kernel, sample, rel_tol: float = 1e-9) -> None:
+def check_kernel_invariants(kernel: Kernel, sample) -> None:
     """Raise NumericError if symmetry / boundedness / PSD fail on the sample."""
     X = as_points(sample)
     G = kernel.gram(X)
     if not np.array_equal(G, G.T):
         raise NumericError("Gram matrix is not exactly symmetric")
     diag = np.diag(G)
-    if np.any(diag > kernel.bound_b * (1.0 + rel_tol)):
+    if np.any(diag > kernel.bound_b * (1.0 + BOUND_REL_TOL)):
         raise NumericError(
             f"diagonal exceeds declared bound: max {diag.max()} > B={kernel.bound_b}")
     if psd_defect(G) > 0:
@@ -338,11 +342,12 @@ def instantiate(family: KernelFamily, params) -> Kernel:
 
     Combination variants take a weight vector over the dictionary; Gaussian
     variants take a PSD metric matrix (full) or a factor A with ``M = A^T A``
-    (low rank). Weight vectors off the simplex by more than 1e-9, violated
-    sparsity, or a non-PSD metric are input errors.
+    (low rank). Entries that are not finite numbers, weight vectors off the
+    simplex by more than 1e-9, violated sparsity, or a non-PSD metric are
+    input errors.
     """
     if family.variant in COMBO_VARIANTS:
-        w = np.asarray(params, dtype=np.float64)
+        w = number_array(params, "combination weight")
         if w.shape != (len(family.dictionary),):
             raise InputError(
                 f"expected {len(family.dictionary)} weights, got shape {w.shape}")
@@ -362,7 +367,7 @@ def instantiate(family: KernelFamily, params) -> Kernel:
             raise InputError("all combination weights are zero")
         return _combine(parts)
 
-    M = np.asarray(params, dtype=np.float64)
+    M = number_array(params, "metric entry")
     ell = family.dimension
     if family.variant == "gaussian_low_rank":
         if M.ndim != 2 or M.shape[1] != ell:

@@ -20,11 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NumericError, require_int, require_number
+from .errors import InputError, NumericError, require_number
 from .kernels import Kernel, as_points, psd_defect
 
-# The solver stops at the first accepted step that gains less than this.
+# The solver stops at the first accepted step that gains less than PGD_TOL,
+# or after PGD_MAX_ITERS steps.
 PGD_TOL = 1e-6
+PGD_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +57,12 @@ class TaskData:
 
 @dataclass(frozen=True)
 class MarginParams:
-    """Margin and optimizer controls; the surrogate is fixed to hinge-at-gamma."""
+    """The margin gamma; the surrogate is fixed to hinge-at-gamma."""
 
     gamma: float
-    max_iters: int = 2000
 
     def __post_init__(self):
         require_number(self.gamma, "gamma", positive=True)
-        require_int(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +104,12 @@ def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Pre
     """Minimize hinge-at-gamma over the kernel's unit ball.
 
     Raises NumericError when the Gram matrix is indefinite beyond tolerance.
-    A run that exhausts max_iters while still improving returns the best
-    iterate with ``converged=False``.
+    A run that exhausts ``PGD_MAX_ITERS`` while still improving returns the
+    best iterate with ``converged=False``.
     """
     G, alpha0 = _training_problem(kernel, data)
     alpha, _obj, _iters, converged = _accel.hinge_pgd(
-        G, data.y, params.gamma, alpha0, params.max_iters, PGD_TOL)
+        G, data.y, params.gamma, alpha0, PGD_MAX_ITERS, PGD_TOL)
     return Predictor(alphas=alpha, support_sample=data.X, kernel=kernel,
                      converged=bool(converged))
 
@@ -125,7 +125,7 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
                           for kernel, task in problems))
     alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
         np.stack(grams), np.stack([task.y for _, task in problems]),
-        params.gamma, np.stack(starts), params.max_iters, PGD_TOL)
+        params.gamma, np.stack(starts), PGD_MAX_ITERS, PGD_TOL)
     return [Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
                       converged=bool(ok))
             for (kernel, task), alpha, ok in zip(problems, alphas, converged)]

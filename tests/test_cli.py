@@ -8,7 +8,8 @@ import shlex
 import numpy as np
 import pytest
 
-from mtkl import BoundConstants, BoundInputs, lifelong_delta, multitask_epsilon
+from mtkl import (BoundConstants, BoundInputs, lifelong_delta, margin,
+                  multitask_epsilon)
 from mtkl.cli import build_parser, main
 from mtkl.kernels import family_to_dict, KernelFamily, rbf_kernel
 
@@ -197,13 +198,25 @@ class TestLearnCommand:
         assert manifest["seed"] == 7
         assert "config_sha256" in manifest
 
-    def test_nonconverged_fits_reported(self, family_file, data_file, tmp_path):
+    def test_nonconverged_fits_reported(self, family_file, data_file, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr(margin, "PGD_MAX_ITERS", 1)
         out_dir = tmp_path / "out"
         rc = main(["learn", "--family", family_file, "--data", data_file,
-                   "--gamma", "0.1", "--out-dir", str(out_dir), "--max-iters", "1"])
+                   "--gamma", "0.1", "--out-dir", str(out_dir)])
         assert rc == 0
         solution = json.loads((out_dir / "solution.json").read_text())
         assert solution["nonconverged_fits"] == 2
+
+    def test_iteration_cap_is_not_a_flag(self, family_file, data_file, tmp_path,
+                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--family", family_file, "--data", data_file,
+                  "--gamma", "0.1", "--out-dir", str(tmp_path / "out"),
+                  "--max-iters", "5"])
+        assert exc.value.code == 2
+        assert "--max-iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_bitwise_identical(self, family_file, data_file, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -331,10 +344,14 @@ class TestShatterCoverCommands:
         ("shatter", ["--seed", "-1"]), ("cover", ["--seed", "-1"]),
         ("shatter", ["--pool-size", "0"]), ("cover", ["--pool-size", "-3"]),
         ("shatter", ["--dim", "0"]), ("cover", ["--dim", "-2"]),
+        ("shatter", ["--pool-low", "nan"]), ("cover", ["--pool-high", "inf"]),
+        ("shatter", ["--pool-high", "-5", "--pool-low", "5"]),
+        ("cover", ["--pool-high", "1e308", "--pool-low=-1e308"]),
     ])
     def test_negative_seed_or_size_exit2(self, family_file, tmp_path, capsys,
                                          command, extra):
-        # numpy raises ValueError on these in default_rng and uniform
+        # numpy raises ValueError or OverflowError on these in default_rng
+        # and uniform
         eps = ["--epsilon", "0.5"] if command == "cover" else []
         out_dir = tmp_path / "o"
         rc = main([command, "--family", family_file, "--dim", "2", *eps,
@@ -343,6 +360,13 @@ class TestShatterCoverCommands:
         err = capsys.readouterr().err
         assert "error-category: input" in err and extra[0] in err
         assert not out_dir.exists()
+
+    def test_equal_pool_bounds_run(self, family_file, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert main(["shatter", "--family", family_file, "--dim", "2",
+                     "--pool-low", "0.5", "--pool-high", "0.5",
+                     "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "witness.json").exists()
 
     def test_cover_bad_epsilon_writes_nothing(self, family_file, tmp_path,
                                               capsys):
@@ -435,6 +459,18 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "trils" in err and "error-category: input" in err
+
+    @pytest.mark.parametrize("mode,extra", [("sandwich", {"n": 2}),
+                                            ("overhead", {"n_grid": [1]})])
+    def test_iteration_cap_is_not_a_config_key(self, tmp_path, capsys, mode,
+                                               extra):
+        cfg = self._config(tmp_path, mode, max_iters=2000, **extra)
+        out_dir = tmp_path / "o"
+        rc = main(["experiment", "--config", cfg, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'max_iters'" in err and "error-category: input" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("key,value", [("input_law", 3), ("clusters", [5])])
     def test_non_object_environment_part_exit2(self, tmp_path, capsys, key,

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtkl import (CoverRequest, InputError, InputLaw, KernelFamily,
+from mtkl import (CoverRequest, InputError, InputLaw, Kernel, KernelFamily,
                   MarginParams, PseudodimBudget, SearchBudget, TaskCluster,
-                  TaskEnvironment, kernel_from_dict, kernel_to_dict,
-                  linear_kernel, overhead_curve, poly_kernel, rbf_kernel,
-                  run_trial)
+                  TaskEnvironment, instantiate, kernel_from_dict,
+                  kernel_to_dict, linear_kernel, overhead_curve, poly_kernel,
+                  rbf_kernel, run_trial)
 from mtkl.envsim import environment_from_dict
 from mtkl.kernels import family_from_dict, gaussian_metric_kernel
 
@@ -22,6 +22,10 @@ DICTIONARY = (rbf_kernel(0.6, dims=(0, 1)), rbf_kernel(0.6, dims=(2, 3)))
 ENV = TaskEnvironment(dictionary=DICTIONARY, input_law=InputLaw(dim=4),
                       clusters=(TaskCluster(kernel_index=0),))
 FAMILY = KernelFamily(variant="convex_combo", dictionary=DICTIONARY)
+SPARSE = KernelFamily(variant="sparse_combo", dictionary=DICTIONARY, sparsity=2)
+LINEAR = KernelFamily(variant="linear_combo", dictionary=DICTIONARY)
+COVARIANCE = KernelFamily(variant="gaussian_covariance", dimension=1)
+BASE = DICTIONARY[0].terms[0][1]
 TRIAL = dict(n=2, m=8, gamma=0.1, delta=0.05, seed=0)
 CURVE = dict(m=8, n_grid=[1], trials=1, seed=0, gamma=0.1)
 
@@ -44,6 +48,16 @@ WRONG = {
         variant="sparse_combo", dictionary=DICTIONARY, sparsity="1"),
     "family_dimension_float": lambda: KernelFamily(
         variant="gaussian_covariance", dimension=2.0),
+    "convex_weight_nan": lambda: instantiate(FAMILY, [NAN, 1.0]),
+    "sparse_weight_nan": lambda: instantiate(SPARSE, [NAN, 1.0]),
+    "linear_weight_nan": lambda: instantiate(LINEAR, [NAN, 1.0]),
+    "linear_weight_inf": lambda: instantiate(LINEAR, [INF, 0.0]),
+    "convex_weight_strings": lambda: instantiate(FAMILY, ["0.5", "0.5"]),
+    "convex_weight_bools": lambda: instantiate(FAMILY, [True, False]),
+    "covariance_metric_string": lambda: instantiate(COVARIANCE, [["2"]]),
+    "kernel_weight_nan": lambda: Kernel(terms=((NAN, BASE),), bound_b=1.0),
+    "kernel_bound_nan": lambda: Kernel(terms=((1.0, BASE),), bound_b=NAN),
+    "kernel_bound_zero": lambda: Kernel(terms=((1.0, BASE),), bound_b=0.0),
     "input_law_dim_string": lambda: InputLaw(dim="2"),
     "input_law_low_string": lambda: InputLaw(dim=2, low="-1"),
     "input_law_high_inf": lambda: InputLaw(dim=2, high=INF),
@@ -58,7 +72,6 @@ WRONG = {
     "gamma_string": lambda: MarginParams(gamma="0.1"),
     "gamma_nan": lambda: MarginParams(gamma=NAN),
     "gamma_inf": lambda: MarginParams(gamma=INF),
-    "max_iters_float": lambda: MarginParams(gamma=0.1, max_iters=10.5),
     "max_n_float": lambda: PseudodimBudget(max_n=2.5),
     "max_combos_string": lambda: PseudodimBudget(max_combos="10"),
     "cover_epsilon_string": lambda: CoverRequest(

@@ -181,7 +181,7 @@ class TestTrials:
 
     def test_n1_reduces_to_single_task(self):
         from mtkl.erm import erm_fit
-        from mtkl.seeding import as_seed_sequence
+        from mtkl.envsim import as_seed_sequence
         outcome = run_trial(self.env, self.family, n=1, m=16, gamma=0.1,
                             delta=0.05, seed=84, mc_samples=1_000,
                             evaluate_guarantee=False)
@@ -195,7 +195,7 @@ class TestTrials:
 
     def test_refinement_matches_erm_fit(self):
         from mtkl.erm import erm_fit
-        from mtkl.seeding import as_seed_sequence
+        from mtkl.envsim import as_seed_sequence
         budget = SearchBudget(grid_resolution=2, refine_rounds=1)
         outcome = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
                             delta=0.05, seed=87, mc_samples=1_000, budget=budget)
@@ -215,7 +215,7 @@ class TestTrials:
         assert outcome.guarantee.er_2gamma_best == grid.guarantee.er_2gamma_best
 
     def test_avg_true_error_reproduces_trial_risks(self):
-        from mtkl.seeding import as_seed_sequence
+        from mtkl.envsim import as_seed_sequence
         dists = sample_lifelong(self.env, 2, seed=88)
         outcome = run_trial(dists, self.family, n=2, m=16, gamma=0.1,
                             delta=0.05, seed=89, mc_samples=2_000,
@@ -230,8 +230,8 @@ class TestTrials:
         dists = sample_lifelong(self.env, 2, seed=82)
         kwargs = dict(m=12, gamma=0.1, delta=0.05, seed=83, mc_samples=1_000,
                       evaluate_guarantee=False)
-        report = run_trial(dists, self.family, n=2, **kwargs).report
-        assert report.n == 2
+        outcome = run_trial(dists, self.family, n=2, **kwargs)
+        assert len(outcome.solution.predictors) == 2
         with pytest.raises(InputError):
             run_trial(dists, self.family, n=3, **kwargs)
 

@@ -9,7 +9,7 @@ from mtkl import (BudgetError, InputError, KernelFamily, MarginParams,
                   MultiTaskSample, SearchBudget, TaskData, erm_fit,
                   empirical_margin_error, fit_single_task,
                   linear_kernel, load_multitask_sample, rbf_kernel)
-from mtkl import erm
+from mtkl import erm, margin
 from mtkl.erm import enumerate_candidates
 from mtkl.kernels import VARIANT_FIELDS
 
@@ -185,14 +185,15 @@ class TestErmFit:
         for pa, pb in zip(alone.predictors, stacked.predictors):
             np.testing.assert_array_equal(pa.alphas, pb.alphas)
 
-    def test_nonconverged_fits_counted(self):
+    def test_nonconverged_fits_counted(self, monkeypatch):
         rng = np.random.default_rng(8)
         sample = make_tasks(rng, n=3, m=24, flip=0.5)
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
-        capped = erm_fit(fam, sample, MarginParams(gamma=0.2, max_iters=1))
+        assert erm_fit(fam, sample, PARAMS).nonconverged_fits == 0
+        monkeypatch.setattr(margin, "PGD_MAX_ITERS", 1)
+        capped = erm_fit(fam, sample, MarginParams(gamma=0.2))
         assert capped.nonconverged_fits == sum(
             not p.converged for p in capped.predictors) == 3
-        assert erm_fit(fam, sample, PARAMS).nonconverged_fits == 0
 
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(7)

@@ -12,7 +12,7 @@ from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
                   avg_true_error, empirical_margin_error, fit_single_task,
                   rbf_kernel, linear_kernel)
 from mtkl.kernels import custom_kernel
-from mtkl import _accel
+from mtkl import _accel, margin
 
 import _oracles as orc
 
@@ -124,12 +124,13 @@ class TestFitSingleTask:
         with pytest.raises(NumericError):
             fit_single_task(bad, data, MarginParams(gamma=0.2))
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(margin, "PGD_MAX_ITERS", 1)
         rng = np.random.default_rng(6)
         X = rng.uniform(-1, 1, (24, 2))
         y = np.where(rng.random(24) < 0.5, 1.0, -1.0)
         pred = fit_single_task(rbf_kernel(0.6), TaskData(X=X, y=y),
-                               MarginParams(gamma=0.2, max_iters=1))
+                               MarginParams(gamma=0.2))
         assert not pred.converged
 
 
