@@ -22,7 +22,8 @@ from .bounds import (BoundConstants, BoundInputs, DeltaResult, EpsilonResult,
                      lifelong_delta, multitask_epsilon)
 from .capacity import (CoverRequest, CoverResult, PseudodimBudget, PseudodimResult,
                        ShatterInstance, ShatterWitness, greedy_cover, is_shattered,
-                       kernel_deviation_distance, pseudodim_lower_bound)
+                       kernel_deviation_distance, pairwise_distances,
+                       pseudodim_lower_bound)
 from .envsim import (Distribution, ErmGuaranteeReport, InputLaw, OverheadPoint,
                      TaskCluster, TaskEnvironment, TrialOutcome, TrialReport,
                      avg_true_error, load_environment, make_planted_distribution,

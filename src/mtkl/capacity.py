@@ -6,10 +6,10 @@ Two complementary tools:
   pseudodimension by exhibiting point pairs, thresholds and members that
   realize every sign pattern. Upper bounds come from the analytic formulas
   in :mod:`mtkl.kernels`; together they bracket the true value.
-* greedy sup-metric covers: farthest-point epsilon-nets over finite
-  candidate sets under three metrics (predictor values, Gram entries, or
-  the max-min mean-deviation distance between kernels), with an exhaustive
-  validity post-check.
+* greedy sup-metric covers: one distance matrix per finite candidate set
+  under three metrics (predictor values, Gram entries, or the max-min
+  mean-deviation distance between kernels), then a farthest-point
+  epsilon-net per radius with an exhaustive validity post-check.
 
 Thresholds for shattering are restricted to midpoints between consecutive
 clusters (``TIE_RTOL``) of kernel values per pair: sign patterns only change
@@ -31,8 +31,8 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from . import _accel
-from .errors import (BudgetError, InputError, NumericError, require_int,
-                     require_number)
+from .errors import (BudgetError, InputError, NumericError, number_array,
+                     require_int, require_number)
 from .kernels import Kernel, as_points
 
 # Sorted values of one pair that differ by at most TIE_RTOL * max(1, |v|) are
@@ -260,12 +260,12 @@ def pseudodim_lower_bound(members: Sequence[Kernel], point_pool,
 
 @dataclass(frozen=True, eq=False)
 class CoverRequest:
-    """Candidates, metric, and radius for a greedy epsilon-net.
+    """Candidates and metric of a cover's distance matrix.
 
     metric:
       predictor_sup   sup over evaluation points of value differences
-                      (candidates: value arrays, predictors, or tuples of
-                      per-task predictors)
+                      (candidates: finite value rows, lists or arrays; no
+                      evaluation_sample)
       kernel_sup      max over tasks of the sup-norm Gram difference
                       (candidates: kernels)
       kernel_mean_dev max-min mean absolute deviation between unit balls
@@ -273,7 +273,6 @@ class CoverRequest:
     """
 
     metric: str
-    epsilon: float
     candidates: tuple
     evaluation_sample: object = None
     probe_budget: int = 16
@@ -281,7 +280,9 @@ class CoverRequest:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InputError(f"metric must be one of {METRICS}")
-        require_number(self.epsilon, "epsilon", positive=True)
+        if (self.evaluation_sample is None) != (self.metric == "predictor_sup"):
+            raise InputError(f"metric {self.metric}: the kernel metrics require "
+                             "an evaluation_sample, and predictor_sup takes none")
         require_int(self.probe_budget, "probe_budget", 1)
         if not self.candidates:
             raise InputError("candidates must be nonempty")
@@ -297,46 +298,29 @@ class CoverResult:
 
 def _task_list(sample) -> list[np.ndarray]:
     # a list/tuple groups points per task; a bare array is one task
-    if sample is None:
-        raise InputError("this metric requires an evaluation_sample")
     if isinstance(sample, (list, tuple)):
         return [as_points(s) for s in sample]
     return [as_points(sample)]
 
 
 def _candidate_values(request: CoverRequest) -> np.ndarray:
-    rows = []
     if request.metric == "kernel_sup":
         tasks = _task_list(request.evaluation_sample)
-        for kern in request.candidates:
-            rows.append(np.concatenate([kern.gram(t).ravel() for t in tasks]))
+        rows = [np.concatenate([kern.gram(t).ravel() for t in tasks])
+                for kern in request.candidates]
     else:
-        tasks = None
-        for cand in request.candidates:
-            if isinstance(cand, np.ndarray):
-                rows.append(cand.ravel().astype(np.float64))
-                continue
-            if tasks is None:
-                tasks = _task_list(request.evaluation_sample)
-            if isinstance(cand, (list, tuple)):
-                if len(cand) != len(tasks):
-                    raise InputError("predictor tuple length must match task count")
-                rows.append(np.concatenate(
-                    [np.asarray(p.evaluate(t), dtype=np.float64)
-                     for p, t in zip(cand, tasks)]))
-            else:
-                rows.append(np.concatenate(
-                    [np.asarray(cand.evaluate(t), dtype=np.float64) for t in tasks]))
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
+        rows = [number_array(cand, "predictor_sup candidate").ravel()
+                for cand in request.candidates]
+    if len({len(r) for r in rows}) != 1:
         raise InputError("candidates produce inconsistent value lengths")
     return np.stack(rows)
 
 
 def pairwise_distances(request: CoverRequest) -> np.ndarray:
+    """The candidates' distance matrix under the request's metric; every
+    cover of one candidate set reads this one matrix."""
     if request.metric == "kernel_mean_dev":
-        sample = as_points(np.concatenate(
-            [t for t in _task_list(request.evaluation_sample)]))
+        sample = as_points(np.concatenate(_task_list(request.evaluation_sample)))
         n = len(request.candidates)
         D = np.zeros((n, n))
         for i in range(n):
@@ -349,24 +333,29 @@ def pairwise_distances(request: CoverRequest) -> np.ndarray:
     return cdist(V, V, "chebyshev")
 
 
-def greedy_cover(request: CoverRequest) -> CoverResult:
-    """Farthest-point epsilon-net; deterministic given candidate order.
+def greedy_cover(D, epsilon: float) -> CoverResult:
+    """Farthest-point epsilon-net of the candidates of the distance matrix
+    ``D`` (``pairwise_distances``); deterministic given candidate order.
 
     Starts from candidate 0 and adds the farthest-from-cover candidate until
     everything is within epsilon. The returned max_distance is recomputed
     from the full distance matrix as an exhaustive validity check.
     """
-    D = pairwise_distances(request)
+    require_number(epsilon, "epsilon", positive=True)
+    D = np.asarray(D)
+    if not (D.dtype.kind in "iuf" and D.ndim == 2 and 0 < len(D) == D.shape[1]
+            and np.isfinite(D).all()):
+        raise InputError("distances must be a nonempty square finite matrix")
     centers = [0]
     dist_to_cover = D[0].copy()
     while True:
         far = int(np.argmax(dist_to_cover))
-        if dist_to_cover[far] <= request.epsilon:
+        if dist_to_cover[far] <= epsilon:
             break
         centers.append(far)
         np.minimum(dist_to_cover, D[far], out=dist_to_cover)
     max_dist = float(np.min(D[centers], axis=0).max())
-    if max_dist > request.epsilon:
+    if max_dist > epsilon:
         raise AssertionError("greedy cover failed its validity post-check")
     return CoverResult(center_indices=tuple(centers), size=len(centers),
                        max_distance=max_dist)

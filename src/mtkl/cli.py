@@ -19,13 +19,14 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__, bounds, envsim, svgplot
 from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
-                       pseudodim_lower_bound)
+                       pairwise_distances, pseudodim_lower_bound)
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import (BudgetError, InputError, NumericError, read_json,
@@ -38,9 +39,15 @@ CSV_SCHEMA_VERSION = 1
 
 def _flag_config(args) -> dict:
     """Every flag the subcommand reads, except ``--out-dir`` and ``--seed``:
-    the run's output location, and a value the manifest records on its own."""
-    return {k: v for k, v in vars(args).items()
-            if k not in ("func", "command", "out_dir", "seed")}
+    the run's output location, and a value the manifest records on its own.
+    A flag left at None is one the run may not read, and is left out."""
+    return {k: v for k, v in vars(args).items() if v is not None
+            and k not in ("func", "command", "out_dir", "seed")}
+
+
+def _present(config: dict, keys) -> dict:
+    """The entries of ``config`` under ``keys`` that it holds."""
+    return {key: config[key] for key in keys if key in config}
 
 
 def _write_json(path, obj) -> None:
@@ -220,24 +227,32 @@ def _cmd_shatter(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    # kernel_mean_dev alone reads --probe-budget, and its manifest records the
+    # budget used; every radius is checked before the distances are built
+    config = _flag_config(args)
+    if args.metric == "kernel_mean_dev":
+        config.setdefault("probe_budget", CoverRequest.probe_budget)
+    elif "probe_budget" in config:
+        raise InputError(f"--metric {args.metric} does not read --probe-budget")
+    for eps in args.epsilon:
+        require_number(eps, "--epsilon", positive=True)
     _, members, sample = _family_pool(args)
-    # every request is checked before cover.csv exists
-    requests = [CoverRequest(metric=args.metric, epsilon=eps,
-                             candidates=tuple(members),
-                             evaluation_sample=sample,
-                             probe_budget=args.probe_budget)
-                for eps in args.epsilon]
+    request = CoverRequest(metric=args.metric, candidates=tuple(members),
+                           evaluation_sample=sample,
+                           **_present(config, ("probe_budget",)))
+    D = pairwise_distances(request)
+    results = [greedy_cover(D, eps) for eps in args.epsilon]
+
     out_dir = _ensure_out_dir(args)
     with open(os.path.join(out_dir, "cover.csv"), "w", encoding="utf-8") as fh:
         writer = _csv_writer(fh, "cover", [
             "metric", "epsilon", "cover_size", "max_distance", "candidates"])
-        for eps, request in zip(args.epsilon, requests):
-            result = greedy_cover(request)
+        for eps, result in zip(args.epsilon, results):
             writer.writerow([args.metric, repr(eps), result.size,
                              repr(result.max_distance), len(members)])
             print(f"epsilon={eps:g}: cover size {result.size} "
                   f"(max residual {result.max_distance:.4g})")
-    _write_manifest(args, _flag_config(args))
+    _write_manifest(args, config)
     return 0
 
 
@@ -256,11 +271,6 @@ _EXPERIMENT_KEYS = {
     "sandwich": (_COMMON_KEYS | {"n", "delta"}, ("environment",)),
 }
 _EXPERIMENT_KEYS["guarantee"] = _EXPERIMENT_KEYS["sandwich"]
-
-
-def _present(config: dict, keys) -> dict:
-    """The entries of ``config`` under ``keys`` that the file holds."""
-    return {key: config[key] for key in keys if key in config}
 
 
 def _cmd_experiment(args) -> int:
@@ -292,66 +302,57 @@ def _cmd_experiment(args) -> int:
     gamma = config.get("gamma", 0.1)
     trials = config.get("trials", 10)
     m = config.get("m", 20 if mode == "overhead" else 32)
-    out_dir = _ensure_out_dir(args)
 
     if mode == "overhead":
         points = envsim.overhead_curve(
             env, family, m=m, n_grid=config["n_grid"], trials=trials,
             seed=args.seed, gamma=gamma, **present)
-        with open(os.path.join(out_dir, "trials.csv"), "w",
-                  encoding="utf-8") as fh:
-            writer = _csv_writer(fh, "overhead", [
-                "n", "trial", "erm_error", "oracle_error", "excess_error",
-                "estimation_gap"])
-            for p in points:
-                writer.writerow([p.n, p.trial, repr(p.erm_error),
-                                 repr(p.oracle_error), repr(p.excess_error),
-                                 repr(p.estimation_gap)])
+        columns = ["n", "trial", "erm_error", "oracle_error", "excess_error",
+                   "estimation_gap"]
+        table = [[p.n, p.trial, repr(p.erm_error), repr(p.oracle_error),
+                  repr(p.excess_error), repr(p.estimation_gap)] for p in points]
         ns = sorted({p.n for p in points})
         excess = [float(np.mean([p.excess_error for p in points if p.n == n]))
                   for n in ns]
         gap = [float(np.mean([p.estimation_gap for p in points if p.n == n]))
                for n in ns]
-        svgplot.line_plot(
-            os.path.join(out_dir, "curve.svg"),
-            [("excess error", ns, excess), ("estimation gap", ns, gap)],
-            title="kernel-selection overhead vs task count",
-            xlabel="tasks n", ylabel="error", logx=True)
-        print("overhead: " + "  ".join(
-            f"n={n}:{e:.4f}" for n, e in zip(ns, excess)))
+        curves = [("excess error", ns, excess), ("estimation gap", ns, gap)]
+        plot = dict(title="kernel-selection overhead vs task count",
+                    xlabel="tasks n", logx=True)
+        summary = "overhead: " + "  ".join(
+            f"n={n}:{e:.4f}" for n, e in zip(ns, excess))
     else:  # sandwich, guarantee
         require_int(trials, "trials", 1)
         n, delta = config.get("n", 4), config.get("delta", 0.05)
-        rows = []
         root = np.random.SeedSequence(args.seed)
+        reports, table = [], []
         for trial in range(trials):
             outcome = envsim.run_trial(
                 env, family, n=n, m=m, gamma=gamma, delta=delta,
                 seed=root.spawn(1)[0], evaluate_guarantee=(mode == "guarantee"),
                 **present)
-            rows.append((trial, outcome))
-        with open(os.path.join(out_dir, "trials.csv"), "w",
-                  encoding="utf-8") as fh:
-            writer = _csv_writer(fh, mode, [
-                "trial", "n", "m", "gamma", "er_hat", "er", "er_2gamma",
-                "epsilon", "sandwich_ok", "epsilon_valid", "guarantee_holds"])
-            for trial, outcome in rows:
-                r = outcome.report
-                g = outcome.guarantee
-                writer.writerow([trial, n, m, repr(gamma), repr(r.er_hat),
-                                 repr(r.er), repr(r.er_2gamma), repr(r.epsilon),
-                                 r.sandwich_ok, r.epsilon_valid,
-                                 "" if g is None else g.holds])
-        xs = [t for t, _ in rows]
-        svgplot.line_plot(
-            os.path.join(out_dir, "curve.svg"),
-            [("train margin error", xs, [o.report.er_hat for _, o in rows]),
-             ("true error", xs, [o.report.er for _, o in rows]),
-             ("true 2-margin error", xs, [o.report.er_2gamma for _, o in rows])],
-            title="per-trial error estimates", xlabel="trial", ylabel="error")
-        n_ok = sum(o.report.sandwich_ok for _, o in rows)
-        print(f"sandwich held in {n_ok}/{len(rows)} trials")
+            r, g = outcome.report, outcome.guarantee
+            reports.append(r)
+            table.append([trial, n, m, repr(gamma), repr(r.er_hat), repr(r.er),
+                          repr(r.er_2gamma), repr(r.epsilon), r.sandwich_ok,
+                          r.epsilon_valid, "" if g is None else g.holds])
+        columns = ["trial", "n", "m", "gamma", "er_hat", "er", "er_2gamma",
+                   "epsilon", "sandwich_ok", "epsilon_valid", "guarantee_holds"]
+        xs = list(range(trials))
+        curves = [("train margin error", xs, [r.er_hat for r in reports]),
+                  ("true error", xs, [r.er for r in reports]),
+                  ("true 2-margin error", xs, [r.er_2gamma for r in reports])]
+        plot = dict(title="per-trial error estimates", xlabel="trial")
+        n_ok = sum(r.sandwich_ok for r in reports)
+        summary = f"sandwich held in {n_ok}/{trials} trials"
 
+    # the battery has run: only now does the output directory exist
+    out_dir = _ensure_out_dir(args)
+    with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8") as fh:
+        _csv_writer(fh, mode, columns).writerows(table)
+    svgplot.line_plot(os.path.join(out_dir, "curve.svg"), curves,
+                      ylabel="error", **plot)
+    print(summary)
     _write_manifest(args, config)
     return 0
 
@@ -407,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("kernel_sup", "kernel_mean_dev"),
                    default="kernel_sup")
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
-    p.add_argument("--probe-budget", type=int, default=CoverRequest.probe_budget)
+    p.add_argument("--probe-budget", type=int, help="dual directions probed "
+                   f"(kernel_mean_dev; default {CoverRequest.probe_budget})")
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("experiment", help="seeded trial batteries from a config")
@@ -415,6 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_experiment)
 
+    # argparse reads "-1e-3" as an option string: its negative-number pattern
+    # (Python 3.11) has no exponent or infinity, so "--pool-low -1e-3" failed
+    # with "expected one argument" before the flag's own check could name it
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(
+            r"^-(inf|infinity|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.I)
     return parser
 
 

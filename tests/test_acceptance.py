@@ -324,8 +324,9 @@ def test_criterion_7_cover_validity_and_growth(report):
         cands = tuple(rng.uniform(-1, 1, width)
                       for _ in range(int(rng.integers(2, 18))))
         eps = float(rng.uniform(0.1, 1.2))
-        res = greedy_cover(CoverRequest(metric="predictor_sup", epsilon=eps,
-                                        candidates=cands))
+        D = pairwise_distances(CoverRequest(metric="predictor_sup",
+                                            candidates=cands))
+        res = greedy_cover(D, eps)
         valid_ok &= res.max_distance <= eps
 
     # planted 4-cluster instances: greedy matches the exhaustive minimum
@@ -334,10 +335,9 @@ def test_criterion_7_cover_validity_and_growth(report):
         centers = rng.uniform(-1, 1, (4, 8))
         cands = tuple(c + rng.uniform(-0.04, 0.04, 8)
                       for c in centers for _ in range(4))
-        req = CoverRequest(metric="predictor_sup", epsilon=0.3,
-                           candidates=cands)
-        res = greedy_cover(req)
+        req = CoverRequest(metric="predictor_sup", candidates=cands)
         D = pairwise_distances(req)
+        res = greedy_cover(D, 0.3)
         cluster_ok &= res.size == 4 == orc.min_cover_size(D, 0.3, max_size=4)
 
     # growth slope for a convex-combination discretization
@@ -346,10 +346,9 @@ def test_criterion_7_cover_validity_and_growth(report):
     members = tuple(instantiate(fam, [w, 1 - w]) for w in np.linspace(0, 1, 65))
     tasks = [rng.uniform(-1, 1, (6, 2)) for _ in range(2)]
     eps_grid = np.geomspace(0.3, 0.01, 7)
-    sizes = [greedy_cover(CoverRequest(metric="kernel_sup", epsilon=float(e),
-                                       candidates=members,
-                                       evaluation_sample=tasks)).size
-             for e in eps_grid]
+    D = pairwise_distances(CoverRequest(metric="kernel_sup", candidates=members,
+                                        evaluation_sample=tasks))
+    sizes = [greedy_cover(D, float(e)).size for e in eps_grid]
     slope = float(np.polyfit(np.log(1 / eps_grid), np.log(sizes), 1)[0])
     slope_ok = slope <= 1.5 * pd_upper_bound(fam)
     elapsed = time.time() - start

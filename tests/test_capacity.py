@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mtkl import (BudgetError, CoverRequest, InputError, KernelFamily,
-                  NumericError, PseudodimBudget, ShatterInstance, capacity,
-                  greedy_cover, instantiate, is_shattered,
-                  kernel_deviation_distance, pd_upper_bound,
-                  pseudodim_lower_bound, rbf_kernel)
+                  NumericError, Predictor, PseudodimBudget, ShatterInstance,
+                  capacity, greedy_cover, instantiate, is_shattered,
+                  kernel_deviation_distance, pairwise_distances,
+                  pd_upper_bound, pseudodim_lower_bound, rbf_kernel)
 from mtkl.capacity import PseudodimResult
 from mtkl.kernels import custom_kernel, linear_kernel
 
@@ -401,9 +401,8 @@ def test_sup_distances_match_brute_force(n, d):
     else:
         expected = np.array([[max(abs(a - b) for a, b in zip(u, w))
                               for w in V.tolist()] for u in V.tolist()])
-    request = CoverRequest(metric="predictor_sup", epsilon=1.0,
-                           candidates=tuple(V))
-    assert np.array_equal(capacity.pairwise_distances(request), expected)
+    request = CoverRequest(metric="predictor_sup", candidates=tuple(V))
+    assert np.array_equal(pairwise_distances(request), expected)
 
 
 def cluster_candidates(rng, clusters=4, per_cluster=4, points=8, spread=0.04):
@@ -415,27 +414,31 @@ def cluster_candidates(rng, clusters=4, per_cluster=4, points=8, spread=0.04):
     return [np.array(r) for r in rows]
 
 
+def value_cover(candidates, epsilon):
+    """Greedy cover of value rows under the sup metric."""
+    D = pairwise_distances(CoverRequest(metric="predictor_sup",
+                                        candidates=candidates))
+    return greedy_cover(D, epsilon)
+
+
 class TestGreedyCover:
     def test_identical_candidates(self):
-        vals = [np.zeros(4)] * 5
-        res = greedy_cover(CoverRequest(metric="predictor_sup", epsilon=0.1,
-                                        candidates=tuple(vals)))
-        assert res.size == 1
+        assert value_cover([np.zeros(4)] * 5, 0.1).size == 1
 
     def test_two_far_candidates(self):
-        res = greedy_cover(CoverRequest(
-            metric="predictor_sup", epsilon=0.5,
-            candidates=(np.zeros(3), np.ones(3))))
-        assert res.size == 2
+        assert value_cover((np.zeros(3), np.ones(3)), 0.5).size == 2
+
+    def test_list_rows_are_value_rows(self):
+        res = value_cover(([0.0, 0.0], [5.0, 0.0], [0.0, 0.25]), 0.5)
+        assert res.center_indices == (0, 1)
+        assert res.max_distance == 0.25
 
     def test_planted_clusters_match_brute_force(self):
         rng = np.random.default_rng(17)
-        cands = cluster_candidates(rng)
-        req = CoverRequest(metric="predictor_sup", epsilon=0.3,
-                           candidates=tuple(cands))
-        res = greedy_cover(req)
-        from mtkl.capacity import pairwise_distances
+        req = CoverRequest(metric="predictor_sup",
+                           candidates=cluster_candidates(rng))
         D = pairwise_distances(req)
+        res = greedy_cover(D, 0.3)
         assert res.size == 4
         assert orc.min_cover_size(D, 0.3, max_size=4) == 4
         assert res.max_distance <= 0.3
@@ -445,46 +448,80 @@ class TestGreedyCover:
         for trial in range(10):
             cands = tuple(rng.uniform(-1, 1, 6) for _ in range(12))
             eps = float(rng.uniform(0.2, 1.0))
-            res = greedy_cover(CoverRequest(metric="predictor_sup", epsilon=eps,
-                                            candidates=cands))
-            assert res.max_distance <= eps
+            assert value_cover(cands, eps).max_distance <= eps
 
     def test_kernel_sup_metric_multitask_sample(self):
         rng = np.random.default_rng(19)
         kernels = tuple(rbf_kernel(b) for b in (0.5, 0.500001, 2.0))
         tasks = [rng.uniform(-1, 1, (5, 2)) for _ in range(3)]
-        res = greedy_cover(CoverRequest(metric="kernel_sup", epsilon=0.05,
-                                        candidates=kernels,
-                                        evaluation_sample=tasks))
-        assert res.size == 2  # the two near-identical bandwidths merge
+        D = pairwise_distances(CoverRequest(metric="kernel_sup",
+                                            candidates=kernels,
+                                            evaluation_sample=tasks))
+        assert greedy_cover(D, 0.05).size == 2  # near-identical bandwidths merge
 
     def test_cover_growth_slope_bounded(self):
         rng = np.random.default_rng(20)
         dictionary = (rbf_kernel(0.4), rbf_kernel(1.6))
         fam = KernelFamily(variant="convex_combo", dictionary=dictionary)
         d_phi = pd_upper_bound(fam)
-        from mtkl import instantiate
         members = tuple(instantiate(fam, [w, 1 - w])
                         for w in np.linspace(0, 1, 33))
         tasks = [rng.uniform(-1, 1, (6, 2)) for _ in range(2)]
+        D = pairwise_distances(CoverRequest(
+            metric="kernel_sup", candidates=members, evaluation_sample=tasks))
         eps_grid = np.geomspace(0.3, 0.02, 6)
-        sizes = []
-        for eps in eps_grid:
-            sizes.append(greedy_cover(CoverRequest(
-                metric="kernel_sup", epsilon=float(eps), candidates=members,
-                evaluation_sample=tasks)).size)
+        sizes = [greedy_cover(D, float(eps)).size for eps in eps_grid]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         slope = np.polyfit(np.log(1.0 / eps_grid), np.log(sizes), 1)[0]
         assert slope <= 1.5 * d_phi
 
     def test_bad_requests_rejected(self):
         with pytest.raises(InputError):
-            CoverRequest(metric="nope", epsilon=0.1, candidates=(np.zeros(2),))
+            CoverRequest(metric="nope", candidates=(np.zeros(2),))
         with pytest.raises(InputError):
-            CoverRequest(metric="predictor_sup", epsilon=0.0,
-                         candidates=(np.zeros(2),))
+            CoverRequest(metric="predictor_sup", candidates=())
+
+    @pytest.mark.parametrize("metric,sample", [
+        ("predictor_sup", np.zeros((3, 2))), ("kernel_sup", None),
+        ("kernel_mean_dev", None)])
+    def test_sample_only_where_read(self, metric, sample):
+        # predictor_sup reads value rows alone; the kernel metrics read the
+        # sample their Grams are taken on
+        cands = (np.zeros(2),) if metric == "predictor_sup" else (rbf_kernel(),)
+        with pytest.raises(InputError, match="evaluation_sample"):
+            CoverRequest(metric=metric, candidates=cands,
+                         evaluation_sample=sample)
+
+    @pytest.mark.parametrize("rows", [
+        ([float("nan"), 0.0], [5.0, 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [float("inf"), 0.0]),
+        ([0.0, 0.0], ["a", 0.0]),
+        ([0.0, 0.0], [0.0, 0.0, 1.0]),
+        (Predictor(alphas=np.ones(1), support_sample=np.zeros((1, 2)),
+                   kernel=rbf_kernel()),),
+    ], ids=["nan", "inf", "string", "ragged", "predictor"])
+    def test_value_rows_must_be_finite_numbers(self, rows):
+        # a NaN row sat at distance 0 from every other row, so
+        # [nan, 0], [5, 0], [0, 0] made a cover of size 1 at 0.5
         with pytest.raises(InputError):
-            CoverRequest(metric="predictor_sup", epsilon=0.1, candidates=())
+            value_cover(rows, 0.5)
+
+    @pytest.mark.parametrize("epsilon", [0, 0.0, -1, float("nan"), "0.1"],
+                             ids=["zero_int", "zero", "negative", "nan",
+                                  "string"])
+    def test_radius_rejected(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            greedy_cover(np.zeros((2, 2)), epsilon)
+
+    @pytest.mark.parametrize("D", [
+        np.zeros((2, 3)), np.zeros(3), np.zeros((0, 0)),
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.array([["0", "1"], ["1", "0"]])],
+        ids=["non_square", "vector", "empty", "nan", "inf", "strings"])
+    def test_distance_matrix_rejected(self, D):
+        with pytest.raises(InputError, match="square finite matrix"):
+            greedy_cover(D, 0.5)
 
 
 class TestKernelDeviationDistance:

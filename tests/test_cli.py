@@ -11,7 +11,7 @@ import pytest
 from mtkl import (BoundConstants, BoundInputs, lifelong_delta, margin,
                   multitask_epsilon)
 from mtkl.cli import build_parser, main
-from mtkl.kernels import family_to_dict, KernelFamily, rbf_kernel
+from mtkl.kernels import family_to_dict, Kernel, KernelFamily, rbf_kernel
 
 
 @pytest.fixture()
@@ -88,6 +88,15 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error-category: input" in captured.err
         assert "requires --epsilon" in captured.err
+
+    def test_negative_exponent_reaches_its_check(self, capsys):
+        # argparse took "-1e-3" for an option and said "expected one argument"
+        rc = main(["bound", "--mode", "multitask", *self.PROBLEM,
+                   "--delta", "0.05", "--B", "-1e-3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "B must be positive" in captured.err
 
     def test_invert_infeasible_exit_code(self, capsys):
         rc = main(["bound", "--mode", "invert", "--n", "4", "--m", "16",
@@ -347,6 +356,8 @@ class TestShatterCoverCommands:
         ("shatter", ["--pool-low", "nan"]), ("cover", ["--pool-high", "inf"]),
         ("shatter", ["--pool-high", "-5", "--pool-low", "5"]),
         ("cover", ["--pool-high", "1e308", "--pool-low=-1e308"]),
+        ("cover", ["--pool-low", "-inf"]),
+        ("cover", ["--pool-high", "1e308", "--pool-low", "-1E308"]),
     ])
     def test_negative_seed_or_size_exit2(self, family_file, tmp_path, capsys,
                                          command, extra):
@@ -380,6 +391,59 @@ class TestShatterCoverCommands:
         assert not (out_dir / "cover.csv").exists()
         assert not out_dir.exists()
 
+    def test_cover_negative_exponent_pool_bound_runs(self, family_file,
+                                                     tmp_path, capsys):
+        out_dir = tmp_path / "cv"
+        assert main(["cover", "--family", family_file, "--epsilon", "0.5",
+                     "--dim", "2", "--pool-size", "4", "--pool-low", "-1e-3",
+                     "--out-dir", str(out_dir)]) == 0
+        assert read_manifest(out_dir)["config"]["pool_low"] == -1e-3
+
+    def test_cover_negative_exponent_radius_writes_nothing(
+            self, family_file, tmp_path, capsys):
+        out_dir = tmp_path / "cv"
+        rc = main(["cover", "--family", family_file, "--epsilon", "0.5",
+                   "-1e-3", "--dim", "2", "--pool-size", "4",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err
+        assert "--epsilon must be positive" in err
+        assert not out_dir.exists()
+
+    def test_probe_budget_only_for_mean_dev(self, family_file, tmp_path,
+                                            capsys):
+        out_dir = tmp_path / "cv"
+        rc = main(["cover", "--family", family_file, "--metric", "kernel_sup",
+                   "--probe-budget", "4", "--epsilon", "0.5", "--dim", "2",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "--probe-budget" in err
+        assert not out_dir.exists()
+
+    def test_cover_builds_distances_once(self, family_file, tmp_path, capsys,
+                                         monkeypatch):
+        # every radius reads one distance matrix, so a run's Gram count does
+        # not grow with the number of radii
+        calls = []
+        real_gram = Kernel.gram
+
+        def gram(self, X):
+            calls.append(1)
+            return real_gram(self, X)
+
+        monkeypatch.setattr(Kernel, "gram", gram)
+        counts = []
+        for radii in (["0.5"], ["0.5", "0.1", "0.02"]):
+            calls.clear()
+            assert main(["cover", "--family", family_file, "--metric",
+                         "kernel_sup", "--epsilon", *radii, "--dim", "2",
+                         "--pool-size", "4",
+                         "--out-dir", str(tmp_path / str(len(radii)))]) == 0
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
     def test_cover_rejects_predictor_metric(self, family_file, tmp_path):
         # cover's candidates are kernels, which have no predictors
         with pytest.raises(SystemExit) as exc:
@@ -394,15 +458,24 @@ class TestManifests:
         ("learn", ["--gamma", "0.1"]),
         ("shatter", ["--dim", "2", "--pool-size", "4", "--max-n", "1"]),
         ("cover", ["--epsilon", "0.5", "--dim", "2", "--pool-size", "4"]),
+        ("cover", ["--metric", "kernel_mean_dev", "--epsilon", "0.5", "--dim",
+                   "2", "--pool-size", "2"]),
     ])
     def test_config_records_every_flag(self, family_file, data_file, tmp_path,
                                        capsys, command, extra):
+        # the flags the run reads: kernel_sup reads no --probe-budget, and
+        # kernel_mean_dev records the budget it used when none was given
         out_dir = str(tmp_path / "o")
         data = ["--data", data_file] if command == "learn" else []
         assert main([command, "--family", family_file, *data, *extra,
                      "--out-dir", out_dir]) == 0
+        config = read_manifest(out_dir)["config"]
         expected = subcommand_dests(command) - {"out_dir", "seed"}
-        assert set(read_manifest(out_dir)["config"]) == expected
+        if command == "cover" and "kernel_mean_dev" not in extra:
+            expected.remove("probe_budget")
+        assert set(config) == expected
+        if "kernel_mean_dev" in extra:
+            assert config["probe_budget"] == 16
 
     def test_cover_rerun_from_manifest_bitwise_identical(self, family_file,
                                                          tmp_path, capsys):
@@ -470,6 +543,18 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'max_iters'" in err and "error-category: input" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key,value", [("n", "2"), ("delta", 2.0)])
+    def test_trial_value_checked_before_out_dir(self, tmp_path, capsys, key,
+                                                value):
+        # run_trial checks n and delta; the directory waits for the battery
+        cfg = self._config(tmp_path, "sandwich", m=12, **{key: value})
+        out_dir = tmp_path / "o"
+        rc = main(["experiment", "--config", cfg, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and f"{key} must be" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key,value", [("input_law", 3), ("clusters", [5])])

@@ -74,11 +74,9 @@ WRONG = {
     "gamma_inf": lambda: MarginParams(gamma=INF),
     "max_n_float": lambda: PseudodimBudget(max_n=2.5),
     "max_combos_string": lambda: PseudodimBudget(max_combos="10"),
-    "cover_epsilon_string": lambda: CoverRequest(
-        metric="kernel_sup", epsilon="0.1", candidates=DICTIONARY),
     "probe_budget_float": lambda: CoverRequest(
-        metric="kernel_mean_dev", epsilon=0.1, candidates=DICTIONARY,
-        probe_budget=2.5),
+        metric="kernel_mean_dev", candidates=DICTIONARY,
+        evaluation_sample=np.zeros((2, 4)), probe_budget=2.5),
     "trial_n_string": lambda: run_trial(ENV, FAMILY, **{**TRIAL, "n": "2"}),
     "trial_m_float": lambda: run_trial(ENV, FAMILY, **{**TRIAL, "m": 8.0}),
     "trial_delta_string": lambda: run_trial(ENV, FAMILY,
