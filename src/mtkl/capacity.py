@@ -42,6 +42,8 @@ TIE_RTOL = 1e-12
 # The value table's pairs (i, j), i <= j, built once per pool size; read only.
 _pool_pairs = functools.cache(np.triu_indices)
 METRICS = ("predictor_sup", "kernel_sup", "kernel_mean_dev")
+# Dual directions kernel_deviation_distance probes when no budget is given.
+PROBE_BUDGET = 16
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +272,15 @@ class CoverRequest:
                       (candidates: kernels)
       kernel_mean_dev max-min mean absolute deviation between unit balls
                       (candidates: kernels; see kernel_deviation_distance)
+
+    ``probe_budget`` is read by kernel_mean_dev alone, which defaults it to
+    ``PROBE_BUDGET``; the other metrics reject one.
     """
 
     metric: str
     candidates: tuple
     evaluation_sample: object = None
-    probe_budget: int = 16
+    probe_budget: Optional[int] = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -283,7 +288,12 @@ class CoverRequest:
         if (self.evaluation_sample is None) != (self.metric == "predictor_sup"):
             raise InputError(f"metric {self.metric}: the kernel metrics require "
                              "an evaluation_sample, and predictor_sup takes none")
-        require_int(self.probe_budget, "probe_budget", 1)
+        if self.metric == "kernel_mean_dev":
+            if self.probe_budget is None:
+                object.__setattr__(self, "probe_budget", PROBE_BUDGET)
+            require_int(self.probe_budget, "probe_budget", 1)
+        elif self.probe_budget is not None:
+            raise InputError(f"metric {self.metric} reads no probe_budget")
         if not self.candidates:
             raise InputError("candidates must be nonempty")
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -404,7 +414,7 @@ def _deviation_one_way(G_from: np.ndarray, G_to: np.ndarray,
 
 
 def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
-                              probe_budget: int = CoverRequest.probe_budget
+                              probe_budget: int = PROBE_BUDGET
                               ) -> float:
     """Approximate max-min mean absolute deviation between the unit balls of
     two kernels on a sample, symmetrized over both directions.

@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__, bounds, envsim, svgplot
-from .capacity import (CoverRequest, PseudodimBudget, greedy_cover,
-                       pairwise_distances, pseudodim_lower_bound)
+from .capacity import (PROBE_BUDGET, CoverRequest, PseudodimBudget,
+                       greedy_cover, pairwise_distances, pseudodim_lower_bound)
 from .erm import (SearchBudget, enumerate_candidates, erm_fit,
                   load_multitask_sample)
 from .errors import (BudgetError, InputError, NumericError, read_json,
@@ -231,7 +231,7 @@ def _cmd_cover(args) -> int:
     # budget used; every radius is checked before the distances are built
     config = _flag_config(args)
     if args.metric == "kernel_mean_dev":
-        config.setdefault("probe_budget", CoverRequest.probe_budget)
+        config.setdefault("probe_budget", PROBE_BUDGET)
     elif "probe_budget" in config:
         raise InputError(f"--metric {args.metric} does not read --probe-budget")
     for eps in args.epsilon:
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kernel_sup")
     p.add_argument("--epsilon", type=float, nargs="+", required=True)
     p.add_argument("--probe-budget", type=int, help="dual directions probed "
-                   f"(kernel_mean_dev; default {CoverRequest.probe_budget})")
+                   f"(kernel_mean_dev; default {PROBE_BUDGET})")
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("experiment", help="seeded trial batteries from a config")

@@ -8,6 +8,11 @@ independently at a fixed noise rate. The gap makes the planted predictor's
 double-margin error controllably small; the flip rate plants irreducible
 error.
 
+On a uniform cube whose planted rule reads a block of fewer than ``dim``
+coordinates, rejection draws just that block; the kept rows then get one
+full-width draw with the kept block written over it. The cube's coordinates
+are independent, so the law of (x, y) is that of full-width rejection.
+
 An environment is a mixture of task clusters over a shared kernel
 dictionary. Everything is seeded through ``numpy.random.SeedSequence``
 spawning, so a trial is bitwise reproducible from its seed.
@@ -15,7 +20,8 @@ spawning, so a trial is bitwise reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +29,8 @@ import numpy as np
 from .bounds import BoundInputs, multitask_epsilon
 from .errors import (InputError, NumericError, number_array, read_json,
                      require_int, require_keys, require_number)
-from .kernels import Kernel, KernelFamily, kernel_from_dict, pd_upper_bound
+from .kernels import (Kernel, KernelFamily, as_points, kernel_from_dict,
+                      pd_upper_bound)
 from .margin import MarginParams, Predictor, TaskData, fit_single_task
 # enumerate_candidates and fit_candidate are not called here: run_trial
 # searches through erm_search. perfbench/tracer.py wraps these bindings.
@@ -123,17 +130,43 @@ class Distribution:
     def decision_values(self, X) -> np.ndarray:
         return self.kernel.expand(self.coeffs, self.anchors, X)
 
+    @cached_property
+    def _rejection_rule(self):
+        """(input law, kernel, anchors, columns) that rejection draws and
+        scores with. When every planted term reads ``dims`` of a uniform
+        cube, together fewer than ``dim`` columns, these are the block's law,
+        the kernel with ``dims`` renumbered into the block and the anchors
+        cut to it: each term selects the values it selects on full rows. In
+        any other case (dims out of range included) columns is None."""
+        law = self.input_law
+        dims = [base.dims for _, base in self.kernel.terms]
+        view = [] if None in dims else sorted(set().union(*dims))
+        if law.kind != "uniform_cube" or not view or len(view) >= law.dim \
+                or view[-1] >= law.dim:
+            return law, self.kernel, self.anchors, None
+        column = {d: i for i, d in enumerate(view)}
+        kernel = Kernel(terms=tuple(
+            (w, replace(base, dims=tuple(column[d] for d in base.dims)))
+            for w, base in self.kernel.terms), bound_b=self.kernel.bound_b)
+        return (InputLaw(dim=len(view), low=law.low, high=law.high), kernel,
+                as_points(self.anchors)[:, view], view)
+
     def sample(self, m: int, rng: np.random.Generator):
         """Draw m labeled points; rejection keeps |h*(x)| >= margin_gap.
 
-        Each batch's planted values are computed once: they decide which
-        points are kept, and a kept point's sign is its label before flips.
+        Each round draws ``max(2m, 64)`` inputs and computes their planted
+        values once: they decide which points are kept, and a kept point's
+        sign is its label before flips. When the rule reads a block of a
+        uniform cube (``_rejection_rule``), rounds draw that block alone and
+        one ``(m, dim)`` draw then fills the kept rows' other columns. Label
+        flips are drawn last.
         """
+        law, kernel, anchors, view = self._rejection_rule
         xs, vs = [], []
         kept = 0
         for _ in range(MAX_REJECTION_ROUNDS):
-            batch = self.input_law.sample(max(2 * m, 64), rng)
-            vals = self.decision_values(batch)
+            batch = law.sample(max(2 * m, 64), rng)
+            vals = kernel.expand(self.coeffs, anchors, batch)
             good = np.abs(vals) >= self.margin_gap
             if good.any():
                 xs.append(batch[good])
@@ -145,6 +178,9 @@ class Distribution:
             raise NumericError(
                 f"margin gap {self.margin_gap} rejects nearly all inputs")
         X = np.concatenate(xs)[:m]
+        if view is not None:
+            block, X = X, self.input_law.sample(m, rng)
+            X[:, view] = block
         y = np.where(np.concatenate(vs)[:m] >= 0.0, 1.0, -1.0)
         if self.flip_rate > 0.0:
             flips = rng.random(m) < self.flip_rate

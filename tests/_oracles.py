@@ -11,7 +11,9 @@ threshold loop), sparse search grids by filtering every count vector, and
 tiny fits by dense grids over the dual coefficients. Kernel expansions are
 summed entry by entry with ``math.fsum`` from textbook kernel formulas. The
 scalar hinge solver is the one-problem, one-trial-step-at-a-time loop that
-the vectorised solver in ``mtkl._accel`` must reproduce bit for bit.
+the vectorised solver in ``mtkl._accel`` must reproduce bit for bit. The
+full-width sampler draws every coordinate of every rejection round, as
+``Distribution.sample`` did before it drew only the planted rule's columns.
 """
 
 import itertools
@@ -425,6 +427,43 @@ def grid_best_margin_error(K: np.ndarray, y: np.ndarray, gamma: float,
     margins = (feasible @ K) * y[None, :]
     errors = np.mean(margins < gamma, axis=1)
     return float(errors.min())
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle
+# ---------------------------------------------------------------------------
+
+
+def full_width_sample(dist, m, rng):
+    """m labeled draws from ``dist``: each rejection round of max(2m, 64)
+    inputs draws all ``dim`` coordinates (``rng.uniform`` on a cube, a
+    component then a normal offset on a mixture) and keeps the rows with
+    |h*(x)| >= margin_gap; the kept planted signs, flipped at ``flip_rate``,
+    are the labels."""
+    law = dist.input_law
+    xs, vs, kept = [], [], 0
+    for _ in range(1000):
+        rows = max(2 * m, 64)
+        if law.kind == "uniform_cube":
+            batch = rng.uniform(law.low, law.high, (rows, law.dim))
+        else:
+            comp = rng.choice(len(law.weights), size=rows, p=law.weights)
+            batch = law.means[comp] + law.scales[comp, None] * \
+                rng.standard_normal((rows, law.dim))
+        vals = dist.decision_values(batch)
+        good = np.abs(vals) >= dist.margin_gap
+        xs.append(batch[good])
+        vs.append(vals[good])
+        kept += int(good.sum())
+        if kept >= m:
+            break
+    else:
+        raise AssertionError("margin gap rejects nearly all inputs")
+    X = np.concatenate(xs)[:m]
+    y = np.where(np.concatenate(vs)[:m] >= 0.0, 1.0, -1.0)
+    if dist.flip_rate > 0.0:
+        y = np.where(rng.random(m) < dist.flip_rate, -y, y)
+    return X, y
 
 
 # ---------------------------------------------------------------------------

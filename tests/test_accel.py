@@ -74,6 +74,22 @@ def test_gram_builders_match_textbook_formula(name, m, p):
                                rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("block_bytes", [None, 8, 8 * 5000 * 7])
+@pytest.mark.parametrize("m,p", [(1, 1), (32, 5000), (33, 3)])
+def test_sq_dists_in_row_blocks_match_whole_matrix(m, p, block_bytes,
+                                                   monkeypatch):
+    # (xx + zz) - 2·(X Zᵀ), clipped at 0, formed on the whole matrix: bit for
+    # bit the same whether _sq_dists sums in one block, row by row or in
+    # uneven blocks
+    if block_bytes is not None:
+        monkeypatch.setattr(_accel, "SUM_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(p)
+    X, Z = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (p, 3))
+    whole = np.maximum((np.sum(X * X, axis=1)[:, None]
+                        + np.sum(Z * Z, axis=1)[None, :]) - 2.0 * (X @ Z.T), 0.0)
+    assert _accel._sq_dists(X, Z).tobytes() == whole.tobytes()
+
+
 def hinge_problem(seed, m, max_iters, tol, n_problems=1):
     """Random RBF hinge problems of one size: (K, y, alpha0) stacks and the
     solver arguments that follow alpha0. About half the problems have

@@ -492,6 +492,26 @@ class TestGreedyCover:
             CoverRequest(metric=metric, candidates=cands,
                          evaluation_sample=sample)
 
+    @pytest.mark.parametrize("metric", ["predictor_sup", "kernel_sup"])
+    def test_probe_budget_only_where_read(self, metric):
+        # kernel_mean_dev alone probes dual directions
+        cands, sample = ((np.zeros(2),), None) if metric == "predictor_sup" \
+            else ((rbf_kernel(),), np.zeros((3, 2)))
+        assert CoverRequest(metric=metric, candidates=cands,
+                            evaluation_sample=sample).probe_budget is None
+        with pytest.raises(InputError, match="probe_budget"):
+            CoverRequest(metric=metric, candidates=cands,
+                         evaluation_sample=sample, probe_budget=16)
+
+    def test_mean_dev_budget_defaults_to_distance_default(self):
+        pts = np.random.default_rng(0).uniform(-1, 1, (4, 2))
+        k1, k2 = rbf_kernel(0.5), rbf_kernel(1.5)
+        request = CoverRequest(metric="kernel_mean_dev", candidates=(k1, k2),
+                               evaluation_sample=pts)
+        assert request.probe_budget == capacity.PROBE_BUDGET == 16
+        assert pairwise_distances(request)[0, 1] == \
+            kernel_deviation_distance(k1, k2, pts)
+
     @pytest.mark.parametrize("rows", [
         ([float("nan"), 0.0], [5.0, 0.0], [0.0, 0.0]),
         ([0.0, 0.0], [float("inf"), 0.0]),

@@ -2,24 +2,28 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from mtkl import (InputError, InputLaw, KernelFamily, MarginParams, NumericError,
-                  Predictor, SearchBudget, TaskCluster, TaskEnvironment,
-                  avg_true_error, empirical_margin_error,
-                  make_planted_distribution, overhead_curve, rbf_kernel,
-                  run_trial, sample_lifelong, sample_multitask)
+from mtkl import (InputError, InputLaw, Kernel, KernelFamily, MarginParams,
+                  NumericError, Predictor, SearchBudget, TaskCluster,
+                  TaskEnvironment, avg_true_error, empirical_margin_error,
+                  fit_single_task, make_planted_distribution, overhead_curve,
+                  rbf_kernel, run_trial, sample_lifelong, sample_multitask)
 from mtkl.envsim import environment_from_dict
-from mtkl.kernels import kernel_to_dict
+from mtkl.kernels import BaseKernel, kernel_to_dict
+
+import _oracles as orc
 
 
 def small_env(flip=0.0, gap=0.25, n_kernels=3, dim=4, bandwidth=0.6,
-              true_index=0):
+              true_index=0, slack=0.5):
     views = [(2 * i % dim, (2 * i + 1) % dim) for i in range(n_kernels)]
     dictionary = tuple(rbf_kernel(bandwidth, dims=v) for v in views)
     return TaskEnvironment(
         dictionary=dictionary, input_law=InputLaw(dim=dim),
         clusters=(TaskCluster(weight=1.0, kernel_index=true_index,
-                              margin_gap=gap, flip_rate=flip),))
+                              margin_gap=gap, flip_rate=flip,
+                              balance_slack=slack),))
 
 
 class TestDistributions:
@@ -59,6 +63,97 @@ class TestDistributions:
         with pytest.raises(InputError):
             make_planted_distribution(dist.input_law, dist.kernel, dist.anchors,
                                       dist.coeffs, flip_rate=0.5)
+
+
+def view_distribution(flip=0.1, gap=0.25, low=-0.5, high=2.0):
+    """A planted rule on a cube of width 8 whose two terms read columns
+    (5, 2) and (6,), so rejection draws the block (2, 5, 6) alone."""
+    kernel = Kernel(terms=((0.7, BaseKernel(kind="rbf", bandwidth=0.8,
+                                            dims=(5, 2))),
+                           (0.3, BaseKernel(kind="rbf", bandwidth=0.5,
+                                            dims=(6,)))), bound_b=1.0)
+    law = InputLaw(dim=8, low=low, high=high)
+    rng = np.random.default_rng(43)  # a rule with about 35 % positive mass
+    return make_planted_distribution(law, kernel, law.sample(6, rng),
+                                     rng.standard_normal(6), margin_gap=gap,
+                                     flip_rate=flip)
+
+
+class TestViewSampling:
+    """Rejection on the planted rule's columns alone draws (X, y) from the
+    law of the full-width sampler in ``_oracles``, which draws every column
+    of every round."""
+
+    N = 20_000
+    VIEW = (2, 5, 6)
+    ALPHA = 1e-3  # per seeded test
+
+    def test_marginals_and_label_rate_match_full_width(self):
+        dist = view_distribution()
+        X, y = dist.sample(self.N, np.random.default_rng(41))
+        X_old, y_old = orc.full_width_sample(dist, self.N,
+                                             np.random.default_rng(42))
+        for col in range(8):
+            assert stats.ks_2samp(X[:, col], X_old[:, col]).pvalue > self.ALPHA
+        p, p_old = np.mean(y > 0), np.mean(y_old > 0)
+        pooled = 0.5 * (p + p_old)
+        assert abs(p - p_old) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / self.N)
+        # the kept block is not uniform: rejection shapes it
+        assert stats.kstest(X[:, 6], stats.uniform(-0.5, 2.5).cdf).pvalue \
+            < self.ALPHA
+
+    def test_kept_planted_values_clear_the_gap(self):
+        dist = view_distribution(flip=0.0, gap=0.3)
+        X, y = dist.sample(5_000, np.random.default_rng(43))
+        vals = dist.decision_values(X)
+        assert np.all(np.abs(vals) >= 0.3)
+        np.testing.assert_array_equal(y, np.where(vals >= 0, 1.0, -1.0))
+
+    def test_off_view_columns_uniform_and_independent_of_y(self):
+        dist = view_distribution()
+        X, y = dist.sample(self.N, np.random.default_rng(44))
+        uniform = stats.uniform(-0.5, 2.5).cdf
+        for col in sorted(set(range(8)) - set(self.VIEW)):
+            assert X[:, col].min() >= -0.5 and X[:, col].max() < 2.0
+            assert stats.kstest(X[:, col], uniform).pvalue > self.ALPHA
+            assert stats.ks_2samp(X[y > 0, col], X[y < 0, col]).pvalue \
+                > self.ALPHA
+        # the view columns do depend on y, so the check can tell
+        assert min(stats.ks_2samp(X[y > 0, c], X[y < 0, c]).pvalue
+                   for c in self.VIEW) < self.ALPHA
+
+    @pytest.mark.parametrize("case", ["mixture", "no_dims", "full_view",
+                                      "one_term_without_dims"])
+    def test_other_laws_draw_full_width_bit_for_bit(self, case):
+        rng = np.random.default_rng(45)
+        if case == "mixture":
+            law = InputLaw(kind="gaussian_mixture", dim=3,
+                           means=[[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]],
+                           scales=[0.5, 1.0], weights=[1.0, 2.0])
+            kernel = rbf_kernel(0.6, dims=(1,))
+        else:
+            law = InputLaw(dim=3)
+            kernel = {"no_dims": rbf_kernel(0.6),
+                      "full_view": rbf_kernel(0.6, dims=(2, 0, 1)),
+                      "one_term_without_dims": Kernel(terms=(
+                          (0.5, BaseKernel(kind="rbf", dims=(0,))),
+                          (0.5, BaseKernel(kind="rbf"))), bound_b=1.0)}[case]
+        dist = make_planted_distribution(law, kernel, law.sample(5, rng),
+                                         rng.standard_normal(5),
+                                         margin_gap=0.1, flip_rate=0.2)
+        X, y = dist.sample(300, np.random.default_rng(46))
+        X_old, y_old = orc.full_width_sample(dist, 300,
+                                             np.random.default_rng(46))
+        assert X.tobytes() == X_old.tobytes() and y.tobytes() == y_old.tobytes()
+
+    def test_dims_outside_the_cube_still_rejected(self):
+        # anchors wide enough for dims (3,), but the cube has only 2 columns
+        rng = np.random.default_rng(47)
+        dist = make_planted_distribution(
+            InputLaw(dim=2), rbf_kernel(0.6, dims=(3,)),
+            rng.uniform(-1, 1, (4, 4)), rng.standard_normal(4))
+        with pytest.raises(InputError, match="out of range"):
+            dist.sample(10, np.random.default_rng(48))
 
 
 class TestSampling:
@@ -197,10 +292,16 @@ class TestTrials:
         from mtkl.erm import erm_fit
         from mtkl.envsim import as_seed_sequence
         budget = SearchBudget(grid_resolution=2, refine_rounds=1)
-        outcome = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
-                            delta=0.05, seed=87, mc_samples=1_000, budget=budget)
-        assert outcome.solution.candidate_label.startswith("refined")
-        ss_tasks, ss_data, _ = as_seed_sequence(87).spawn(3)
+        kwargs = dict(n=3, m=16, gamma=0.1, delta=0.05, mc_samples=1_000)
+        # the first seed from 87 on whose refinement beats the grid
+        for seed in range(87, 87 + 32):
+            outcome = run_trial(self.env, self.family, seed=seed,
+                                budget=budget, **kwargs)
+            if outcome.solution.candidate_label.startswith("refined"):
+                break
+        else:
+            pytest.fail("refinement never beat the grid on seeds 87-118")
+        ss_tasks, ss_data, _ = as_seed_sequence(seed).spawn(3)
         sample = sample_multitask(sample_lifelong(self.env, 3, ss_tasks), 16,
                                   ss_data)
         direct = erm_fit(self.family, sample, MarginParams(gamma=0.1), budget)
@@ -209,22 +310,29 @@ class TestTrials:
         assert outcome.solution.candidate_label == direct.candidate_label
         assert outcome.report.er_hat == direct.avg_empirical_margin_error
         # the guarantee still compares against the best grid candidate
-        grid = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
-                         delta=0.05, seed=87, mc_samples=1_000,
-                         budget=SearchBudget(grid_resolution=2))
+        grid = run_trial(self.env, self.family, seed=seed,
+                         budget=SearchBudget(grid_resolution=2), **kwargs)
         assert outcome.guarantee.er_2gamma_best == grid.guarantee.er_2gamma_best
 
     def test_avg_true_error_reproduces_trial_risks(self):
         from mtkl.envsim import as_seed_sequence
-        dists = sample_lifelong(self.env, 2, seed=88)
+        # balanced labels make the two tasks' rules differ, so a trial that
+        # scored each predictor on the other task's draws would show
+        env = small_env(flip=0.1, gap=0.25, slack=0.2)
+        dists = sample_lifelong(env, 2, seed=88)
         outcome = run_trial(dists, self.family, n=2, m=16, gamma=0.1,
                             delta=0.05, seed=89, mc_samples=2_000,
                             evaluate_guarantee=False)
+        predictors = outcome.solution.predictors
         for margin, expected in ((0.0, outcome.report.er),
                                  (2 * 0.1, outcome.report.er_2gamma)):
             ss_mc = as_seed_sequence(89).spawn(3)[2]
-            assert avg_true_error(outcome.solution.predictors, dists, margin,
-                                  2_000, ss_mc) == expected
+            swapped = avg_true_error(predictors[::-1], dists, margin, 2_000,
+                                     ss_mc)
+            assert swapped != expected
+            ss_mc = as_seed_sequence(89).spawn(3)[2]
+            assert avg_true_error(predictors, dists, margin, 2_000,
+                                  ss_mc) == expected
 
     def test_distribution_list_source(self):
         dists = sample_lifelong(self.env, 2, seed=82)
@@ -257,6 +365,36 @@ class TestOverheadCurve:
         lo = np.mean([p.oracle_error for p in pts if p.n == 1])
         hi = np.mean([p.oracle_error for p in pts if p.n == 4])
         assert abs(lo - hi) < 0.05  # independent per-task problems
+
+    def test_oracle_fits_with_the_planted_kernel(self):
+        # each trial's oracle error is the planted kernel's fits scored on
+        # the trial's Monte Carlo stream; on some trial ERM picks another
+        # kernel whose fits score differently, so the check can fail
+        from mtkl.envsim import as_seed_sequence
+        from mtkl.erm import erm_fit
+        env = small_env(n_kernels=3, dim=6, true_index=2, slack=0.2)
+        fam = KernelFamily(variant="convex_combo", dictionary=env.dictionary)
+        params = MarginParams(gamma=0.1)
+        trials, m, mc = 6, 8, 2_000
+        points = overhead_curve(env, fam, m=m, n_grid=[1], trials=trials,
+                                seed=10, gamma=0.1, mc_samples=mc)
+        differs = []
+        for t, point in enumerate(points):
+            # trial t spawns children 3t, 3t+1 and 3t+2 of the root
+            def stream(k):
+                return as_seed_sequence(10).spawn(3 * t + 3)[3 * t + k]
+            dists = sample_lifelong(env, 1, stream(0))
+            sample = sample_multitask(dists, m, stream(1))
+
+            def error(kernel):
+                preds = [fit_single_task(kernel, task, params)
+                         for task in sample.tasks]
+                return avg_true_error(preds, dists, 0.0, mc, stream(2))
+
+            assert error(env.dictionary[2]) == point.oracle_error
+            differs.append(error(erm_fit(fam, sample, params).kernel)
+                           != point.oracle_error)
+        assert any(differs)
 
     def test_n_grid_validated(self):
         env = small_env()

@@ -42,6 +42,15 @@ class TestEmpiricalMarginError:
     def test_gamma_zero_is_01_error(self):
         assert self._error([-0.1, 0.05, 0.3, 0.9], 0.0) == 0.25
 
+    def test_tie_at_gamma_is_not_an_error(self):
+        # the margin error counts y h(x) < gamma strictly: a margin equal to
+        # gamma, exactly representable here, is no error at that gamma
+        assert self._error([0.25, 0.3, 0.125], 0.25) == 1 / 3
+        assert self._error([0.0, 0.5], 0.0) == 0.0
+        pred, _ = predictor_with_scores([])
+        data = TaskData(X=np.array([[-0.25], [-0.125]]), y=-np.ones(2))
+        assert empirical_margin_error(pred, data, 0.25) == 0.5
+
     def test_label_validation(self):
         with pytest.raises(InputError, match="labels"):
             TaskData(X=np.zeros((2, 1)), y=np.array([1.0, 0.0]))
