@@ -1,8 +1,10 @@
 """Hot numeric kernels: the cross-Gram builders and the hinge solver
-(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``) in numpy, and the
-pruned shattering search. A Gram is a cross-Gram of one array with itself (see
-``BaseKernel.gram``). Everything here is deterministic for a fixed input;
-``tests/test_accel.py`` checks each function against an independent oracle.
+(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``, which
+``margin.fit_stack`` calls and which hands a one-problem stack to
+``hinge_pgd``) in numpy, and the pruned shattering search. A Gram is a
+cross-Gram of one array with itself (see ``BaseKernel.gram``). Everything
+here is deterministic for a fixed input; ``tests/test_accel.py`` checks each
+function against an independent oracle.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def metric_cross(X, Z, M):
 # hinge_pgd solves one problem; hinge_pgd_batch runs a stack of them in
 # lockstep. The stacked bookkeeping makes a one-problem stack of m = 256 take
 # a fifth to a half more time per iteration than hinge_pgd (2-vCPU x86 host,
-# one BLAS thread), so one-problem callers use hinge_pgd.
+# one BLAS thread), so hinge_pgd_batch hands a one-problem stack to hinge_pgd.
 # Stacked products go through np.matmul, which makes the same BLAS call per
 # problem (gemv for K @ x, ddot for x @ z) as the 2-D code, so a problem's
 # result does not depend on the stack it is solved in.
@@ -203,6 +205,9 @@ def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol):
     Returns alpha (B, m), objective (B,), iterations (B,) and converged (B,),
     each entry bit-identical to ``hinge_pgd`` on that problem alone."""
     n_problems, m = y.shape
+    if n_problems == 1:
+        return tuple(np.array([out]) for out in
+                     hinge_pgd(K[0], y[0], gamma, alpha0[0], max_iters, tol))
     alpha = np.array(alpha0, dtype=np.float64)
     obj = np.empty(n_problems)
     iters = np.full(n_problems, max_iters, dtype=np.int64)

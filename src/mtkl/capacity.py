@@ -377,11 +377,12 @@ def greedy_cover(D, epsilon: float) -> CoverResult:
 
 
 def _unit_ball_l1_gap(u: np.ndarray, G: np.ndarray) -> float:
-    """min over {v = G beta : beta^T G beta <= 1} of mean |u - v|.
+    """min over {v = G beta : beta^T G beta <= 1} of mean |u - v|, from below.
 
-    Solved through its box dual  max_{|lam|_inf <= 1} lam'u - ||G^{1/2} lam||
-    (strong duality: compact convex sets, bilinear objective), which L-BFGS-B
-    handles smoothly away from G lam = 0.
+    Returns the value L-BFGS-B reaches on the box dual  max_{|lam|_inf <= 1}
+    lam'u - ||G^{1/2} lam||  (strong duality: compact convex sets, bilinear
+    objective). No duality gap is certified: a run that stops short of the
+    dual max underestimates the min, and never overestimates it.
     """
     m = len(u)
     ridge = 1e-18
@@ -420,9 +421,10 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     two kernels on a sample, symmetrized over both directions.
 
     The outer max is probed with a deterministic low-discrepancy set of
-    unit-norm dual directions; the inner min over the other ball is solved
-    exactly (convex duality). Approximation error therefore only ever
-    underestimates the outer max.
+    unit-norm dual directions; the inner min over the other ball is the
+    L-BFGS-B value of its box dual (see ``_unit_ball_l1_gap``), a lower bound
+    with no certificate. Both approximations can only underestimate the
+    distance.
     """
     require_int(probe_budget, "probe_budget", 1)
     X = as_points(sample)

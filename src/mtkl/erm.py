@@ -4,7 +4,8 @@ For a fixed kernel the multi-task objective decomposes over tasks, so the
 search is: enumerate candidate kernels from the family in a canonical
 deterministic order, fit every task independently for each candidate, and
 keep the candidate with the lowest average empirical margin error (ties go
-to the lowest candidate index).
+to the lowest candidate index). The (candidate, task) problems of a search
+go to ``margin.fit_stack`` in one call, which decides how they are stacked.
 
 Candidate enumeration is exhaustive for finite structures (dictionary
 vertices, sparse-support subsets) and grid-based for continuous parameters
@@ -25,18 +26,13 @@ import numpy as np
 
 from .errors import BudgetError, InputError, require_int
 from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, instantiate
+# fit_single_task is not called here: every fit goes through fit_stack.
+# perfbench/tracer.py wraps this binding.
 from .margin import MarginParams, Predictor, TaskData, empirical_margin_error, \
     fit_single_task, fit_stack
 
 LINEAR_COMBO_SCALES = (0.5, 1.0, 2.0)
 GAUSSIAN_AXIS_BOOST = 4.0
-# Largest Gram stack solved in lockstep. Stacking removes the per-call
-# overhead of small problems: one matvec on a (64, 20, 20) stack took 8-13 us
-# against 100-140 us for 64 separate ones (2-vCPU Xeon, one OpenBLAS thread).
-# At m = 256 it saved under a tenth (190 against 205 us for 8 matvecs), while
-# every stacked Gram adds 512 KiB to peak memory. At 256 KiB, problems with
-# m <= 128 are stacked and larger ones are solved one at a time.
-STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +195,10 @@ def fit_candidates(kernels: Sequence[Kernel], sample: MultiTaskSample,
                    params: MarginParams
                    ) -> list[tuple[tuple[Predictor, ...], tuple[float, ...]]]:
     """Fit all tasks independently for each kernel: one (predictors, errors)
-    pair per kernel, in order.
-
-    The (kernel, task) problems are solved as stacks whose Grams take at
-    most STACK_BYTES; a stack of one problem goes to ``fit_single_task``.
-    """
-    problems = [(kernel, task) for kernel in kernels for task in sample.tasks]
-    per_stack = max(1, STACK_BYTES // (8 * sample.m ** 2))
-    predictors: list[Predictor] = []
-    for start in range(0, len(problems), per_stack):
-        stack = problems[start:start + per_stack]
-        if len(stack) == 1:
-            predictors.append(fit_single_task(*stack[0], params))
-        else:
-            predictors.extend(fit_stack(stack, params))
+    pair per kernel, in order. Every (kernel, task) problem goes to one
+    ``fit_stack`` call."""
+    predictors = fit_stack(
+        [(kernel, task) for kernel in kernels for task in sample.tasks], params)
     fits = []
     for k in range(len(kernels)):
         preds = tuple(predictors[k * sample.n:(k + 1) * sample.n])

@@ -10,6 +10,9 @@ monotone backtracking. The projection divides by the K-norm (the constraint
 lives in the RKHS, not in coefficient space). Hinge is a surrogate: reported
 errors are always the 0-1 margin error of the achieved iterate, which is all
 the downstream deviation checks require.
+
+``fit_stack`` is the one function that turns (kernel, task) pairs into
+predictors; ``fit_single_task`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ from .kernels import Kernel, as_points, psd_defect
 # or after PGD_MAX_ITERS steps.
 PGD_TOL = 1e-6
 PGD_MAX_ITERS = 2000
+# Largest Gram stack solved in lockstep. Stacking removes the per-call
+# overhead of small problems: one matvec on a (64, 20, 20) stack took 8-13 us
+# against 100-140 us for 64 separate ones (2-vCPU Xeon, one OpenBLAS thread).
+# At m = 256 it saved under a tenth (190 against 205 us for 8 matvecs), while
+# every stacked Gram adds 512 KiB to peak memory. At 256 KiB, problems with
+# m <= 128 are stacked and larger ones are solved one at a time.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,48 +95,40 @@ class Predictor:
 
 def empirical_margin_error(predictor: Predictor, data: TaskData, gamma: float) -> float:
     """Fraction of the sample with y h(x) < gamma (gamma=0 gives 0-1 error)."""
-    if data.m == 0:
-        raise InputError("empty sample")
     scores = data.y * predictor.evaluate(data.X)
     return float(np.mean(scores < gamma))
 
 
-def _training_problem(kernel: Kernel, data: TaskData):
-    """The PSD-checked training Gram and a feasible start for the solver."""
-    G = kernel.gram(data.X)
-    if psd_defect(G) > 0:
-        raise NumericError("training Gram matrix indefinite beyond tolerance")
-    # feasible start: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
-    return G, data.y / (data.m * np.sqrt(kernel.bound_b))
-
-
 def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Predictor:
-    """Minimize hinge-at-gamma over the kernel's unit ball.
-
-    Raises NumericError when the Gram matrix is indefinite beyond tolerance.
-    A run that exhausts ``PGD_MAX_ITERS`` while still improving returns the
-    best iterate with ``converged=False``.
-    """
-    G, alpha0 = _training_problem(kernel, data)
-    alpha, _obj, _iters, converged = _accel.hinge_pgd(
-        G, data.y, params.gamma, alpha0, PGD_MAX_ITERS, PGD_TOL)
-    return Predictor(alphas=alpha, support_sample=data.X, kernel=kernel,
-                     converged=bool(converged))
+    """``fit_stack`` on one (kernel, task) pair."""
+    return fit_stack([(kernel, data)], params)[0]
 
 
 def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
               params: MarginParams) -> list[Predictor]:
-    """``fit_single_task`` on every (kernel, task) pair, solved as one stack.
+    """Minimize hinge-at-gamma over each kernel's unit ball on its task.
 
-    The tasks must share one sample size. Each predictor is bit-identical to
-    the one ``fit_single_task`` returns for its pair.
+    The tasks must share one sample size. The pairs are solved in lockstep,
+    in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
+    on its stack. Raises NumericError when a Gram matrix is indefinite beyond
+    tolerance. A fit that exhausts ``PGD_MAX_ITERS`` while still improving
+    returns the best iterate with ``converged=False``.
     """
-    grams, starts = zip(*(_training_problem(kernel, task)
-                          for kernel, task in problems))
-    alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
-        np.stack(grams), np.stack([task.y for _, task in problems]),
-        params.gamma, np.stack(starts), PGD_MAX_ITERS, PGD_TOL)
-    return [Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
+    per_stack = max(1, STACK_BYTES // (8 * problems[0][1].m ** 2))
+    predictors: list[Predictor] = []
+    for start in range(0, len(problems), per_stack):
+        stack = problems[start:start + per_stack]
+        grams = np.stack([kernel.gram(task.X) for kernel, task in stack])
+        if any(psd_defect(G) > 0 for G in grams):
+            raise NumericError("training Gram matrix indefinite beyond tolerance")
+        # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
+        starts = np.stack([task.y / (task.m * np.sqrt(kernel.bound_b))
+                           for kernel, task in stack])
+        alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
+            grams, np.stack([task.y for _, task in stack]), params.gamma,
+            starts, PGD_MAX_ITERS, PGD_TOL)
+        predictors.extend(
+            Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
                       converged=bool(ok))
-            for (kernel, task), alpha, ok in zip(problems, alphas, converged)]
-
+            for (kernel, task), alpha, ok in zip(stack, alphas, converged))
+    return predictors

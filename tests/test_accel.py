@@ -133,7 +133,10 @@ def test_stacked_problem_matches_alone(seed, m, gamma, max_iters, tol, n_problem
         assert np.array_equal(stacked[0][row], alone[0])
         assert (stacked[1][row], stacked[2][row], stacked[3][row]) == alone[1:]
         one = _accel.hinge_pgd_batch(K[b:b + 1], y[b:b + 1], gamma, a0[b:b + 1], *rest)
+        assert [out.shape for out in one] == [(1, m), (1,), (1,), (1,)]
+        assert one[3].dtype == bool
         assert np.array_equal(one[0][0], alone[0])
+        assert (one[1][0], one[2][0], one[3][0]) == alone[1:]
 
 
 @settings(max_examples=20, deadline=None)

@@ -178,7 +178,7 @@ class TestErmFit:
         fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
         budget = SearchBudget(grid_resolution=2, refine_rounds=1)
         stacked = erm_fit(fam, sample, PARAMS, budget)
-        monkeypatch.setattr(erm, "STACK_BYTES", 1)  # one problem per solve
+        monkeypatch.setattr(margin, "STACK_BYTES", 1)  # one problem per solve
         alone = erm_fit(fam, sample, PARAMS, budget)
         assert alone.candidate_label == stacked.candidate_label
         assert alone.avg_empirical_margin_error == stacked.avg_empirical_margin_error

@@ -55,6 +55,10 @@ class TestEmpiricalMarginError:
         with pytest.raises(InputError, match="labels"):
             TaskData(X=np.zeros((2, 1)), y=np.array([1.0, 0.0]))
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(InputError, match="empty"):
+            TaskData(X=np.empty((0, 2)), y=np.empty(0))
+
     @given(margins=hnp.arrays(np.float64, st.integers(1, 40),
                               elements=st.floats(-2, 2)),
            g1=st.floats(0, 1.5), g2=st.floats(0, 1.5))
@@ -143,6 +147,39 @@ class TestFitSingleTask:
         assert not pred.converged
 
 
+class TestFitStack:
+    def test_split_stacks_match_scalar_solver(self, monkeypatch):
+        # 9 problems in stacks of 4, 4 and 1; each fit must equal hinge_pgd
+        # on its own problem, bit for bit
+        rng = np.random.default_rng(12)
+        m, params = 14, MarginParams(gamma=0.15)
+        problems = []
+        for _ in range(9):
+            X = rng.uniform(-1, 1, (m, 2))
+            y = np.where(X[:, 0] + 0.4 * rng.standard_normal(m) >= 0, 1.0, -1.0)
+            kernel = rbf_kernel(float(rng.uniform(0.3, 2.0)))
+            problems.append((kernel, TaskData(X=X, y=y)))
+        monkeypatch.setattr(margin, "STACK_BYTES", 4 * 8 * m * m + 7)
+        sizes = []
+        batch = _accel.hinge_pgd_batch
+
+        def spy(K, *args):
+            sizes.append(len(K))
+            return batch(K, *args)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
+        fits = margin.fit_stack(problems, params)
+        assert sizes == [4, 4, 1]
+        for (kernel, task), pred in zip(problems, fits):
+            alpha, _, _, converged = _accel.hinge_pgd(
+                kernel.gram(task.X), task.y, params.gamma,
+                task.y / (m * np.sqrt(kernel.bound_b)),
+                margin.PGD_MAX_ITERS, margin.PGD_TOL)
+            assert pred.alphas.tobytes() == alpha.tobytes()
+            assert pred.converged == converged
+            assert pred.kernel is kernel and pred.support_sample is task.X
+
+
 class FixedScoreDistribution:
     """Labels equal sign(x_0) with an optional flip; inputs uniform."""
 
@@ -208,6 +245,23 @@ class TestTrueMarginError:
             er0 = avg_true_error([pred], [dist], 0.0, 2_000, seed=seed)
             er2 = avg_true_error([pred], [dist], 2 * gamma, 2_000, seed=seed)
             assert er0 <= er2
+
+    def test_score_at_margin_is_not_an_error(self):
+        # h = 0.25 everywhere: at margin 0.25 a +1 label ties (no error) and
+        # a -1 label scores -0.25 (an error), so the risk is the share of -1
+        # labels among the draws
+        const = custom_kernel(lambda a, b: 1.0, bound_b=1.0)
+        pred = Predictor(alphas=np.array([0.25]),
+                         support_sample=np.array([[0.0]]), kernel=const)
+        dist = FixedScoreDistribution(flip=0.3)
+        seed, draws = 5, 2_000
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        _, y = dist.sample(draws, np.random.default_rng(stream))
+        negative_share = float(np.mean(y < 0))
+        assert 0.0 < negative_share < 1.0
+        risk = avg_true_error([pred], [dist], 0.25, draws, seed=seed)
+        assert risk == negative_share
+        assert risk < 1.0
 
     def test_mc_samples_validated(self):
         with pytest.raises(InputError):
