@@ -1,10 +1,8 @@
-"""Hot numeric kernels: the cross-Gram builders and the hinge solver
-(``hinge_pgd`` and its stacked form ``hinge_pgd_batch``, which
-``margin.fit_stack`` calls and which hands a one-problem stack to
-``hinge_pgd``) in numpy, and the pruned shattering search. A Gram is a
-cross-Gram of one array with itself (see ``BaseKernel.gram``). Everything
-here is deterministic for a fixed input; ``tests/test_accel.py`` checks each
-function against an independent oracle.
+"""Hot numeric routines: the hinge solver (``hinge_pgd`` and its stacked
+form ``hinge_pgd_batch``, which ``margin.fit_stack`` calls and which hands a
+one-problem stack to ``hinge_pgd``) and the pruned shattering search
+``shatter_scan``. Everything here is deterministic for a fixed input;
+``tests/test_accel.py`` checks each function against an independent oracle.
 """
 
 from __future__ import annotations
@@ -12,58 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# Cross-Gram builders.
-# ---------------------------------------------------------------------------
-
-# Bytes of xx + zz that _sq_dists holds at once. Two full (m, N) buffers per
-# call, freed together at the top of the heap, can make glibc trim and
-# re-fault them on every block that Kernel.expand scores: a (32, 4096) RBF
-# block then took 1.13 ms and about 500 page faults instead of 0.55 ms. With
-# one full buffer it took 0.51-0.53 ms either way, and calls on a few points
-# about 1 us more (2-vCPU Xeon, glibc 2.36, one OpenBLAS thread).
-SUM_BLOCK_BYTES = 1 << 18
-
-
-def _sq_dists(X, Z):
-    # max((xx + zz) - 2·(X Zᵀ), 0) by the operations of that expression in
-    # its order, so the values are the same bits, in one (m, N) buffer: the
-    # rows of xx + zz are formed SUM_BLOCK_BYTES at a time
-    xx = np.sum(X * X, axis=1)[:, None]
-    zz = np.sum(Z * Z, axis=1)[None, :]
-    d2 = X @ Z.T
-    d2 *= 2.0
-    step = max(1, SUM_BLOCK_BYTES // (8 * d2.shape[1]))
-    for r in range(0, len(d2), step):
-        part = d2[r:r + step]
-        np.subtract(xx[r:r + step] + zz, part, out=part)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def rbf_cross(X, Z, bandwidth):
-    # exp(-d2 / (2 bw²)) in place: negate, divide, exp, in that order
-    K = _sq_dists(X, Z)
-    np.negative(K, out=K)
-    K /= 2.0 * bandwidth * bandwidth
-    np.exp(K, out=K)
-    return K
-
-
-def linear_cross(X, Z, scale):
-    return scale * (X @ Z.T)
-
-
-def poly_cross(X, Z, scale, coef0, degree):
-    return (scale * (X @ Z.T) + coef0) ** degree
-
-
-def metric_cross(X, Z, M):
-    diff = X[:, None, :] - Z[None, :, :]
-    q = np.einsum("ijk,kl,ijl->ij", diff, M, diff)
-    return np.exp(-0.5 * q)
-
 
 # ---------------------------------------------------------------------------
 # Hinge solver.

@@ -39,6 +39,9 @@ from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
                   searched_family_bound)
 
 MAX_REJECTION_ROUNDS = 1000
+# The input_law keys each kind reads beside kind and dim; it reads no other.
+INPUT_LAW_KEYS = {"uniform_cube": ("low", "high"),
+                  "gaussian_mixture": ("means", "scales", "weights")}
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -61,8 +64,11 @@ class InputLaw:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform_cube", "gaussian_mixture"):
+        if self.kind not in tuple(INPUT_LAW_KEYS):
             raise InputError(f"unknown input law {self.kind!r}")
+        for name in INPUT_LAW_KEYS["gaussian_mixture"]:
+            if self.kind == "uniform_cube" and getattr(self, name) is not None:
+                raise InputError(f"uniform_cube input law does not read {name}")
         require_int(self.dim, "input_law dim", 1)
         require_number(self.low, "input_law low")
         require_number(self.high, "input_law high")
@@ -479,15 +485,21 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
     for key in ("dictionary", "clusters"):
         if not isinstance(spec[key], list):
             raise InputError(f"environment {key} must be a list")
-    require_keys(spec["input_law"], {"kind", "dim", "low", "high", "means",
-                                     "scales", "weights"}, "input_law spec", ("dim",))
+    law = spec["input_law"]
+    if not isinstance(law, dict):
+        raise InputError("input_law spec must be a JSON object")
+    kind = law.get("kind", InputLaw.kind)
+    if kind not in tuple(INPUT_LAW_KEYS):  # a JSON list is unhashable
+        raise InputError(f"unknown input law {kind!r}")
+    require_keys(law, {"kind", "dim", *INPUT_LAW_KEYS[kind]},
+                 f"{kind} input_law spec", ("dim",))
     for c in spec["clusters"]:
         require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
                          "flip_rate", "balance_slack"}, "cluster spec",
                      ("kernel_index",))
     return TaskEnvironment(
         dictionary=tuple(kernel_from_dict(k) for k in spec["dictionary"]),
-        input_law=InputLaw(**spec["input_law"]),
+        input_law=InputLaw(**law),
         clusters=tuple(TaskCluster(**c) for c in spec["clusters"]))
 
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _accel
 from .errors import (InputError, NumericError, number_array, read_json,
                      require_int, require_keys, require_number)
 
@@ -65,6 +64,40 @@ def as_points(sample) -> np.ndarray:
     if X.shape[0] == 0:
         raise InputError("sample is empty")
     return X
+
+
+# Bytes of xx + zz that _sq_dists holds at once. Two full (m, N) buffers per
+# call, freed together at the top of the heap, can make glibc trim and
+# re-fault them on every block that Kernel.expand scores: a (32, 4096) RBF
+# block then took 1.13 ms and about 500 page faults instead of 0.55 ms. With
+# one full buffer it took 0.51-0.53 ms either way, and calls on a few points
+# about 1 us more (2-vCPU Xeon, glibc 2.36, one OpenBLAS thread).
+SUM_BLOCK_BYTES = 1 << 18
+
+
+def _sq_dists(X, Z):
+    # max((xx + zz) - 2·(X Zᵀ), 0) by the operations of that expression in
+    # its order, so the values are the same bits, in one (m, N) buffer: the
+    # rows of xx + zz are formed SUM_BLOCK_BYTES at a time
+    xx = np.sum(X * X, axis=1)[:, None]
+    zz = np.sum(Z * Z, axis=1)[None, :]
+    d2 = X @ Z.T
+    d2 *= 2.0
+    step = max(1, SUM_BLOCK_BYTES // (8 * d2.shape[1]))
+    for r in range(0, len(d2), step):
+        part = d2[r:r + step]
+        np.subtract(xx[r:r + step] + zz, part, out=part)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _rbf_cross(X, Z, bandwidth):
+    # exp(-d2 / (2 bw²)) in place: negate, divide, exp, in that order
+    K = _sq_dists(X, Z)
+    np.negative(K, out=K)
+    K /= 2.0 * bandwidth * bandwidth
+    np.exp(K, out=K)
+    return K
 
 
 # The number fields each base kernel kind reads; every kind declares a bound
@@ -139,13 +172,14 @@ class BaseKernel:
 
     def _values(self, Xs: np.ndarray, Zs: np.ndarray) -> np.ndarray:
         if self.kind == "rbf":
-            return _accel.rbf_cross(Xs, Zs, self.bandwidth)
+            return _rbf_cross(Xs, Zs, self.bandwidth)
         if self.kind == "linear":
-            return _accel.linear_cross(Xs, Zs, self.scale)
+            return self.scale * (Xs @ Zs.T)
         if self.kind == "poly":
-            return _accel.poly_cross(Xs, Zs, self.scale, self.coef0, self.degree)
+            return (self.scale * (Xs @ Zs.T) + self.coef0) ** self.degree
         if self.kind == "gaussian_metric":
-            return _accel.metric_cross(Xs, Zs, self.metric)
+            diff = Xs[:, None, :] - Zs[None, :, :]
+            return np.exp(-0.5 * np.einsum("ijk,kl,ijl->ij", diff, self.metric, diff))
         G = np.empty((Xs.shape[0], Zs.shape[0]))
         for i in range(Xs.shape[0]):
             for j in range(Zs.shape[0]):

@@ -110,11 +110,15 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
 
     The tasks must share one sample size. The pairs are solved in lockstep,
     in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
-    on its stack. Raises NumericError when a Gram matrix is indefinite beyond
-    tolerance. A fit that exhausts ``PGD_MAX_ITERS`` while still improving
-    returns the best iterate with ``converged=False``.
+    on its stack. Raises InputError, before any Gram is built, for no pairs
+    or more than one sample size, and NumericError when a Gram matrix is
+    indefinite beyond tolerance. A fit that exhausts ``PGD_MAX_ITERS`` while
+    still improving returns the best iterate with ``converged=False``.
     """
-    per_stack = max(1, STACK_BYTES // (8 * problems[0][1].m ** 2))
+    sizes = sorted({task.m for _, task in problems})
+    if len(sizes) != 1:
+        raise InputError(f"fit_stack needs tasks of one sample size, got {sizes}")
+    per_stack = max(1, STACK_BYTES // (8 * sizes[0] ** 2))
     predictors: list[Predictor] = []
     for start in range(0, len(problems), per_stack):
         stack = problems[start:start + per_stack]

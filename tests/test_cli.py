@@ -327,6 +327,26 @@ class TestLearnCommand:
         assert "dims entry 3" in err and "width 3" in err
 
 
+    @pytest.mark.parametrize("dictionary,flags,code,category", [
+        ([{"type": "linear", "scale": -1.0}], [], 3, "numeric"),
+        ([{"type": "rbf", "bandwidth": 0.5}, {"type": "rbf", "bandwidth": 1.0}],
+         ["--grid-resolution", "4", "--max-candidates", "2"], 4, "budget"),
+    ], ids=["negative_linear_scale", "grid_over_candidate_budget"])
+    def test_numeric_and_budget_errors_exit_3_and_4(
+            self, data_file, tmp_path, capsys, dictionary, flags, code,
+            category):
+        # a negative scale makes every Gram negative semidefinite; a grid of
+        # resolution 4 over two kernels holds more than two candidates
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo",
+                                    "dictionary": dictionary}))
+        out_dir = tmp_path / "o"
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(out_dir), *flags])
+        assert rc == code
+        assert f"error-category: {category}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
         out_dir = str(tmp_path / "sh")
@@ -748,6 +768,33 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error-category: input" in err and "sparsity" in err
+
+    def test_environment_file_is_read_relative_to_config(self, tmp_path,
+                                                         capsys, monkeypatch):
+        inline = self._config(tmp_path, "sandwich", n=2, m=12)
+        with open(inline, encoding="utf-8") as fh:
+            config = json.load(fh)
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "env.json").write_text(json.dumps(config["environment"]))
+        for name, env in (("by_path", "env.json"), ("missing", "nope.json")):
+            (configs / f"{name}.json").write_text(
+                json.dumps({**config, "environment": env}))
+        monkeypatch.chdir(tmp_path)  # the environment is not beside the cwd
+        runs = {}
+        for name, cfg in (("inline", inline),
+                          ("by_path", str(configs / "by_path.json"))):
+            assert main(["experiment", "--config", cfg, "--out-dir",
+                         str(tmp_path / name), "--seed", "3"]) == 0
+            runs[name] = (tmp_path / name / "trials.csv").read_bytes()
+        assert runs["by_path"] == runs["inline"]
+        capsys.readouterr()
+        rc = main(["experiment", "--config", str(configs / "missing.json"),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "nope.json" in err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg = self._config(tmp_path, "sandwich", n=2, m=10)

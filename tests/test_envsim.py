@@ -458,6 +458,13 @@ class TestEnvironmentFiles:
         with pytest.raises(InputError, match="finite"):
             InputLaw(dim=2, low=low, high=high)
 
+    @pytest.mark.parametrize("field,value", [("means", [[0.0, 0.0]]),
+                                             ("scales", [2.0]),
+                                             ("weights", [1.0])])
+    def test_uniform_cube_rejects_mixture_fields(self, field, value):
+        with pytest.raises(InputError, match=f"does not read {field}"):
+            InputLaw(kind="uniform_cube", dim=2, **{field: value})
+
     def test_gaussian_mixture_input_law(self):
         means = np.array([[-10.0, 0.0], [10.0, 5.0]])
         scales, N = np.array([0.5, 1.5]), 20_000
@@ -476,14 +483,25 @@ class TestEnvironmentFiles:
             assert abs(resid.std() - scales[c]) <= \
                 3 * scales[c] / np.sqrt(2 * len(resid))
 
-    @pytest.mark.parametrize("law", [
-        {},
-        {"means": [[0.0, 0.0, 0.0]]},
-        {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0]},
-        {"means": [[0.0, 0.0], [1.0, 1.0]], "weights": [1.0, 1.0, 1.0]},
-        {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, -1.0]},
+    @pytest.mark.parametrize("law,match", [
+        ({}, "means"),
+        ({"means": [[0.0, 0.0, 0.0]]}, "shapes"),
+        ({"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0]}, "shapes"),
+        ({"means": [[0.0, 0.0], [1.0, 1.0]], "weights": [1.0, 1.0, 1.0]},
+         "shapes"),
+        ({"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, -1.0]},
+         "scales"),
+        # keys the other kind reads: a mixture has no low or high, and a
+        # cube no means, scales or weights
+        ({"means": [[0.0, 0.0]], "low": -1.0}, "'low'"),
+        ({"means": [[0.0, 0.0]], "high": 1.0}, "'high'"),
+        ({"kind": "uniform_cube", "means": [[0.0, 0.0]]}, "'means'"),
+        ({"kind": "uniform_cube", "scales": [2.0]}, "'scales'"),
+        ({"kind": "uniform_cube", "weights": [1.0]}, "'weights'"),
+        ({"kind": "uniform_cube", "low": None}, "low"),
     ], ids=["no_means", "means_dim", "scales_count", "weights_count",
-            "negative_scale"])
-    def test_malformed_gaussian_mixture_rejected(self, law):
-        with pytest.raises(InputError):
+            "negative_scale", "mixture_low", "mixture_high", "cube_means",
+            "cube_scales", "cube_weights", "cube_low_null"])
+    def test_malformed_gaussian_mixture_rejected(self, law, match):
+        with pytest.raises(InputError, match=match):
             environment_from_dict(self._mixture_spec(**law))

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from _oracles import kernel_expansion_fsum
 from mtkl import (InputError, KernelFamily, NumericError, Predictor,
                   check_kernel_invariants, instantiate, kernel_from_dict,
-                  kernel_to_dict, linear_kernel, min_eigenvalue, pd_upper_bound,
-                  poly_kernel, psd_defect, rbf_kernel)
+                  kernel_to_dict, kernels, linear_kernel, min_eigenvalue,
+                  pd_upper_bound, poly_kernel, psd_defect, rbf_kernel)
 from mtkl.envsim import InputLaw, make_planted_distribution
-from mtkl.kernels import (EVAL_BLOCK, custom_kernel, family_from_dict,
-                          family_to_dict, gaussian_metric_kernel)
+from mtkl.kernels import (EVAL_BLOCK, BaseKernel, custom_kernel,
+                          family_from_dict, family_to_dict,
+                          gaussian_metric_kernel)
 
 
 def random_dictionary(rng, size, dim):
@@ -75,6 +76,81 @@ class TestGram:
             G = k.gram(X)
             assert min_eigenvalue(G) >= -1e-8 * np.trace(G)
             check_kernel_invariants(k, X)
+
+
+def _dot(x, z):
+    return math.fsum(a * b for a, b in zip(x, z))
+
+
+def _metric_form(x, z, M):
+    diff = [a - b for a, b in zip(x, z)]
+    return math.fsum(diff[a] * M[a][b] * diff[b]
+                     for a in range(len(diff)) for b in range(len(diff)))
+
+
+RNG = np.random.default_rng(0)
+A = RNG.standard_normal((3, 3))
+M = A @ A.T + 0.1 * np.eye(3)  # a full symmetric positive definite metric
+
+
+def _rbf(x, z):
+    return math.exp(-math.fsum((a - b) ** 2 for a, b in zip(x, z)) / (2 * 0.8 ** 2))
+
+
+# name -> (base kernel keywords, textbook k(x, z)); every kernel reads 3 coordinates
+KERNELS = {
+    "rbf": (dict(kind="rbf", bandwidth=0.8), _rbf),
+    "linear": (dict(kind="linear", scale=0.5), lambda x, z: 0.5 * _dot(x, z)),
+    "poly": (dict(kind="poly", scale=1.0, coef0=0.5, degree=3),
+             lambda x, z: (1.0 * _dot(x, z) + 0.5) ** 3),
+    "metric": (dict(kind="gaussian_metric", metric=M),
+               lambda x, z: math.exp(-0.5 * _metric_form(x, z, M.tolist()))),
+    "custom": (dict(kind="custom", func=_rbf), _rbf),
+}
+
+
+def textbook(entry, X, Z):
+    return np.array([[entry(x, z) for z in Z.tolist()] for x in X.tolist()])
+
+
+@pytest.mark.parametrize("m,p", [(1, 1), (14, 9), (33, 5)])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_gram_builders_match_textbook_formula(name, m, p):
+    keywords, entry = KERNELS[name]
+    rng = np.random.default_rng(m)
+    X, Z = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (p, 3))
+    W = rng.uniform(-1, 1, (m, 5))
+    duplicated = np.vstack([X, X[-1:], X[:1]])
+    cases = [(BaseKernel(**keywords), X, X),
+             (BaseKernel(**keywords), duplicated, duplicated),
+             (BaseKernel(**keywords, dims=(4, 0, 2)), W, W[:, [4, 0, 2]])]
+    for base, points, selected in cases:
+        G = base.gram(points)
+        # absolute slack for entries that are sums cancelling to near zero
+        np.testing.assert_allclose(G, textbook(entry, selected, selected),
+                                   rtol=1e-12, atol=1e-14)
+        assert np.array_equal(G, G.T)
+        if name in ("rbf", "metric"):
+            assert np.all(np.diag(G) == 1.0)
+    base = BaseKernel(**keywords)
+    np.testing.assert_allclose(base.cross(X, Z), textbook(entry, X, Z),
+                               rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8, 8 * 5000 * 7])
+@pytest.mark.parametrize("m,p", [(1, 1), (32, 5000), (33, 3)])
+def test_sq_dists_in_row_blocks_match_whole_matrix(m, p, block_bytes,
+                                                   monkeypatch):
+    # (xx + zz) - 2·(X Zᵀ), clipped at 0, formed on the whole matrix: bit for
+    # bit the same whether _sq_dists sums in one block, row by row or in
+    # uneven blocks
+    if block_bytes is not None:
+        monkeypatch.setattr(kernels, "SUM_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(p)
+    X, Z = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (p, 3))
+    whole = np.maximum((np.sum(X * X, axis=1)[:, None]
+                        + np.sum(Z * Z, axis=1)[None, :]) - 2.0 * (X @ Z.T), 0.0)
+    assert kernels._sq_dists(X, Z).tobytes() == whole.tobytes()
 
 
 class TestInstantiate:

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
                   avg_true_error, empirical_margin_error, fit_single_task,
                   rbf_kernel, linear_kernel)
-from mtkl.kernels import custom_kernel
+from mtkl.kernels import Kernel, custom_kernel
 from mtkl import _accel, margin
 
 import _oracles as orc
@@ -178,6 +178,28 @@ class TestFitStack:
             assert pred.alphas.tobytes() == alpha.tobytes()
             assert pred.converged == converged
             assert pred.kernel is kernel and pred.support_sample is task.X
+
+    @pytest.mark.parametrize("sizes,stack_bytes,needle", [
+        ((), None, r"got \[\]"),
+        ((3, 4), None, r"got \[3, 4\]"),
+        ((4, 3, 4), 8 * 4 * 4, r"got \[3, 4\]"),  # one problem per stack
+    ], ids=["empty", "mixed_in_one_stack", "mixed_across_stacks"])
+    def test_input_checked_before_any_gram(self, monkeypatch, sizes,
+                                           stack_bytes, needle):
+        rng = np.random.default_rng(3)
+        problems = [(rbf_kernel(0.5),
+                     TaskData(X=rng.uniform(-1, 1, (m, 2)),
+                              y=np.resize([1.0, -1.0], m)))
+                    for m in sizes]
+        if stack_bytes is not None:
+            monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
+
+        def no_gram(*args):
+            raise AssertionError("a Gram was built")
+
+        monkeypatch.setattr(Kernel, "gram", no_gram)
+        with pytest.raises(InputError, match=needle):
+            margin.fit_stack(problems, MarginParams(gamma=0.2))
 
 
 class FixedScoreDistribution:
