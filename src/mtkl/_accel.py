@@ -146,14 +146,16 @@ def _rowdot(x, z):
 
 
 def hinge_pgd_batch(K, y, gamma, alpha0, max_iters, tol):
-    """``hinge_pgd`` on a stack of problems in lockstep: K is (B, m, m), y
-    and alpha0 are (B, m). A problem leaves the working stack when it stops.
-    Returns alpha (B, m), objective (B,), iterations (B,) and converged (B,),
-    each entry bit-identical to ``hinge_pgd`` on that problem alone."""
+    """``hinge_pgd`` on a stack of problems in lockstep: K is a sequence of
+    B (m, m) Grams, stacked here only when B > 1; y and alpha0 are (B, m).
+    A problem leaves the working stack when it stops. Returns alpha (B, m),
+    objective (B,), iterations (B,) and converged (B,), each entry
+    bit-identical to ``hinge_pgd`` on that problem alone."""
     n_problems, m = y.shape
     if n_problems == 1:
         return tuple(np.array([out]) for out in
                      hinge_pgd(K[0], y[0], gamma, alpha0[0], max_iters, tol))
+    K = np.stack(K)
     alpha = np.array(alpha0, dtype=np.float64)
     obj = np.empty(n_problems)
     iters = np.full(n_problems, max_iters, dtype=np.int64)

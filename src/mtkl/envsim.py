@@ -57,8 +57,8 @@ class InputLaw:
 
     kind: str = "uniform_cube"
     dim: int = 2
-    low: float = -1.0
-    high: float = 1.0
+    low: Optional[float] = None  # a uniform_cube fills in -1
+    high: Optional[float] = None  # a uniform_cube fills in 1
     means: Optional[np.ndarray] = None
     scales: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
@@ -66,15 +66,19 @@ class InputLaw:
     def __post_init__(self):
         if self.kind not in tuple(INPUT_LAW_KEYS):
             raise InputError(f"unknown input law {self.kind!r}")
-        for name in INPUT_LAW_KEYS["gaussian_mixture"]:
-            if self.kind == "uniform_cube" and getattr(self, name) is not None:
-                raise InputError(f"uniform_cube input law does not read {name}")
+        for kind, names in INPUT_LAW_KEYS.items():
+            for name in names:
+                if kind != self.kind and getattr(self, name) is not None:
+                    raise InputError(f"{self.kind} input law does not read {name}")
         require_int(self.dim, "input_law dim", 1)
-        require_number(self.low, "input_law low")
-        require_number(self.high, "input_law high")
-        # sample's in-place scaling would turn an overflowing span into inf
-        if self.kind == "uniform_cube" and not 0 < self._span() < np.inf:
-            raise InputError("uniform_cube requires a finite high - low > 0")
+        if self.kind == "uniform_cube":
+            for name, default in (("low", -1.0), ("high", 1.0)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
+                require_number(getattr(self, name), f"input_law {name}")
+            # sample's in-place scaling would turn an overflowing span into inf
+            if not 0 < self._span() < np.inf:
+                raise InputError("uniform_cube requires a finite high - low > 0")
         if self.kind == "gaussian_mixture":
             if self.means is None:
                 raise InputError("gaussian_mixture requires component means")
@@ -493,6 +497,9 @@ def environment_from_dict(spec: dict) -> TaskEnvironment:
         raise InputError(f"unknown input law {kind!r}")
     require_keys(law, {"kind", "dim", *INPUT_LAW_KEYS[kind]},
                  f"{kind} input_law spec", ("dim",))
+    for key in INPUT_LAW_KEYS["uniform_cube"]:
+        if key in law:  # null, unlike an absent key, is an error
+            require_number(law[key], f"input_law {key}")
     for c in spec["clusters"]:
         require_keys(c, {"weight", "kernel_index", "n_anchors", "margin_gap",
                          "flip_rate", "balance_slack"}, "cluster spec",

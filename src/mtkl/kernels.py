@@ -31,12 +31,13 @@ PSD_TOL_FACTOR = 1e-8
 # check_kernel_invariants lets the Gram diagonal exceed bound_b by this share
 BOUND_REL_TOL = 1e-9
 # Rows per block of Kernel.expand. A criteria 3-4 trial, which scores 100k
-# Monte Carlo points against 32 support points, took 0.34-0.47 s in blocks of
-# 1024 to 8192 rows (no size consistently ahead) and 0.58-0.70 s in one
-# block, whose (32, 100k) buffers hold 25.6 MB each (2-vCPU Xeon, one
-# OpenBLAS thread). Whether blocked values equal one-block values bit for bit
-# is up to the BLAS: on OpenBLAS 0.3.31 some short last blocks change the
-# last ulp, but the 20k, 40k and 100k rows the benchmark scores do not.
+# Monte Carlo points against 32 support points, took 0.17-0.19 s in blocks
+# of 1024 or 2048 rows, 0.14-0.16 s in blocks of 4096 or 8192, and
+# 0.15-0.17 s in one block, whose (32, 100k) buffers hold 25.6 MB each
+# (measured 2026-10-20 on a 2-vCPU Xeon, one OpenBLAS thread). Whether
+# blocked values equal one-block values bit for bit is up to the BLAS: on
+# OpenBLAS 0.3.31 some short last blocks change the last ulp, but the 20k,
+# 40k and 100k rows the benchmark scores do not.
 EVAL_BLOCK = 4096
 
 # variants whose members are weighted combinations of a kernel dictionary
@@ -66,23 +67,44 @@ def as_points(sample) -> np.ndarray:
     return X
 
 
-# Bytes of xx + zz that _sq_dists holds at once. Two full (m, N) buffers per
-# call, freed together at the top of the heap, can make glibc trim and
+# Bytes of xx + zz that _half_sq_dists holds at once. Two full (m, N) buffers
+# per call, freed together at the top of the heap, can make glibc trim and
 # re-fault them on every block that Kernel.expand scores: a (32, 4096) RBF
 # block then took 1.13 ms and about 500 page faults instead of 0.55 ms. With
 # one full buffer it took 0.51-0.53 ms either way, and calls on a few points
-# about 1 us more (2-vCPU Xeon, glibc 2.36, one OpenBLAS thread).
+# about 1 us more (2-vCPU Xeon, glibc 2.36, one OpenBLAS thread). On
+# 2026-10-20, on the same kind of host, a (32, 4096) block of 2-wide points
+# took 0.37 ms in the older form (np.sum norms, X Zᵀ doubled, a separate
+# negation) and 0.28 ms in the halved form below.
 SUM_BLOCK_BYTES = 1 << 18
 
 
-def _sq_dists(X, Z):
-    # max((xx + zz) - 2·(X Zᵀ), 0) by the operations of that expression in
-    # its order, so the values are the same bits, in one (m, N) buffer: the
-    # rows of xx + zz are formed SUM_BLOCK_BYTES at a time
-    xx = np.sum(X * X, axis=1)[:, None]
-    zz = np.sum(Z * Z, axis=1)[None, :]
+def _half_sq_norms(X):
+    # np.sum(X * X, axis=1) / 2. Below width 8 numpy adds each row's squares
+    # left to right, which summing column by column repeats in one pass per
+    # column instead of one tiny inner loop per row. From width 8 numpy sums
+    # a C-ordered row 8-way pairwise, so np.sum stays there.
+    width = X.shape[1]
+    if 0 < width < 8:
+        norms = X[:, 0] * X[:, 0]
+        for j in range(1, width):
+            norms += X[:, j] * X[:, j]
+    else:
+        norms = np.sum(X * X, axis=1)
+    norms *= 0.5
+    return norms
+
+
+def _half_sq_dists(X, Z):
+    # max((xx + zz) - 2·(X Zᵀ), 0) / 2, as max((xx/2 + zz/2) - X Zᵀ, 0) in
+    # one (m, N) buffer; the rows of xx/2 + zz/2 are formed SUM_BLOCK_BYTES
+    # at a time. Halving is exact while values stay in the normal float
+    # range, so these are the bits of the full expression, halved, without
+    # its pass that doubles X Zᵀ. X @ Z.T is left as it is: on one buffer
+    # (every Gram) numpy takes a symmetric rank-k update.
+    xx = _half_sq_norms(X)[:, None]
+    zz = _half_sq_norms(Z)[None, :]
     d2 = X @ Z.T
-    d2 *= 2.0
     step = max(1, SUM_BLOCK_BYTES // (8 * d2.shape[1]))
     for r in range(0, len(d2), step):
         part = d2[r:r + step]
@@ -92,10 +114,10 @@ def _sq_dists(X, Z):
 
 
 def _rbf_cross(X, Z, bandwidth):
-    # exp(-d2 / (2 bw²)) in place: negate, divide, exp, in that order
-    K = _sq_dists(X, Z)
-    np.negative(K, out=K)
-    K /= 2.0 * bandwidth * bandwidth
+    # exp(-d2 / (2 bw²)) in place as exp((d2 / 2) / -(bw²)): the same
+    # quotient, so the same bits, with the negation folded into the divisor
+    K = _half_sq_dists(X, Z)
+    K /= -(bandwidth * bandwidth)
     np.exp(K, out=K)
     return K
 
@@ -239,10 +261,12 @@ class Kernel:
     def _weighted_sum(self, values) -> np.ndarray:
         # w1*g1 + w2*g2 + ... in term order, summed in place into the first
         # term's array: the same products and sums as the out-of-place form
+        # (a weight of 1 multiplies nothing)
         out = None
         for w, base in self.terms:
             g = values(base)
-            g *= w
+            if w != 1.0:
+                g *= w
             if out is None:
                 out = g
             else:

@@ -122,7 +122,9 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
     predictors: list[Predictor] = []
     for start in range(0, len(problems), per_stack):
         stack = problems[start:start + per_stack]
-        grams = np.stack([kernel.gram(task.X) for kernel, task in stack])
+        # a list: hinge_pgd_batch stacks it only for two problems or more,
+        # so a lone Gram is not held twice
+        grams = [kernel.gram(task.X) for kernel, task in stack]
         if any(psd_defect(G) > 0 for G in grams):
             raise NumericError("training Gram matrix indefinite beyond tolerance")
         # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1

@@ -9,11 +9,13 @@ integer sets, threshold candidates by a per-column ``np.unique`` loop, and
 the pseudodimension search by deciding every subset with a brute-force
 threshold loop), sparse search grids by filtering every count vector, and
 tiny fits by dense grids over the dual coefficients. Kernel expansions are
-summed entry by entry with ``math.fsum`` from textbook kernel formulas. The
-scalar hinge solver is the one-problem, one-trial-step-at-a-time loop that
-the vectorised solver in ``mtkl._accel`` must reproduce bit for bit. The
-full-width sampler draws every coordinate of every rejection round, as
-``Distribution.sample`` did before it drew only the planted rule's columns.
+summed entry by entry with ``math.fsum`` from textbook kernel formulas, and
+RBF cross-Grams are also built by the older in-place builder, which the
+package's must equal byte for byte. The scalar hinge solver is the
+one-problem, one-trial-step-at-a-time loop that the vectorised solver in
+``mtkl._accel`` must reproduce bit for bit. The full-width sampler draws
+every coordinate of every rejection round, as ``Distribution.sample`` did
+before it drew only the planted rule's columns.
 """
 
 import itertools
@@ -203,6 +205,26 @@ def kernel_expansion_fsum(kernel, coeffs, S, X) -> np.ndarray:
                                for w, base in kernel.terms
                                for c, s in zip(coeffs, S))
                      for x in X])
+
+
+def rbf_cross_reference(X, Z, bandwidth, block_bytes=1 << 18):
+    """exp(-max((xx + zz) - 2·(X Zᵀ), 0) / (2 bw²)) by the older builder's
+    operations in its order: ``np.sum`` row norms, X @ Zᵀ doubled in place,
+    (xx + zz) minus it in row blocks of ``block_bytes``, the clamp, the
+    negation, the division and ``exp``."""
+    xx = np.sum(X * X, axis=1)[:, None]
+    zz = np.sum(Z * Z, axis=1)[None, :]
+    d2 = X @ Z.T
+    d2 *= 2.0
+    step = max(1, block_bytes // (8 * d2.shape[1]))
+    for r in range(0, len(d2), step):
+        part = d2[r:r + step]
+        np.subtract(xx[r:r + step] + zz, part, out=part)
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * bandwidth * bandwidth
+    np.exp(d2, out=d2)
+    return d2
 
 
 def rel_err(value, oracle) -> float:

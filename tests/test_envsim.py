@@ -465,6 +465,21 @@ class TestEnvironmentFiles:
         with pytest.raises(InputError, match=f"does not read {field}"):
             InputLaw(kind="uniform_cube", dim=2, **{field: value})
 
+    @pytest.mark.parametrize("field", ["low", "high"])
+    def test_gaussian_mixture_rejects_cube_fields(self, field):
+        with pytest.raises(InputError, match=f"does not read {field}"):
+            InputLaw(kind="gaussian_mixture", dim=2, means=[[0.0, 0.0]],
+                     **{field: 5.0})
+
+    def test_only_a_cube_fills_in_its_bounds(self):
+        cube = InputLaw(dim=3)
+        assert (cube.low, cube.high) == (-1.0, 1.0)
+        got = cube.sample(9, np.random.default_rng(6))
+        want = np.random.default_rng(6).uniform(-1.0, 1.0, (9, 3))
+        assert got.tobytes() == want.tobytes()
+        mixture = InputLaw(kind="gaussian_mixture", dim=2, means=[[0.0, 0.0]])
+        assert (mixture.low, mixture.high) == (None, None)
+
     def test_gaussian_mixture_input_law(self):
         means = np.array([[-10.0, 0.0], [10.0, 5.0]])
         scales, N = np.array([0.5, 1.5]), 20_000

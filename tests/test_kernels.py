@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import kernel_expansion_fsum
+from _oracles import kernel_expansion_fsum, rbf_cross_reference
 from mtkl import (InputError, KernelFamily, NumericError, Predictor,
                   check_kernel_invariants, instantiate, kernel_from_dict,
                   kernel_to_dict, kernels, linear_kernel, min_eigenvalue,
                   pd_upper_bound, poly_kernel, psd_defect, rbf_kernel)
 from mtkl.envsim import InputLaw, make_planted_distribution
-from mtkl.kernels import (EVAL_BLOCK, BaseKernel, custom_kernel,
+from mtkl.kernels import (EVAL_BLOCK, BaseKernel, Kernel, custom_kernel,
                           family_from_dict, family_to_dict,
                           gaussian_metric_kernel)
 
@@ -141,16 +141,106 @@ def test_gram_builders_match_textbook_formula(name, m, p):
 @pytest.mark.parametrize("m,p", [(1, 1), (32, 5000), (33, 3)])
 def test_sq_dists_in_row_blocks_match_whole_matrix(m, p, block_bytes,
                                                    monkeypatch):
-    # (xx + zz) - 2·(X Zᵀ), clipped at 0, formed on the whole matrix: bit for
-    # bit the same whether _sq_dists sums in one block, row by row or in
-    # uneven blocks
+    # (xx + zz) - 2·(X Zᵀ), clipped at 0, formed on the whole matrix and
+    # halved: bit for bit what _half_sq_dists gives, whether it sums in one
+    # block, row by row or in uneven blocks
     if block_bytes is not None:
         monkeypatch.setattr(kernels, "SUM_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(p)
     X, Z = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (p, 3))
     whole = np.maximum((np.sum(X * X, axis=1)[:, None]
                         + np.sum(Z * Z, axis=1)[None, :]) - 2.0 * (X @ Z.T), 0.0)
-    assert kernels._sq_dists(X, Z).tobytes() == whole.tobytes()
+    assert kernels._half_sq_dists(X, Z).tobytes() == (0.5 * whole).tobytes()
+
+
+def _points(rng, rows, width, scale, ties):
+    # rows of standard normals times scale; with ties, rounded to a grid of
+    # 8 steps per scale so that many squared distances are exact
+    P = rng.standard_normal((rows, width)) * scale
+    return np.round(P * 8.0 / scale) * (scale / 8.0) if ties else P
+
+
+def _select(P, dims):
+    return P if dims is None else np.ascontiguousarray(P[:, list(dims)])
+
+
+def _rbf_expand_reference(terms, coeffs, S, X):
+    # Kernel.expand by the older builder: each block's terms built by
+    # rbf_cross_reference, weighted in place (a weight of 1 too) and summed
+    # in term order
+    out = np.empty(len(X))
+    for start in range(0, len(X), EVAL_BLOCK):
+        block = X[start:start + EVAL_BLOCK]
+        total = None
+        for w, base in terms:
+            g = rbf_cross_reference(_select(S, base.dims), _select(block, base.dims),
+                                    base.bandwidth)
+            g *= w
+            if total is None:
+                total = g
+            else:
+                total += g
+        out[start:start + EVAL_BLOCK] = coeffs @ total
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(width=st.integers(1, 12),
+       layout=st.sampled_from(["C", "F", "strided", "dims"]),
+       m=st.integers(1, 24), rows=st.sampled_from([1, 5, 64, EVAL_BLOCK + 37]),
+       log_bandwidth=st.floats(-1.5, 1.5), log_scale=st.floats(-2.0, 2.0),
+       ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(width=8, layout="C", m=6, rows=64, log_bandwidth=0.0, log_scale=0.0,
+         ties=False, seed=1)
+@example(width=7, layout="C", m=6, rows=64, log_bandwidth=0.0, log_scale=0.0,
+         ties=False, seed=2)
+@example(width=3, layout="dims", m=12, rows=5, log_bandwidth=-1.0,
+         log_scale=0.5, ties=False, seed=3)
+def test_rbf_builders_equal_reference_bytes(width, layout, m, rows,
+                                            log_bandwidth, log_scale, ties, seed):
+    # Gram, cross-Gram and expansion values of the RBF builder are the bytes
+    # of the older in-place builder, on either side of numpy's switch to
+    # pairwise row sums at width 8, for C-ordered, F-ordered and strided
+    # points, dims views, X is Z and two views of one buffer
+    rng = np.random.default_rng(seed)
+    scale, bandwidth = 10.0 ** log_scale, 10.0 ** log_bandwidth
+    dims = None
+    if layout == "dims":
+        dims = tuple(int(d) for d in rng.integers(0, width + 3, width))
+        P = _points(rng, rows, width + 3, scale, ties)
+    elif layout == "strided":
+        P = _points(rng, 2 * rows, 2 * width, scale, ties)[::2, ::2]
+    else:
+        P = _points(rng, rows, width, scale, ties)
+        if layout == "F":
+            P = np.asfortranarray(P)
+    # the support repeats some of the points, so some distances are zero
+    S = np.concatenate([P[:min(m, rows) // 2],
+                        _points(rng, m - min(m, rows) // 2, P.shape[1], scale, ties)])
+    base = BaseKernel(kind="rbf", bandwidth=bandwidth, dims=dims)
+    Ss, Ps = _select(S, dims), _select(P, dims)
+
+    assert base.cross(S, P).tobytes() == \
+        rbf_cross_reference(Ss, Ps, bandwidth).tobytes()
+    # X is Z, and two views of one buffer: all of its rows, then its head
+    few = P[:24]
+    Fs = _select(few, dims)
+    assert base.cross(few, few).tobytes() == \
+        rbf_cross_reference(Fs, Fs, bandwidth).tobytes()
+    gram = rbf_cross_reference(Fs, Fs, bandwidth)
+    np.fill_diagonal(gram, 1.0)
+    assert base.gram(few).tobytes() == gram.tobytes()
+    assert base.cross(few[:], few).tobytes() == \
+        rbf_cross_reference(_select(few[:], dims), Fs, bandwidth).tobytes()
+    assert base.cross(P[:m], P).tobytes() == \
+        rbf_cross_reference(_select(P[:m], dims), Ps, bandwidth).tobytes()
+
+    other = BaseKernel(kind="rbf", bandwidth=2.0 * bandwidth, dims=dims)
+    weight = float(rng.choice([1.0, 0.375]))
+    terms = ((weight, base), (1.0 - weight + 0.25, other))
+    coeffs = rng.standard_normal(len(S))
+    got = Kernel(terms=terms, bound_b=1.25).expand(coeffs, S, P)
+    assert got.tobytes() == _rbf_expand_reference(terms, coeffs, S, P).tobytes()
 
 
 class TestInstantiate:

@@ -201,6 +201,27 @@ class TestFitStack:
         with pytest.raises(InputError, match=needle):
             margin.fit_stack(problems, MarginParams(gamma=0.2))
 
+    def test_one_problem_stack_solves_the_gram_it_built(self, monkeypatch):
+        # a lone Gram goes to hinge_pgd as built, not copied into a stack
+        built, solved = [], []
+        gram, pgd = Kernel.gram, _accel.hinge_pgd
+
+        def spy_gram(kernel, X):
+            built.append(gram(kernel, X))
+            return built[-1]
+
+        def spy_pgd(K, *args):
+            solved.append(K)
+            return pgd(K, *args)
+
+        monkeypatch.setattr(Kernel, "gram", spy_gram)
+        monkeypatch.setattr(_accel, "hinge_pgd", spy_pgd)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, (16, 2))
+        fit_single_task(rbf_kernel(0.7), TaskData(X=X, y=np.sign(X[:, 0])),
+                        MarginParams(gamma=0.1))
+        assert len(built) == 1 and len(solved) == 1 and solved[0] is built[0]
+
 
 class FixedScoreDistribution:
     """Labels equal sign(x_0) with an optional flip; inputs uniform."""
