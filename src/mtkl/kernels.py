@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (InputError, NumericError, number_array, read_json,
                      require_int, require_keys, require_number)
@@ -339,27 +340,53 @@ def min_eigenvalue(G) -> float:
 
 
 def psd_defect(G) -> float:
-    """How far below the PSD tolerance the matrix sits (<= 0 means fine).
+    """How far below the PSD tolerance the matrix sits: 0.0 means it passes.
 
-    The tolerance is ``-1e-8 * trace``, loose enough for floating-point
-    eigensolvers but tight enough to expose genuine indefiniteness.
+    The tolerance is ``-PSD_TOL_FACTOR * trace`` on the smallest eigenvalue,
+    loose enough for floating-point eigensolvers but tight enough to expose
+    genuine indefiniteness. Like ``eigvalsh``, only the lower triangle is
+    read. A matrix with a NaN or infinite entry returns ``inf``.
+
+    A matrix of positive trace first tries a certificate: one LAPACK
+    Cholesky factorization (``dpotrf``) of ``G + (tol/2) I``, where
+    ``tol = PSD_TOL_FACTOR * trace``. Cholesky is backward stable, so if it
+    succeeds the smallest eigenvalue of G exceeds ``-tol/2`` less a rounding
+    term of order m²·2⁻⁵³·trace, which stays far below ``tol/2`` for any m
+    under a few thousand; so it exceeds ``-tol``, and ``eigvalsh`` would
+    pass G too. Success returns 0.0 with no eigensolver. Otherwise, and for
+    a trace <= 0, the result is ``-(min eigenvalue + tol)`` from ``eigvalsh``
+    clamped at 0: the verdict is ``eigvalsh``'s, and a failing matrix gets
+    its eigenvalue defect.
     """
     entries = np.asarray(G, dtype=np.float64)
-    return -(min_eigenvalue(entries) + PSD_TOL_FACTOR * float(np.trace(entries)))
+    if not np.isfinite(entries).all():
+        return math.inf
+    tol = PSD_TOL_FACTOR * float(np.trace(entries))
+    if tol > 0:
+        # a Fortran-ordered copy, which dpotrf factors in place
+        shifted = np.array(entries, order="F")
+        shifted.flat[::len(shifted) + 1] += tol / 2
+        if dpotrf(shifted, lower=1, overwrite_a=1, clean=0)[1] == 0:
+            return 0.0
+    return max(0.0, -(min_eigenvalue(entries) + tol))
 
 
 def check_kernel_invariants(kernel: Kernel, sample) -> None:
-    """Raise NumericError if symmetry / boundedness / PSD fail on the sample."""
+    """Raise NumericError if the Gram on the sample has a non-finite entry
+    or fails symmetry, boundedness or PSD."""
     X = as_points(sample)
     G = kernel.gram(X)
+    defect = psd_defect(G)
+    if defect == math.inf:
+        raise NumericError("Gram matrix has a non-finite entry")
     if not np.array_equal(G, G.T):
         raise NumericError("Gram matrix is not exactly symmetric")
     diag = np.diag(G)
     if np.any(diag > kernel.bound_b * (1.0 + BOUND_REL_TOL)):
         raise NumericError(
             f"diagonal exceeds declared bound: max {diag.max()} > B={kernel.bound_b}")
-    if psd_defect(G) > 0:
-        raise NumericError(f"Gram matrix indefinite: min eig {min_eigenvalue(G)}")
+    if defect > 0:
+        raise NumericError(f"Gram matrix indefinite: PSD defect {defect!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ predictors; ``fit_single_task`` is its one-pair case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,7 +112,8 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
     The tasks must share one sample size. The pairs are solved in lockstep,
     in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
     on its stack. Raises InputError, before any Gram is built, for no pairs
-    or more than one sample size, and NumericError when a Gram matrix is
+    or more than one sample size, and NumericError, naming the problem's
+    index in ``problems``, when its Gram matrix has a non-finite entry or is
     indefinite beyond tolerance. A fit that exhausts ``PGD_MAX_ITERS`` while
     still improving returns the best iterate with ``converged=False``.
     """
@@ -125,8 +127,13 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
         # a list: hinge_pgd_batch stacks it only for two problems or more,
         # so a lone Gram is not held twice
         grams = [kernel.gram(task.X) for kernel, task in stack]
-        if any(psd_defect(G) > 0 for G in grams):
-            raise NumericError("training Gram matrix indefinite beyond tolerance")
+        for index, G in enumerate(grams, start):
+            defect = psd_defect(G)
+            if defect > 0:
+                fault = ("has a non-finite entry" if defect == math.inf else
+                         f"is indefinite beyond tolerance: PSD defect {defect!r}")
+                raise NumericError(
+                    f"training Gram of problem {index} (m={len(G)}) {fault}")
         # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
         starts = np.stack([task.y / (task.m * np.sqrt(kernel.bound_b))
                            for kernel, task in stack])

@@ -15,7 +15,9 @@ package's must equal byte for byte. The scalar hinge solver is the
 one-problem, one-trial-step-at-a-time loop that the vectorised solver in
 ``mtkl._accel`` must reproduce bit for bit. The full-width sampler draws
 every coordinate of every rejection round, as ``Distribution.sample`` did
-before it drew only the planted rule's columns.
+before it drew only the planted rule's columns. The PSD defect is the
+smallest ``eigvalsh`` eigenvalue against the tolerance, with no Cholesky
+certificate in front of it.
 """
 
 import itertools
@@ -225,6 +227,15 @@ def rbf_cross_reference(X, Z, bandwidth, block_bytes=1 << 18):
     d2 /= 2.0 * bandwidth * bandwidth
     np.exp(d2, out=d2)
     return d2
+
+
+def psd_defect_reference(G, tol_factor=1e-8):
+    """How far below the PSD tolerance ``-tol_factor * trace`` the matrix's
+    smallest ``eigvalsh`` eigenvalue sits (<= 0 means fine): the package's
+    ``psd_defect`` as it was before it tried a Cholesky certificate first."""
+    entries = np.asarray(G, dtype=np.float64)
+    return -(float(np.linalg.eigvalsh(entries).min())
+             + tol_factor * float(np.trace(entries)))
 
 
 def rel_err(value, oracle) -> float:

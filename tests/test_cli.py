@@ -8,8 +8,8 @@ import shlex
 import numpy as np
 import pytest
 
-from mtkl import (BoundConstants, BoundInputs, lifelong_delta, margin,
-                  multitask_epsilon)
+from mtkl import (BoundConstants, BoundInputs, lifelong_delta, linear_kernel,
+                  load_multitask_sample, margin, multitask_epsilon, psd_defect)
 from mtkl.cli import build_parser, main
 from mtkl.kernels import family_to_dict, Kernel, KernelFamily, rbf_kernel
 
@@ -344,7 +344,30 @@ class TestLearnCommand:
         rc = main(["learn", "--family", str(path), "--data", data_file,
                    "--gamma", "0.1", "--out-dir", str(out_dir), *flags])
         assert rc == code
-        assert f"error-category: {category}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error-category: {category}\n" in err
+        assert not out_dir.exists()
+        if category == "numeric":
+            # the first problem is task t0's 10 points
+            X = load_multitask_sample(data_file).tasks[0].X
+            defect = psd_defect(linear_kernel(scale=-1.0).gram(X))
+            assert (f"training Gram of problem 0 (m=10) is indefinite beyond "
+                    f"tolerance: PSD defect {defect!r}\n") in err
+
+    # a degree-3 poly kernel of scale 1e110 overflows to inf while the Gram
+    # is built; eigvalsh then raised LinAlgError, a traceback and exit 1
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gram_exit_3(self, data_file, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+            {"type": "poly", "degree": 3, "scale": 1e110}]}))
+        out_dir = tmp_path / "o"
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(out_dir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error-category: numeric\n" in err
+        assert "training Gram of problem 0 (m=10) has a non-finite entry" in err
         assert not out_dir.exists()
 
 class TestShatterCoverCommands:

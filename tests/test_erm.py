@@ -9,7 +9,7 @@ from mtkl import (BudgetError, InputError, KernelFamily, MarginParams,
                   MultiTaskSample, SearchBudget, TaskData, erm_fit,
                   empirical_margin_error, fit_single_task,
                   linear_kernel, load_multitask_sample, rbf_kernel)
-from mtkl import erm, margin
+from mtkl import erm, kernels, margin
 from mtkl.erm import enumerate_candidates
 from mtkl.kernels import VARIANT_FIELDS
 
@@ -184,6 +184,27 @@ class TestErmFit:
         assert alone.avg_empirical_margin_error == stacked.avg_empirical_margin_error
         for pa, pb in zip(alone.predictors, stacked.predictors):
             np.testing.assert_array_equal(pa.alphas, pb.alphas)
+
+    def test_passing_grams_skip_the_eigensolver(self, monkeypatch):
+        # psd_defect certifies a passing Gram by Cholesky; a refactor that
+        # puts eigvalsh back on the pass path fails here
+        sample = make_tasks(np.random.default_rng(9), n=2, m=256)
+        fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
+        monkeypatch.setattr(margin, "PGD_MAX_ITERS", 5)  # the solve is not tested
+        calls = {"psd_defect": 0, "min_eigenvalue": 0}
+
+        def counted(name, func):
+            def spy(*args):
+                calls[name] += 1
+                return func(*args)
+            return spy
+
+        monkeypatch.setattr(margin, "psd_defect",
+                            counted("psd_defect", margin.psd_defect))
+        monkeypatch.setattr(kernels, "min_eigenvalue",
+                            counted("min_eigenvalue", kernels.min_eigenvalue))
+        erm_fit(fam, sample, PARAMS, SearchBudget(grid_resolution=1))
+        assert calls == {"psd_defect": 6, "min_eigenvalue": 0}
 
     def test_nonconverged_fits_counted(self, monkeypatch):
         rng = np.random.default_rng(8)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import kernel_expansion_fsum, rbf_cross_reference
+from _oracles import (kernel_expansion_fsum, psd_defect_reference,
+                      rbf_cross_reference)
 from mtkl import (InputError, KernelFamily, NumericError, Predictor,
                   check_kernel_invariants, instantiate, kernel_from_dict,
                   kernel_to_dict, kernels, linear_kernel, min_eigenvalue,
                   pd_upper_bound, poly_kernel, psd_defect, rbf_kernel)
 from mtkl.envsim import InputLaw, make_planted_distribution
-from mtkl.kernels import (EVAL_BLOCK, BaseKernel, Kernel, custom_kernel,
-                          family_from_dict, family_to_dict,
+from mtkl.kernels import (EVAL_BLOCK, PSD_TOL_FACTOR, BaseKernel, Kernel,
+                          custom_kernel, family_from_dict, family_to_dict,
                           gaussian_metric_kernel)
 
 
@@ -414,6 +415,29 @@ def test_family_accepts_exactly_the_fields_it_reads(variant):
                                              for k in reads - {name}})
 
 
+def planted_spectrum(rng, m, c, zeros):
+    """An exactly symmetric Q diag(lam) Qᵀ whose planted smallest eigenvalue
+    is c times the PSD tolerance ``PSD_TOL_FACTOR * trace``; ``zeros`` of
+    the other eigenvalues are 0, as in the near-singular Grams of smooth
+    kernels."""
+    rest = rng.uniform(0.0, 1.0, m - 1)
+    rest[:zeros] = 0.0
+    # lam_min = c * f * (sum(rest) + lam_min)
+    lam_min = c * PSD_TOL_FACTOR * rest.sum() / (1.0 - c * PSD_TOL_FACTOR)
+    lam = np.append(rest, lam_min)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    G = (Q * lam) @ Q.T
+    return (G + G.T) / 2.0
+
+
+def assert_psd_defect_matches_reference(G):
+    """The verdict is eigvalsh's; a failing matrix gets its defect bit for
+    bit, a passing one 0.0."""
+    defect, reference = psd_defect(G), psd_defect_reference(G)
+    assert (defect > 0) == (reference > 0)
+    assert defect == (reference if reference > 0 else 0.0)
+
+
 class TestInvariantChecks:
     def test_indefinite_matrix_flagged(self):
         G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
@@ -424,6 +448,60 @@ class TestInvariantChecks:
         object.__setattr__(k, "bound_b", 0.5)
         with pytest.raises(NumericError):
             check_kernel_invariants(k, [[0.0, 0.0]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 64),
+           c=st.sampled_from([-4.0, -1.5, -1.01, -0.99, -0.75, -0.5, -0.25,
+                              0.0, 1.0]),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_psd_verdict_matches_eigvalsh(self, m, c, zero_share, scale, seed):
+        G = scale * planted_spectrum(np.random.default_rng(seed), m, c,
+                                     int(zero_share * (m - 1)))
+        assert_psd_defect_matches_reference(G)
+
+    @pytest.mark.parametrize("G", [
+        np.zeros((5, 5)), -np.eye(3), np.array([[1.0, 2.0], [2.0, -4.0]]),
+        np.array([[2.0]]), np.array([[0.0]]), np.array([[-1e-300]]),
+    ], ids=["zero", "negative_identity", "negative_trace", "one_by_one",
+            "zero_one_by_one", "negative_one_by_one"])
+    def test_psd_verdict_matches_eigvalsh_on_edge_matrices(self, G):
+        assert_psd_defect_matches_reference(G)
+
+    def test_psd_defect_reads_lower_triangle_as_eigvalsh_does(self):
+        G = np.array([[1.0, 5.0], [0.0, 1.0]])  # lower triangle: identity
+        assert psd_defect(G) == 0.0 and psd_defect(G.T) > 0
+        assert_psd_defect_matches_reference(G)
+        assert_psd_defect_matches_reference(G.T)
+
+    def test_psd_defect_leaves_its_input_alone(self):
+        G = np.asfortranarray(rbf_kernel(0.5).gram(
+            np.random.default_rng(3).uniform(-1, 1, (12, 2))))
+        before = G.copy()
+        assert psd_defect(G) == 0.0
+        assert np.array_equal(G, before)
+
+    @pytest.mark.parametrize("cells,value", [
+        ([(1, 2), (2, 1)], math.nan), ([(1, 2)], math.nan),
+        ([(2, 1)], math.nan), ([(3, 3)], math.nan),
+        ([(0, 1), (1, 0)], math.inf), ([(2, 2)], -math.inf),
+    ], ids=["nan_pair", "nan_upper", "nan_lower", "nan_diagonal",
+            "inf_pair", "minus_inf_diagonal"])
+    def test_non_finite_entry_has_infinite_defect(self, cells, value):
+        # eigvalsh returned nan for an isolated NaN pair, so the old
+        # "psd_defect(G) > 0" let the Gram through; it raised LinAlgError
+        # for others, and Cholesky can pass a NaN
+        G = np.eye(4)
+        for cell in cells:
+            G[cell] = value
+        assert psd_defect(G) == math.inf
+
+    def test_non_finite_gram_fails_invariants(self):
+        k = custom_kernel(lambda a, b: math.nan if a[0] != b[0] else 1.0,
+                          bound_b=1.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            check_kernel_invariants(k, [[0.0], [1.0]])
 
 
 class TestMetricValidation:

@@ -1,5 +1,7 @@
 """Single-task margin learner contracts."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,6 +180,36 @@ class TestFitStack:
             assert pred.alphas.tobytes() == alpha.tobytes()
             assert pred.converged == converged
             assert pred.kernel is kernel and pred.support_sample is task.X
+
+    @pytest.mark.parametrize("stack_bytes", [None, 8 * 2 * 2],
+                             ids=["one_stack", "one_problem_per_stack"])
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 2.0],
+                             ids=["nan", "inf", "indefinite"])
+    def test_failing_gram_named_by_index_m_and_defect(self, monkeypatch,
+                                                      stack_bytes, entry):
+        task = TaskData(X=np.array([[0.0], [1.0]]), y=np.array([1.0, -1.0]))
+        bad = custom_kernel(lambda a, b: entry if a[0] != b[0] else 1.0,
+                            bound_b=1.0)
+        if stack_bytes is not None:
+            monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
+        if math.isfinite(entry):
+            defect = orc.psd_defect_reference([[1.0, entry], [entry, 1.0]])
+            fault = f"is indefinite beyond tolerance: PSD defect {defect!r}"
+        else:
+            fault = "has a non-finite entry"
+        solved = []
+        batch = _accel.hinge_pgd_batch
+
+        def spy(K, *args):
+            solved.extend(K)
+            return batch(K, *args)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
+        with pytest.raises(NumericError, match=re.escape(
+                f"training Gram of problem 2 (m=2) {fault}")):
+            margin.fit_stack([(rbf_kernel(0.5), task), (rbf_kernel(1.0), task),
+                              (bad, task)], MarginParams(gamma=0.2))
+        assert all(np.isfinite(K).all() for K in solved)
 
     @pytest.mark.parametrize("sizes,stack_bytes,needle", [
         ((), None, r"got \[\]"),
