@@ -7,13 +7,12 @@ behavior on seeded synthetic task environments.
 """
 
 from .errors import BudgetError, InputError, NumericError
-from .kernels import (BaseKernel, Kernel, KernelFamily,
-                      check_kernel_invariants, custom_kernel, gaussian_metric_kernel,
-                      instantiate, kernel_from_dict, kernel_to_dict, linear_kernel,
-                      load_family, min_eigenvalue, pd_upper_bound, poly_kernel,
-                      psd_defect, rbf_kernel)
-from .margin import (MarginParams, Predictor, TaskData, empirical_margin_error,
-                     fit_single_task)
+from .kernels import (BaseKernel, Kernel, KernelFamily, custom_kernel,
+                      gaussian_metric_kernel, instantiate, kernel_from_dict,
+                      kernel_to_dict, linear_kernel, load_family, min_eigenvalue,
+                      pd_upper_bound, poly_kernel, psd_defect, rbf_kernel)
+from .margin import (MarginParams, Predictor, TaskData, check_kernel_invariants,
+                     empirical_margin_error, fit_single_task)
 from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
                   enumerate_candidates, erm_fit, load_multitask_sample)
 from .bounds import (BoundConstants, BoundInputs, DeltaResult, EpsilonResult,

@@ -156,11 +156,22 @@ def _shatter_values(V: np.ndarray, table: list, subset: Sequence[int],
     return True, witness
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, whose row i is the kernel values of ``what`` i; a row with
+    a NaN or infinite entry raises NumericError naming it."""
+    finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"{what} {int(np.argmin(finite))} has a non-finite kernel value")
+    return values
+
+
 def _pool_values(members: Sequence[Kernel], pool: np.ndarray,
                  left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Value table V[member, pair] = K(pool[left], pool[right]), read off
-    each member's pool Gram."""
-    return np.stack([kern.gram(pool)[left, right] for kern in members])
+    each member's pool Gram; checked finite, member by member."""
+    return _finite(np.stack([kern.gram(pool)[left, right] for kern in members]),
+                   "member")
 
 
 @dataclass(frozen=True)
@@ -316,11 +327,10 @@ def _task_list(sample) -> list[np.ndarray]:
 def _candidate_values(request: CoverRequest) -> np.ndarray:
     if request.metric == "kernel_sup":
         tasks = _task_list(request.evaluation_sample)
-        rows = [np.concatenate([kern.gram(t).ravel() for t in tasks])
-                for kern in request.candidates]
-    else:
-        rows = [number_array(cand, "predictor_sup candidate").ravel()
-                for cand in request.candidates]
+        return _finite(np.stack([np.concatenate([kern.gram(t).ravel() for t in tasks])
+                                 for kern in request.candidates]), "candidate")
+    rows = [number_array(cand, "predictor_sup candidate").ravel()
+            for cand in request.candidates]
     if len({len(r) for r in rows}) != 1:
         raise InputError("candidates produce inconsistent value lengths")
     return np.stack(rows)
@@ -331,13 +341,14 @@ def pairwise_distances(request: CoverRequest) -> np.ndarray:
     cover of one candidate set reads this one matrix."""
     if request.metric == "kernel_mean_dev":
         sample = as_points(np.concatenate(_task_list(request.evaluation_sample)))
-        n = len(request.candidates)
+        grams = _finite(np.stack([kern.gram(sample) for kern in request.candidates]),
+                        "candidate")
+        n = len(grams)
         D = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                D[i, j] = D[j, i] = kernel_deviation_distance(
-                    request.candidates[i], request.candidates[j], sample,
-                    request.probe_budget)
+                D[i, j] = D[j, i] = _gram_deviation(grams[i], grams[j],
+                                                    request.probe_budget)
         return D
     V = _candidate_values(request)
     return cdist(V, V, "chebyshev")
@@ -349,7 +360,8 @@ def greedy_cover(D, epsilon: float) -> CoverResult:
 
     Starts from candidate 0 and adds the farthest-from-cover candidate until
     everything is within epsilon. The returned max_distance is recomputed
-    from the full distance matrix as an exhaustive validity check.
+    from the full distance matrix as an exhaustive validity check, whose
+    failure raises NumericError.
     """
     require_number(epsilon, "epsilon", positive=True)
     D = np.asarray(D)
@@ -366,7 +378,7 @@ def greedy_cover(D, epsilon: float) -> CoverResult:
         np.minimum(dist_to_cover, D[far], out=dist_to_cover)
     max_dist = float(np.min(D[centers], axis=0).max())
     if max_dist > epsilon:
-        raise AssertionError("greedy cover failed its validity post-check")
+        raise NumericError("greedy cover failed its validity post-check")
     return CoverResult(center_indices=tuple(centers), size=len(centers),
                        max_distance=max_dist)
 
@@ -424,14 +436,17 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     unit-norm dual directions; the inner min over the other ball is the
     L-BFGS-B value of its box dual (see ``_unit_ball_l1_gap``), a lower bound
     with no certificate. Both approximations can only underestimate the
-    distance.
+    distance. A Gram with a NaN or infinite entry raises NumericError.
     """
     require_int(probe_budget, "probe_budget", 1)
     X = as_points(sample)
-    m = X.shape[0]
-    G1 = k1.gram(X)
-    G2 = k2.gram(X)
-    sob = qmc.Sobol(d=m, scramble=True, seed=7)
+    return _gram_deviation(*_finite(np.stack([k1.gram(X), k2.gram(X)]), "kernel"),
+                           probe_budget)
+
+
+def _gram_deviation(G1: np.ndarray, G2: np.ndarray, probe_budget: int) -> float:
+    """``kernel_deviation_distance`` between the kernels of the Grams G1, G2."""
+    sob = qmc.Sobol(d=len(G1), scramble=True, seed=7)
     # draw a power-of-two block (Sobol balance), keep the requested count
     n_draw = 1 << max(0, int(np.ceil(np.log2(probe_budget))))
     u01 = np.clip(sob.random(n_draw)[:probe_budget], 1e-12, 1.0 - 1e-12)

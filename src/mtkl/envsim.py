@@ -31,7 +31,8 @@ from .errors import (InputError, NumericError, number_array, read_json,
                      require_int, require_keys, require_number)
 from .kernels import (Kernel, KernelFamily, as_points, kernel_from_dict,
                       pd_upper_bound)
-from .margin import MarginParams, Predictor, TaskData, fit_single_task
+from .margin import (MarginParams, Predictor, TaskData, fit_single_task,
+                     margin_error_rate)
 # enumerate_candidates and fit_candidate are not called here: run_trial
 # searches through erm_search. perfbench/tracer.py wraps these bindings.
 from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
@@ -111,6 +112,14 @@ class InputLaw:
             rng.standard_normal((m, self.dim))
 
 
+def _rule_norm_sq(kernel: Kernel, anchors, coeffs) -> float:
+    """K-norm^2 of the rule sum_j coeffs[j] K(anchors[j], .); an anchor or
+    coefficient that is NaN or infinite raises InputError first."""
+    if not (np.isfinite(anchors).all() and np.isfinite(coeffs).all()):
+        raise InputError("planted anchors and coefficients must be finite")
+    return float(coeffs @ kernel.gram(anchors) @ coeffs)
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A labeled-data distribution with a planted unit-norm decision rule."""
@@ -128,10 +137,9 @@ class Distribution:
             raise InputError("flip_rate must be in [0, 0.5)")
         if self.margin_gap < 0:
             raise InputError("margin_gap must be nonnegative")
-        G = self.kernel.gram(self.anchors)
-        norm_sq = float(self.coeffs @ G @ self.coeffs)
-        if norm_sq > 1.0 + 1e-8:
-            raise InputError(f"planted rule K-norm^2 = {norm_sq} exceeds 1")
+        norm_sq = _rule_norm_sq(self.kernel, self.anchors, self.coeffs)
+        if not norm_sq <= 1.0 + 1e-8:  # a NaN norm fails too
+            raise InputError(f"planted rule K-norm^2 = {norm_sq} is not at most 1")
 
     def planted_predictor(self) -> Predictor:
         return Predictor(alphas=self.coeffs, support_sample=self.anchors,
@@ -207,10 +215,10 @@ def make_planted_distribution(input_law: InputLaw, kernel: Kernel, anchors,
     """Normalize ``coeffs`` to unit K-norm and build the distribution."""
     anchors = np.asarray(anchors, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64).ravel()
-    G = kernel.gram(anchors)
-    norm_sq = float(coeffs @ G @ coeffs)
-    if norm_sq <= 1e-14:
-        raise InputError("planted coefficients have (near-)zero K-norm")
+    norm_sq = _rule_norm_sq(kernel, anchors, coeffs)
+    if not norm_sq > 1e-14:  # a NaN norm fails too
+        raise InputError(f"planted coefficients have K-norm^2 = {norm_sq}, "
+                         "not above 1e-14")
     return Distribution(input_law=input_law, kernel=kernel, anchors=anchors,
                         coeffs=coeffs / np.sqrt(norm_sq),
                         margin_gap=margin_gap, flip_rate=flip_rate)
@@ -274,7 +282,7 @@ class TaskEnvironment:
         for _ in range(200):
             anchors = self.input_law.sample(cluster.n_anchors, rng)
             coeffs = rng.standard_normal(cluster.n_anchors)
-            norm_sq = float(coeffs @ kernel.gram(anchors) @ coeffs)
+            norm_sq = _rule_norm_sq(kernel, anchors, coeffs)
             if norm_sq <= 1e-10:
                 continue
             dist = Distribution(
@@ -351,7 +359,7 @@ def _mc_scores(predictors, mc_data):
 
 
 def _avg_error(scores, margin):
-    return float(np.mean([np.mean(s < margin) for s in scores]))
+    return float(np.mean([margin_error_rate(s, margin) for s in scores]))
 
 
 def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,

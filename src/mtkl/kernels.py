@@ -24,13 +24,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .errors import (InputError, NumericError, number_array, read_json,
-                     require_int, require_keys, require_number)
+from .errors import (InputError, number_array, read_json, require_int,
+                     require_keys, require_number)
 
 SIMPLEX_TOL = 1e-9
 PSD_TOL_FACTOR = 1e-8
-# check_kernel_invariants lets the Gram diagonal exceed bound_b by this share
-BOUND_REL_TOL = 1e-9
 # Rows per block of Kernel.expand. A criteria 3-4 trial, which scores 100k
 # Monte Carlo points against 32 support points, took 0.17-0.19 s in blocks
 # of 1024 or 2048 rows, 0.14-0.16 s in blocks of 4096 or 8192, and
@@ -135,10 +133,10 @@ class BaseKernel:
     """One evaluable kernel term.
 
     ``dims`` restricts evaluation to a coordinate subset (None = all).
-    ``bound_b`` is the declared bound on K(x, x); it is checked against
-    samples by :func:`check_kernel_invariants`, not inferred. Only the fields
-    that ``kind`` reads are checked; its numbers are stored as floats and
-    its degree as an int.
+    ``bound_b`` is the declared bound on K(x, x), not inferred; the one Gram
+    check, ``margin._gram_fault``, holds every training Gram to it. Only the
+    fields that ``kind`` reads are checked; its numbers are stored as floats
+    and its degree as an int.
     """
 
     kind: str
@@ -369,24 +367,6 @@ def psd_defect(G) -> float:
         if dpotrf(shifted, lower=1, overwrite_a=1, clean=0)[1] == 0:
             return 0.0
     return max(0.0, -(min_eigenvalue(entries) + tol))
-
-
-def check_kernel_invariants(kernel: Kernel, sample) -> None:
-    """Raise NumericError if the Gram on the sample has a non-finite entry
-    or fails symmetry, boundedness or PSD."""
-    X = as_points(sample)
-    G = kernel.gram(X)
-    defect = psd_defect(G)
-    if defect == math.inf:
-        raise NumericError("Gram matrix has a non-finite entry")
-    if not np.array_equal(G, G.T):
-        raise NumericError("Gram matrix is not exactly symmetric")
-    diag = np.diag(G)
-    if np.any(diag > kernel.bound_b * (1.0 + BOUND_REL_TOL)):
-        raise NumericError(
-            f"diagonal exceeds declared bound: max {diag.max()} > B={kernel.bound_b}")
-    if defect > 0:
-        raise NumericError(f"Gram matrix indefinite: PSD defect {defect!r}")
 
 
 @dataclass(frozen=True, eq=False)

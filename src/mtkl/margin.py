@@ -12,14 +12,16 @@ errors are always the 0-1 margin error of the achieved iterate, which is all
 the downstream deviation checks require.
 
 ``fit_stack`` is the one function that turns (kernel, task) pairs into
-predictors; ``fit_single_task`` is its one-pair case.
+predictors; ``fit_single_task`` is its one-pair case. ``_gram_fault`` is the
+one check that a Gram can be fitted: ``fit_stack`` runs it on every training
+Gram before solving, and ``check_kernel_invariants`` adds exact symmetry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +40,7 @@ PGD_MAX_ITERS = 2000
 # every stacked Gram adds 512 KiB to peak memory. At 256 KiB, problems with
 # m <= 128 are stacked and larger ones are solved one at a time.
 STACK_BYTES = 256 * 1024
+BOUND_REL_TOL = 1e-9  # share by which a Gram's diagonal may exceed bound_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +97,38 @@ class Predictor:
         return float(self.alphas @ G @ self.alphas)
 
 
+def margin_error_rate(margins: np.ndarray, gamma: float) -> float:
+    """Share of the margins y h(x) below gamma: the one margin-error rule, in
+    which a margin equal to gamma is no error (gamma=0 gives 0-1 error)."""
+    return float(np.mean(margins < gamma))
+
+
 def empirical_margin_error(predictor: Predictor, data: TaskData, gamma: float) -> float:
-    """Fraction of the sample with y h(x) < gamma (gamma=0 gives 0-1 error)."""
-    scores = data.y * predictor.evaluate(data.X)
-    return float(np.mean(scores < gamma))
+    """``margin_error_rate`` of the predictor on the sample."""
+    return margin_error_rate(data.y * predictor.evaluate(data.X), gamma)
+
+
+def _gram_fault(G, bound_b: float) -> Optional[str]:
+    """The first fault of a Gram of a kernel declaring K(x, x) <= bound_b, or
+    None: a non-finite entry, a diagonal entry above bound_b (by more than
+    BOUND_REL_TOL), then a PSD defect beyond tolerance (``psd_defect``)."""
+    defect = psd_defect(G)
+    if defect == math.inf:
+        return "has a non-finite entry"
+    row = int(np.argmax(np.diagonal(G)))
+    if G[row, row] > bound_b * (1.0 + BOUND_REL_TOL):
+        return f"has diagonal entry {row} = {G[row, row]} above B={bound_b}"
+    return (f"is indefinite beyond tolerance: PSD defect {defect!r}"
+            if defect > 0 else None)
+
+
+def check_kernel_invariants(kernel: Kernel, sample) -> None:
+    """Raise NumericError on a ``_gram_fault`` or asymmetry of the kernel's Gram."""
+    G = kernel.gram(sample)
+    fault = _gram_fault(G, kernel.bound_b) or (
+        None if np.array_equal(G, G.T) else "is not exactly symmetric")
+    if fault:
+        raise NumericError(f"Gram matrix {fault}")
 
 
 def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Predictor:
@@ -113,9 +144,9 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
     in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
     on its stack. Raises InputError, before any Gram is built, for no pairs
     or more than one sample size, and NumericError, naming the problem's
-    index in ``problems``, when its Gram matrix has a non-finite entry or is
-    indefinite beyond tolerance. A fit that exhausts ``PGD_MAX_ITERS`` while
-    still improving returns the best iterate with ``converged=False``.
+    index in ``problems``, before its stack is solved, for a ``_gram_fault``.
+    A fit that exhausts ``PGD_MAX_ITERS`` while still improving returns the
+    best iterate with ``converged=False``.
     """
     sizes = sorted({task.m for _, task in problems})
     if len(sizes) != 1:
@@ -127,11 +158,8 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
         # a list: hinge_pgd_batch stacks it only for two problems or more,
         # so a lone Gram is not held twice
         grams = [kernel.gram(task.X) for kernel, task in stack]
-        for index, G in enumerate(grams, start):
-            defect = psd_defect(G)
-            if defect > 0:
-                fault = ("has a non-finite entry" if defect == math.inf else
-                         f"is indefinite beyond tolerance: PSD defect {defect!r}")
+        for index, ((kernel, _), G) in enumerate(zip(stack, grams), start):
+            if fault := _gram_fault(G, kernel.bound_b):
                 raise NumericError(
                     f"training Gram of problem {index} (m={len(G)}) {fault}")
         # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import InputError
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 34, 56
@@ -51,7 +53,7 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     xs_all = [tx(x) for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
-        raise ValueError("nothing to plot")
+        raise InputError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:

@@ -544,6 +544,54 @@ class TestGreedyCover:
             greedy_cover(D, 0.5)
 
 
+class TestNonFiniteKernelValues:
+    """A value table or Gram with a NaN or infinite entry is a numeric error
+    that names the member or candidate, never a certified result."""
+
+    # NaN at every pair that touches a point with a positive first coordinate
+    nan_kernel = custom_kernel(
+        lambda a, b: float("nan") if max(a[0], b[0]) > 0 else 1.0, bound_b=1.0)
+    pool = np.array([[-0.5, 0.1], [-0.2, 0.4], [0.7, -0.3], [-0.9, 0.0]])
+
+    def test_pseudodim_names_the_member(self):
+        with pytest.raises(NumericError, match="member 1 has a non-finite"):
+            pseudodim_lower_bound((rbf_kernel(0.5), self.nan_kernel), self.pool)
+
+    @pytest.mark.parametrize("thresholds", [None, [0.5]])
+    def test_is_shattered_names_the_member(self, thresholds):
+        instance = ShatterInstance(pairs=self.pool[[0, 2]][None],
+                                   members=(rbf_kernel(0.5), rbf_kernel(1.0),
+                                            self.nan_kernel),
+                                   thresholds=thresholds)
+        with pytest.raises(NumericError, match="member 2 has a non-finite"):
+            is_shattered(instance)
+
+    @pytest.mark.parametrize("metric", ["kernel_sup", "kernel_mean_dev"])
+    def test_cover_metrics_name_the_candidate(self, metric):
+        request = CoverRequest(metric=metric,
+                               candidates=(rbf_kernel(0.5), self.nan_kernel),
+                               evaluation_sample=[self.pool[:2], self.pool[2:]])
+        with pytest.raises(NumericError, match="candidate 1 has a non-finite"):
+            pairwise_distances(request)
+
+    def test_kernel_distance_names_the_kernel(self):
+        with pytest.raises(NumericError, match="kernel 0 has a non-finite"):
+            kernel_deviation_distance(self.nan_kernel, rbf_kernel(0.5),
+                                      self.pool)
+
+    def test_mean_dev_matrix_matches_pairwise_distances_bit_for_bit(self):
+        # pairwise_distances builds each candidate's Gram once; every entry
+        # is the pair's kernel_deviation_distance
+        ks = (rbf_kernel(0.5), rbf_kernel(1.0), linear_kernel(bound_b=2.0))
+        D = pairwise_distances(CoverRequest(
+            metric="kernel_mean_dev", candidates=ks, evaluation_sample=self.pool,
+            probe_budget=4))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                d = kernel_deviation_distance(ks[i], ks[j], self.pool, 4)
+                assert D[i, j] == D[j, i] == d
+
+
 class TestKernelDeviationDistance:
     def setup_method(self):
         rng = np.random.default_rng(21)

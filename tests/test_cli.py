@@ -2,14 +2,16 @@
 
 import argparse
 import json
+import math
 import os
 import shlex
 
 import numpy as np
 import pytest
 
-from mtkl import (BoundConstants, BoundInputs, lifelong_delta, linear_kernel,
-                  load_multitask_sample, margin, multitask_epsilon, psd_defect)
+from mtkl import (BoundConstants, BoundInputs, InputError, lifelong_delta,
+                  linear_kernel, load_multitask_sample, margin,
+                  multitask_epsilon, psd_defect, svgplot)
 from mtkl.cli import build_parser, main
 from mtkl.kernels import family_to_dict, Kernel, KernelFamily, rbf_kernel
 
@@ -370,6 +372,32 @@ class TestLearnCommand:
         assert "training Gram of problem 0 (m=10) has a non-finite entry" in err
         assert not out_dir.exists()
 
+    def test_gram_diagonal_above_declared_bound_exit_3(self, tmp_path, capsys):
+        # a degree-2 poly kernel of scale 1e110 declares B = 1 but builds
+        # finite Grams with diagonals near 1e220; the solver's steps then
+        # overflowed and learn exited 0 with predictors of norm^2 ~ 1e219.
+        # The suite turns warnings into errors, so this run must raise none.
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+            {"type": "poly", "degree": 2, "scale": 1e110}]}))
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, (24, 2))
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"t{i // 12},{a},{b},{1 if a >= 0 else -1}\n"
+                                for i, (a, b) in enumerate(X)))
+        G = 1e220 * (X[:12] @ X[:12].T) ** 2
+        row = int(np.argmax(np.diag(G)))
+        out_dir = tmp_path / "o"
+        rc = main(["learn", "--family", str(path), "--data", str(data),
+                   "--gamma", "0.1", "--out-dir", str(out_dir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error-category: numeric\n" in err
+        assert (f"training Gram of problem 0 (m=12) has diagonal entry {row} = "
+                in err)
+        assert "above B=1.0\n" in err
+        assert not out_dir.exists()
+
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
         out_dir = str(tmp_path / "sh")
@@ -413,6 +441,31 @@ class TestShatterCoverCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error-category: input" in err and extra[0] in err
+        assert not out_dir.exists()
+
+    # a degree-3 poly kernel of scale 1e110 overflows to inf on the pool;
+    # shatter read the table and certified n_found 0, and cover exited 2 as
+    # if the distances were bad input
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command,flags,what", [
+        ("shatter", [], "member 0"),
+        ("cover", ["--epsilon", "0.5"], "candidate 0"),
+        ("cover", ["--epsilon", "0.5", "--metric", "kernel_mean_dev"],
+         "candidate 0"),
+    ], ids=["shatter", "cover_kernel_sup", "cover_kernel_mean_dev"])
+    def test_non_finite_kernel_values_exit_3(self, tmp_path, capsys, command,
+                                             flags, what):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+            {"type": "poly", "degree": 3, "scale": 1e110},
+            {"type": "rbf", "bandwidth": 0.5}]}))
+        out_dir = tmp_path / "o"
+        rc = main([command, "--family", str(path), "--dim", "2",
+                   "--grid-resolution", "2", *flags, "--out-dir", str(out_dir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error-category: numeric\n" in err
+        assert f"{what} has a non-finite kernel value" in err
         assert not out_dir.exists()
 
     def test_equal_pool_bounds_run(self, family_file, tmp_path, capsys):
@@ -827,3 +880,11 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out-dir", out_b,
                      "--seed", "9"]) == 0
         assert read_all(out_a) == read_all(out_b)
+
+    @pytest.mark.parametrize("series", [[], [("error", [1, 2], [math.nan] * 2)]],
+                             ids=["no_series", "no_finite_value"])
+    def test_empty_plot_is_an_input_error(self, tmp_path, series):
+        # a ValueError here once escaped main's error mapping as exit 1
+        with pytest.raises(InputError, match="nothing to plot"):
+            svgplot.line_plot(str(tmp_path / "curve.svg"), series)
+        assert not (tmp_path / "curve.svg").exists()

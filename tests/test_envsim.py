@@ -1,5 +1,7 @@
 """Synthetic environments, seeding, and end-to-end trials."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,8 +11,8 @@ from mtkl import (InputError, InputLaw, Kernel, KernelFamily, MarginParams,
                   TaskEnvironment, avg_true_error, empirical_margin_error,
                   fit_single_task, make_planted_distribution, overhead_curve,
                   rbf_kernel, run_trial, sample_lifelong, sample_multitask)
-from mtkl.envsim import environment_from_dict
-from mtkl.kernels import BaseKernel, kernel_to_dict
+from mtkl.envsim import Distribution, environment_from_dict
+from mtkl.kernels import BaseKernel, custom_kernel, kernel_to_dict
 
 import _oracles as orc
 
@@ -63,6 +65,38 @@ class TestDistributions:
         with pytest.raises(InputError):
             make_planted_distribution(dist.input_law, dist.kernel, dist.anchors,
                                       dist.coeffs, flip_rate=0.5)
+
+    @pytest.mark.parametrize("anchor,coeff", [
+        (0.2, np.nan), (0.2, np.inf), (np.nan, 0.5), (-np.inf, 0.5),
+    ], ids=["nan_coeff", "inf_coeff", "nan_anchor", "inf_anchor"])
+    @pytest.mark.parametrize("build", ["Distribution", "make_planted_distribution"])
+    def test_non_finite_rule_rejected_at_construction(self, build, anchor, coeff):
+        # a NaN coefficient once passed "norm_sq > 1 + 1e-8", and sampling then
+        # spent every rejection round before a misleading NumericError
+        anchors = np.array([[anchor, 0.1], [0.3, -0.4]])
+        coeffs = np.array([coeff, 0.1])
+        with pytest.raises(InputError, match="must be finite"):
+            if build == "Distribution":
+                Distribution(input_law=InputLaw(dim=2), kernel=rbf_kernel(0.5),
+                             anchors=anchors, coeffs=coeffs)
+            else:
+                make_planted_distribution(InputLaw(dim=2), rbf_kernel(0.5),
+                                          anchors, coeffs)
+
+    @pytest.mark.parametrize("build,match", [
+        ("Distribution", "K-norm^2 = nan is not at most 1"),
+        ("make_planted_distribution", "K-norm^2 = nan, not above 1e-14"),
+    ])
+    def test_nan_rule_norm_rejected_at_construction(self, build, match):
+        # finite anchors and coefficients, but a kernel whose values are NaN
+        kernel = custom_kernel(lambda a, b: np.nan, bound_b=1.0)
+        anchors, coeffs = np.array([[0.2, 0.1], [0.3, -0.4]]), np.array([1.0, 0.1])
+        with pytest.raises(InputError, match=re.escape(match)):
+            if build == "Distribution":
+                Distribution(input_law=InputLaw(dim=2), kernel=kernel,
+                             anchors=anchors, coeffs=coeffs)
+            else:
+                make_planted_distribution(InputLaw(dim=2), kernel, anchors, coeffs)
 
 
 def view_distribution(flip=0.1, gap=0.25, low=-0.5, high=2.0):

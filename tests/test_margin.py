@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
-                  avg_true_error, empirical_margin_error, fit_single_task,
-                  rbf_kernel, linear_kernel)
-from mtkl.kernels import Kernel, custom_kernel
-from mtkl import _accel, margin
+                  avg_true_error, check_kernel_invariants, empirical_margin_error,
+                  fit_single_task, rbf_kernel, linear_kernel)
+from mtkl.kernels import Kernel, custom_kernel, gaussian_metric_kernel, poly_kernel
+from mtkl import _accel, envsim, margin
 
 import _oracles as orc
 
@@ -52,6 +53,15 @@ class TestEmpiricalMarginError:
         pred, _ = predictor_with_scores([])
         data = TaskData(X=np.array([[-0.25], [-0.125]]), y=-np.ones(2))
         assert empirical_margin_error(pred, data, 0.25) == 0.5
+
+    def test_tie_at_gamma_is_not_an_error_on_monte_carlo_scores(self):
+        # the Monte Carlo risk reads margins through the same rule: a score
+        # equal to the margin is no error there either
+        scores = [np.array([0.25, 0.3, 0.125]), np.array([0.0, 0.5])]
+        assert envsim._avg_error(scores, 0.25) == (1 / 3 + 1 / 2) / 2
+        assert envsim._avg_error(scores[1:], 0.0) == 0.0
+        for s in scores:
+            assert envsim._avg_error([s], 0.25) == self._error(s, 0.25)
 
     def test_label_validation(self):
         with pytest.raises(InputError, match="labels"):
@@ -110,15 +120,38 @@ class TestFitSingleTask:
             err = empirical_margin_error(pred, data, gamma)
             assert err == (0.0 if 1.0 >= gamma**2 and gamma <= 1.0 else 1.0)
 
-    def test_norm_feasible_on_random_problems(self):
+    def test_norm_feasible_on_random_problems(self, monkeypatch):
+        # rbf, linear and poly kernels, each declared with its true bound on
+        # [-1, 1]^3, fitted in one call: 29 problems in stacks of 4 end in a
+        # lone problem, which the scalar solver fits
         rng = np.random.default_rng(4)
-        for trial in range(30):
-            m = int(rng.integers(2, 30))
+        m, problems = 20, []
+        for trial in range(29):
             X = rng.uniform(-1, 1, (m, 3))
             y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-            k = rbf_kernel(float(rng.uniform(0.3, 2.0)))
-            pred = fit_single_task(k, TaskData(X=X, y=y),
-                                   MarginParams(gamma=0.2))
+            scale = float(rng.uniform(0.1, 2.0))
+            kind = trial % 3
+            if kind == 0:
+                k = rbf_kernel(float(rng.uniform(0.3, 2.0)))
+            elif kind == 1:
+                k = linear_kernel(scale=scale, bound_b=3.0 * scale)
+            else:
+                degree, coef0 = int(rng.integers(1, 4)), float(rng.uniform(0, 1))
+                k = poly_kernel(degree=degree, scale=scale, coef0=coef0,
+                                bound_b=(3.0 * scale + coef0) ** degree)
+            problems.append((k, TaskData(X=X, y=y)))
+        monkeypatch.setattr(margin, "STACK_BYTES", 4 * 8 * m * m)
+        sizes = []
+        batch = _accel.hinge_pgd_batch
+
+        def spy(K, *args):
+            sizes.append(len(K))
+            return batch(K, *args)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
+        fits = margin.fit_stack(problems, MarginParams(gamma=0.2))
+        assert sizes == [4] * 7 + [1]
+        for pred in fits:
             assert pred.norm_sq() <= 1.0 + 1e-8
 
     def test_objective_descent_prefix(self):
@@ -253,6 +286,79 @@ class TestFitStack:
         fit_single_task(rbf_kernel(0.7), TaskData(X=X, y=np.sign(X[:, 0])),
                         MarginParams(gamma=0.1))
         assert len(built) == 1 and len(solved) == 1 and solved[0] is built[0]
+
+
+class TestGramFault:
+    """The one check of a Gram before it is fitted: non-finite entries, then
+    the diagonal against the declared bound, then the PSD defect."""
+
+    @pytest.mark.parametrize("G,fault", [
+        ([[1.0, 0.0], [0.0, 1.0]], None),
+        ([[1.0, math.nan], [math.nan, 5.0]], "has a non-finite entry"),
+        ([[1.0, 9.0], [9.0, 2.0]], "has diagonal entry 1 = 2.0 above B=1.5"),
+        ([[1.0, 1.0 + 2**-20], [1.0 + 2**-20, 1.0]],
+         "is indefinite beyond tolerance: PSD defect"),
+    ], ids=["valid", "non_finite_first", "diagonal_before_psd", "psd"])
+    def test_first_fault_in_order(self, G, fault):
+        found = margin._gram_fault(np.array(G), 1.5)
+        if fault is None:
+            assert found is None
+        else:
+            assert found.startswith(fault)
+
+    @pytest.mark.parametrize("share,ok", [(0.5e-9, True), (2e-9, False)])
+    def test_diagonal_tolerance_is_relative(self, share, ok):
+        G = np.array([[1.0, 0.0], [0.0, 4.0 * (1.0 + share)]])
+        assert (margin._gram_fault(G, 4.0) is None) == ok
+
+    def test_bound_violation_raises(self):
+        k = gaussian_metric_kernel(np.eye(2))
+        object.__setattr__(k, "bound_b", 0.5)
+        with pytest.raises(NumericError, match=re.escape(
+                "Gram matrix has diagonal entry 0 = 1.0 above B=0.5")):
+            check_kernel_invariants(k, [[0.0, 0.0]])
+
+    def test_non_finite_gram_fails_invariants(self):
+        k = custom_kernel(lambda a, b: math.nan if a[0] != b[0] else 1.0,
+                          bound_b=1.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            check_kernel_invariants(k, [[0.0], [1.0]])
+
+    def test_asymmetric_gram_fails_invariants(self):
+        # a Gram whose lower triangle is the identity passes _gram_fault,
+        # which reads the lower triangle, but is not exactly symmetric
+        k = SimpleNamespace(gram=lambda X: np.array([[1.0, 0.5], [0.0, 1.0]]),
+                            bound_b=1.0)
+        assert margin._gram_fault(k.gram(None), 1.0) is None
+        with pytest.raises(NumericError, match="not exactly symmetric"):
+            check_kernel_invariants(k, [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("stack_bytes", [None, 8 * 4 * 4],
+                             ids=["one_stack", "one_problem_per_stack"])
+    def test_fit_refuses_diagonal_above_bound_before_its_stack_is_solved(
+            self, monkeypatch, stack_bytes):
+        # a linear kernel declared with bound 1 on points of squared norm up
+        # to 2: the feasible start and the unit ball assume K(x, x) <= B
+        X = np.array([[1.0, 1.0], [0.5, 0.0], [0.0, -0.5], [-1.0, 0.25]])
+        task = TaskData(X=X, y=np.array([1.0, 1.0, -1.0, -1.0]))
+        if stack_bytes is not None:
+            monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
+        solved = []
+        batch = _accel.hinge_pgd_batch
+
+        def spy(K, *args):
+            solved.extend(K)
+            return batch(K, *args)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
+        with pytest.raises(NumericError, match=re.escape(
+                "training Gram of problem 1 (m=4) has diagonal entry 0 = 2.0 "
+                "above B=1.0")):
+            margin.fit_stack([(linear_kernel(bound_b=2.0), task),
+                              (linear_kernel(bound_b=1.0), task)],
+                             MarginParams(gamma=0.2))
+        # only problem 0, in a stack of its own, reaches the solver
+        assert len(solved) == (0 if stack_bytes is None else 1)
 
 
 class FixedScoreDistribution:
