@@ -169,9 +169,11 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 def _pool_values(members: Sequence[Kernel], pool: np.ndarray,
                  left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Value table V[member, pair] = K(pool[left], pool[right]), read off
-    each member's pool Gram; checked finite, member by member."""
-    return _finite(np.stack([kern.gram(pool)[left, right] for kern in members]),
-                   "member")
+    each member's pool Gram; checked finite, member by member. The members
+    share one memo, so each distinct base kernel's pool Gram is built once."""
+    memo: dict = {}
+    return _finite(np.stack([kern.gram(pool, memo)[left, right]
+                             for kern in members]), "member")
 
 
 @dataclass(frozen=True)
@@ -326,9 +328,13 @@ def _task_list(sample) -> list[np.ndarray]:
 
 def _candidate_values(request: CoverRequest) -> np.ndarray:
     if request.metric == "kernel_sup":
-        tasks = _task_list(request.evaluation_sample)
-        return _finite(np.stack([np.concatenate([kern.gram(t).ravel() for t in tasks])
-                                 for kern in request.candidates]), "candidate")
+        # task by task, with one memo per task: its base Grams are built once
+        blocks = []
+        for t in _task_list(request.evaluation_sample):
+            memo: dict = {}
+            blocks.append(np.stack([kern.gram(t, memo).ravel()
+                                    for kern in request.candidates]))
+        return _finite(np.concatenate(blocks, axis=1), "candidate")
     rows = [number_array(cand, "predictor_sup candidate").ravel()
             for cand in request.candidates]
     if len({len(r) for r in rows}) != 1:
@@ -341,8 +347,9 @@ def pairwise_distances(request: CoverRequest) -> np.ndarray:
     cover of one candidate set reads this one matrix."""
     if request.metric == "kernel_mean_dev":
         sample = as_points(np.concatenate(_task_list(request.evaluation_sample)))
-        grams = _finite(np.stack([kern.gram(sample) for kern in request.candidates]),
-                        "candidate")
+        memo: dict = {}
+        grams = _finite(np.stack([kern.gram(sample, memo)
+                                  for kern in request.candidates]), "candidate")
         n = len(grams)
         D = np.zeros((n, n))
         for i in range(n):
@@ -439,9 +446,9 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     distance. A Gram with a NaN or infinite entry raises NumericError.
     """
     require_int(probe_budget, "probe_budget", 1)
-    X = as_points(sample)
-    return _gram_deviation(*_finite(np.stack([k1.gram(X), k2.gram(X)]), "kernel"),
-                           probe_budget)
+    X, memo = as_points(sample), {}
+    return _gram_deviation(*_finite(np.stack([k1.gram(X, memo), k2.gram(X, memo)]),
+                                    "kernel"), probe_budget)
 
 
 def _gram_deviation(G1: np.ndarray, G2: np.ndarray, probe_budget: int) -> float:

@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError, require_int
-from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, instantiate
+from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, expand_each, instantiate
 # fit_single_task is not called here: every fit goes through fit_stack.
 # perfbench/tracer.py wraps this binding.
-from .margin import MarginParams, Predictor, TaskData, empirical_margin_error, \
-    fit_single_task, fit_stack
+from .margin import MarginParams, Predictor, TaskData, fit_single_task, fit_stack, \
+    margin_error_rate
 
 LINEAR_COMBO_SCALES = (0.5, 1.0, 2.0)
 GAUSSIAN_AXIS_BOOST = 4.0
@@ -196,16 +196,19 @@ def fit_candidates(kernels: Sequence[Kernel], sample: MultiTaskSample,
                    ) -> list[tuple[tuple[Predictor, ...], tuple[float, ...]]]:
     """Fit all tasks independently for each kernel: one (predictors, errors)
     pair per kernel, in order. Every (kernel, task) problem goes to one
-    ``fit_stack`` call."""
+    ``fit_stack`` call, task by task, so each task's base Grams are built
+    once; each task's training scores share base cross-Grams the same way
+    (``expand_each``)."""
+    n_kernels = len(kernels)
     predictors = fit_stack(
-        [(kernel, task) for kernel in kernels for task in sample.tasks], params)
-    fits = []
-    for k in range(len(kernels)):
-        preds = tuple(predictors[k * sample.n:(k + 1) * sample.n])
-        errors = tuple(empirical_margin_error(p, t, params.gamma)
-                       for p, t in zip(preds, sample.tasks))
-        fits.append((preds, errors))
-    return fits
+        [(kernel, task) for task in sample.tasks for kernel in kernels], params)
+    errors = []
+    for t, task in enumerate(sample.tasks):
+        preds = predictors[t * n_kernels:(t + 1) * n_kernels]
+        scores = expand_each([(p.kernel, p.alphas) for p in preds], task.X, task.X)
+        errors.append([margin_error_rate(task.y * h, params.gamma) for h in scores])
+    return [(tuple(predictors[k::n_kernels]), tuple(e[k] for e in errors))
+            for k in range(n_kernels)]
 
 
 def fit_candidate(kernel: Kernel, sample: MultiTaskSample,

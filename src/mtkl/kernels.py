@@ -197,7 +197,10 @@ class BaseKernel:
         if self.kind == "linear":
             return self.scale * (Xs @ Zs.T)
         if self.kind == "poly":
-            return (self.scale * (Xs @ Zs.T) + self.coef0) ** self.degree
+            # values past the float range become inf; the callers' finiteness
+            # checks report them, not a numpy warning
+            with np.errstate(over="ignore"):
+                return (self.scale * (Xs @ Zs.T) + self.coef0) ** self.degree
         if self.kind == "gaussian_metric":
             diff = Xs[:, None, :] - Zs[None, :, :]
             return np.exp(-0.5 * np.einsum("ijk,kl,ijl->ij", diff, self.metric, diff))
@@ -249,27 +252,59 @@ class Kernel:
         Z = as_points([np.atleast_1d(np.asarray(y, dtype=np.float64))])
         return float(self.cross(X, Z)[0, 0])
 
-    def gram(self, X: np.ndarray) -> np.ndarray:
+    def gram(self, X: np.ndarray, memo: Optional[dict] = None) -> np.ndarray:
+        """The Gram of the rows of X: w1*G1 + w2*G2 + ... in term order.
+
+        ``memo`` shares base Grams between kernels on this one X. A caller
+        that builds several kernels' Grams of one point set passes one empty
+        dict to each call and drops it when the point set changes; the memo
+        then holds one read-only Gram per distinct base kernel, and a lone
+        weight-1 term's result is that array itself (see ``_weighted_sum``).
+        ``capacity`` keeps one per pool or cover task and ``margin.fit_stack``
+        one per task. The result is the same bits with or without a memo.
+        """
         X = as_points(X)
-        return self._weighted_sum(lambda base: base.gram(X))
+        return self._weighted_sum(lambda base: base.gram(X), memo)
 
-    def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def cross(self, X: np.ndarray, Z: np.ndarray,
+              memo: Optional[dict] = None) -> np.ndarray:
+        """The cross-Gram K(X, Z); ``memo`` as in ``gram``, for this one
+        pair of point sets."""
         X, Z = as_points(X), as_points(Z)
-        return self._weighted_sum(lambda base: base.cross(X, Z))
+        return self._weighted_sum(lambda base: base.cross(X, Z), memo)
 
-    def _weighted_sum(self, values) -> np.ndarray:
-        # w1*g1 + w2*g2 + ... in term order, summed in place into the first
-        # term's array: the same products and sums as the out-of-place form
-        # (a weight of 1 multiplies nothing)
-        out = None
-        for w, base in self.terms:
-            g = values(base)
-            if w != 1.0:
-                g *= w
-            if out is None:
-                out = g
-            else:
-                out += g
+    def _weighted_sum(self, values, memo) -> np.ndarray:
+        # w1*g1 + w2*g2 + ... in term order; a weight of 1 multiplies
+        # nothing. Without a memo each term is computed, scaled and summed in
+        # place into the first term's array. With one, each base's values are
+        # taken from memo[base] or computed into it, read-only, so the memo
+        # holds one array per distinct base. A lone weight-1 term is then the
+        # memo's own array; otherwise the first term is copied (scaled) into
+        # a new array and each later term added into it SUM_BLOCK_BYTES at a
+        # time, with no full-size w*g temporary. Either way the products and
+        # sums are those of the out-of-place form, so the bits are the same.
+        if memo is None:
+            out = None
+            for w, base in self.terms:
+                g = values(base)
+                if w != 1.0:
+                    g *= w
+                if out is None:
+                    out = g
+                else:
+                    out += g
+            return out
+        (w, base), *rest = self.terms
+        g = _memo_values(memo, base, values)
+        if not rest and w == 1.0:
+            return g
+        out = g * w if w != 1.0 else g.copy()
+        step = max(1, SUM_BLOCK_BYTES // (8 * out[0].size))
+        for w, base in rest:
+            g = _memo_values(memo, base, values)
+            for r in range(0, len(out), step):
+                part = out[r:r + step]
+                part += g[r:r + step] if w == 1.0 else g[r:r + step] * w
         return out
 
     def expand(self, coeffs, S, X) -> np.ndarray:
@@ -278,12 +313,31 @@ class Kernel:
         Rows are scored EVAL_BLOCK at a time, so the cross-Gram in memory is
         (len(S), EVAL_BLOCK) whatever the number of rows.
         """
-        S, X = as_points(S), as_points(X)
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], EVAL_BLOCK):
-            stop = start + EVAL_BLOCK
-            out[start:stop] = coeffs @ self.cross(S, X[start:stop])
-        return out
+        return expand_each([(self, coeffs)], S, X)[0]
+
+
+def _memo_values(memo: dict, base: BaseKernel, values) -> np.ndarray:
+    """``values(base)``, computed once per memo and kept read-only in it."""
+    g = memo.get(base)
+    if g is None:
+        g = memo[base] = values(base)
+        g.flags.writeable = False
+    return g
+
+
+def expand_each(expansions, S, X) -> np.ndarray:
+    """Row i: ``Kernel.expand`` of the i-th (kernel, coeffs) pair on the one
+    support S and rows X, in the same EVAL_BLOCK row blocks and so the same
+    bits. Two pairs or more share one memo per block (``Kernel.cross``), so
+    each distinct base kernel's cross-Gram of a block is computed once."""
+    S, X = as_points(S), as_points(X)
+    out = np.empty((len(expansions), X.shape[0]))
+    for start in range(0, X.shape[0], EVAL_BLOCK):
+        stop = start + EVAL_BLOCK
+        memo = {} if len(expansions) > 1 else None
+        for row, (kernel, coeffs) in zip(out, expansions):
+            row[start:stop] = coeffs @ kernel.cross(S, X[start:stop], memo)
+    return out
 
 
 def _combine(parts) -> Kernel:

@@ -555,3 +555,24 @@ def hinge_pgd_reference(K, y, gamma, alpha0, max_iters, tol, step0):
             converged = True
             break
     return alpha, obj, it, converged
+
+
+def weighted_sum_reference(kernel, base_values):
+    """w1*g1 + w2*g2 + ... over a kernel's terms in term order, out of place,
+    with each term's base values computed afresh by ``base_values(base)``,
+    also for a base that appears twice: the sum that a Gram or cross-Gram
+    built from shared base values must equal byte for byte."""
+    total = None
+    for w, base in kernel.terms:
+        term = w * base_values(base)
+        total = term if total is None else total + term
+    return total
+
+
+def expansion_reference(kernel, coeffs, S, X, block):
+    """sum_j coeffs[j] k(S[j], x) at each row x of X, scored ``block`` rows at
+    a time, each block's cross-Gram summed by ``weighted_sum_reference``."""
+    return np.concatenate([
+        coeffs @ weighted_sum_reference(
+            kernel, lambda base: base.cross(S, X[start:start + block]))
+        for start in range(0, len(X), block)])

@@ -11,7 +11,7 @@ from mtkl import (BudgetError, CoverRequest, InputError, KernelFamily,
                   kernel_deviation_distance, pairwise_distances,
                   pd_upper_bound, pseudodim_lower_bound, rbf_kernel)
 from mtkl.capacity import PseudodimResult
-from mtkl.kernels import custom_kernel, linear_kernel
+from mtkl.kernels import custom_kernel, linear_kernel, poly_kernel
 
 import _oracles as orc
 
@@ -573,6 +573,17 @@ class TestNonFiniteKernelValues:
                                evaluation_sample=[self.pool[:2], self.pool[2:]])
         with pytest.raises(NumericError, match="candidate 1 has a non-finite"):
             pairwise_distances(request)
+
+    def test_poly_overflow_is_a_numeric_error_not_a_warning(self):
+        # (1e110 x.z)^3 overflows to +-inf; under the suite's warnings-as-
+        # errors setting a numpy warning would surface instead of the error
+        poly = poly_kernel(degree=3, scale=1e110)
+        combo = instantiate(KernelFamily(
+            variant="convex_combo", dictionary=(poly, rbf_kernel(0.5))), [0.5, 0.5])
+        with pytest.raises(NumericError, match="member 0 has a non-finite"):
+            pseudodim_lower_bound((poly, rbf_kernel(0.5), combo), self.pool)
+        with pytest.raises(NumericError, match="member 1 has a non-finite"):
+            pseudodim_lower_bound((rbf_kernel(0.5), combo), self.pool)
 
     def test_kernel_distance_names_the_kernel(self):
         with pytest.raises(NumericError, match="kernel 0 has a non-finite"):

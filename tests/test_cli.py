@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -445,8 +446,8 @@ class TestShatterCoverCommands:
 
     # a degree-3 poly kernel of scale 1e110 overflows to inf on the pool;
     # shatter read the table and certified n_found 0, and cover exited 2 as
-    # if the distances were bad input
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # if the distances were bad input. The poly values overflow, and the
+    # finiteness check is the only report of it: no RuntimeWarning is raised.
     @pytest.mark.parametrize("command,flags,what", [
         ("shatter", [], "member 0"),
         ("cover", ["--epsilon", "0.5"], "candidate 0"),
@@ -460,10 +461,14 @@ class TestShatterCoverCommands:
             {"type": "poly", "degree": 3, "scale": 1e110},
             {"type": "rbf", "bandwidth": 0.5}]}))
         out_dir = tmp_path / "o"
-        rc = main([command, "--family", str(path), "--dim", "2",
-                   "--grid-resolution", "2", *flags, "--out-dir", str(out_dir)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--family", str(path), "--dim", "2",
+                       "--grid-resolution", "2", *flags, "--out-dir", str(out_dir)])
         assert rc == 3
+        assert [w.category for w in caught] == []
         err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
         assert "error-category: numeric\n" in err
         assert f"{what} has a non-finite kernel value" in err
         assert not out_dir.exists()
@@ -525,9 +530,9 @@ class TestShatterCoverCommands:
         calls = []
         real_gram = Kernel.gram
 
-        def gram(self, X):
+        def gram(self, X, memo=None):
             calls.append(1)
-            return real_gram(self, X)
+            return real_gram(self, X, memo)
 
         monkeypatch.setattr(Kernel, "gram", gram)
         counts = []

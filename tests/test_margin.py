@@ -271,8 +271,8 @@ class TestFitStack:
         built, solved = [], []
         gram, pgd = Kernel.gram, _accel.hinge_pgd
 
-        def spy_gram(kernel, X):
-            built.append(gram(kernel, X))
+        def spy_gram(kernel, X, memo=None):
+            built.append(gram(kernel, X, memo))
             return built[-1]
 
         def spy_pgd(K, *args):
@@ -286,6 +286,70 @@ class TestFitStack:
         fit_single_task(rbf_kernel(0.7), TaskData(X=X, y=np.sign(X[:, 0])),
                         MarginParams(gamma=0.1))
         assert len(built) == 1 and len(solved) == 1 and solved[0] is built[0]
+
+    @pytest.mark.parametrize("stack_bytes", [None, 8 * 2 * 2],
+                             ids=["one_stack", "one_problem_per_stack"])
+    @pytest.mark.parametrize("bad,fault", [
+        (math.nan, "has a non-finite coefficient"),
+        (math.inf, "has a non-finite coefficient"),
+        (2.0, "has RKHS norm² "),
+    ], ids=["nan", "inf", "outside_ball"])
+    def test_fit_outside_the_unit_ball_raises(self, monkeypatch, stack_bytes,
+                                              bad, fault):
+        # the solver's alphas for problem 1 are replaced: a NaN or an infinite
+        # coefficient, or a scaling by 2 that puts norm² near 4
+        task = TaskData(X=np.array([[0.0], [1.0]]), y=np.array([1.0, -1.0]))
+        if stack_bytes is not None:
+            monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
+        batch, seen = _accel.hinge_pgd_batch, [0]
+
+        def planted(K, *args):
+            alphas, *rest = batch(K, *args)
+            for row in range(len(K)):
+                if seen[0] == 1:
+                    alphas[row] = (alphas[row] * bad if bad == 2.0
+                                   else np.where([True, False], bad, alphas[row]))
+                seen[0] += 1
+            return (alphas, *rest)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", planted)
+        with pytest.raises(NumericError, match=re.escape(
+                f"fit of problem 1 (m=2) {fault}")):
+            margin.fit_stack([(rbf_kernel(0.5), task), (rbf_kernel(1.0), task),
+                              (rbf_kernel(2.0), task)], MarginParams(gamma=0.9))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_problems=st.integers(1, 12),
+           m=st.integers(1, 16), per_stack=st.integers(1, 5),
+           gamma=st.floats(0.01, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_every_fit_stays_in_its_unit_ball(self, seed, n_problems, m,
+                                              per_stack, gamma):
+        # rbf, linear and poly kernels, each declared with its true bound on
+        # [-1, 1]^3, in stacks of per_stack problems: every norm² <= 1 + tol
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(n_problems):
+            scale = float(rng.uniform(0.05, 3.0))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                k = rbf_kernel(float(rng.uniform(0.1, 3.0)))
+            elif kind == 1:
+                k = linear_kernel(scale=scale, bound_b=3.0 * scale)
+            else:
+                degree, coef0 = int(rng.integers(1, 5)), float(rng.uniform(0, 2))
+                k = poly_kernel(degree=degree, scale=scale, coef0=coef0,
+                                bound_b=(3.0 * scale + coef0) ** degree)
+            problems.append((k, TaskData(X=rng.uniform(-1, 1, (m, 3)),
+                                         y=np.where(rng.random(m) < 0.5, 1.0, -1.0))))
+        stack_bytes = margin.STACK_BYTES
+        try:
+            margin.STACK_BYTES = per_stack * 8 * m * m
+            fits = margin.fit_stack(problems, MarginParams(gamma=gamma))
+        finally:
+            margin.STACK_BYTES = stack_bytes
+        for pred in fits:
+            assert np.isfinite(pred.alphas).all()
+            assert pred.norm_sq() <= 1.0 + margin.NORM_TOL
 
 
 class TestGramFault:
