@@ -33,7 +33,7 @@ from scipy.stats import qmc
 from . import _accel
 from .errors import (BudgetError, InputError, NumericError, number_array,
                      require_int, require_number)
-from .kernels import Kernel, as_points
+from .kernels import Kernel, as_points, grams
 
 # Sorted values of one pair that differ by at most TIE_RTOL * max(1, |v|) are
 # one value: for a coincident pair (x, x), RBF members give K(x, x) = 1 only up
@@ -169,11 +169,10 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 def _pool_values(members: Sequence[Kernel], pool: np.ndarray,
                  left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Value table V[member, pair] = K(pool[left], pool[right]), read off
-    each member's pool Gram; checked finite, member by member. The members
-    share one memo, so each distinct base kernel's pool Gram is built once."""
-    memo: dict = {}
-    return _finite(np.stack([kern.gram(pool, memo)[left, right]
-                             for kern in members]), "member")
+    each member's pool Gram; checked finite, member by member. The Grams
+    come from ``grams``, so each distinct base kernel's is built once."""
+    return _finite(np.stack([G[left, right] for G in grams(members, pool)]),
+                   "member")
 
 
 @dataclass(frozen=True)
@@ -328,13 +327,10 @@ def _task_list(sample) -> list[np.ndarray]:
 
 def _candidate_values(request: CoverRequest) -> np.ndarray:
     if request.metric == "kernel_sup":
-        # task by task, with one memo per task: its base Grams are built once
-        blocks = []
-        for t in _task_list(request.evaluation_sample):
-            memo: dict = {}
-            blocks.append(np.stack([kern.gram(t, memo).ravel()
-                                    for kern in request.candidates]))
-        return _finite(np.concatenate(blocks, axis=1), "candidate")
+        # task by task, each task's base Grams built once (``grams``)
+        return _finite(np.concatenate(
+            [np.stack([G.ravel() for G in grams(request.candidates, t)])
+             for t in _task_list(request.evaluation_sample)], axis=1), "candidate")
     rows = [number_array(cand, "predictor_sup candidate").ravel()
             for cand in request.candidates]
     if len({len(r) for r in rows}) != 1:
@@ -347,14 +343,12 @@ def pairwise_distances(request: CoverRequest) -> np.ndarray:
     cover of one candidate set reads this one matrix."""
     if request.metric == "kernel_mean_dev":
         sample = as_points(np.concatenate(_task_list(request.evaluation_sample)))
-        memo: dict = {}
-        grams = _finite(np.stack([kern.gram(sample, memo)
-                                  for kern in request.candidates]), "candidate")
-        n = len(grams)
+        Gs = _finite(np.stack(list(grams(request.candidates, sample))), "candidate")
+        n = len(Gs)
         D = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                D[i, j] = D[j, i] = _gram_deviation(grams[i], grams[j],
+                D[i, j] = D[j, i] = _gram_deviation(Gs[i], Gs[j],
                                                     request.probe_budget)
         return D
     V = _candidate_values(request)
@@ -446,8 +440,7 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     distance. A Gram with a NaN or infinite entry raises NumericError.
     """
     require_int(probe_budget, "probe_budget", 1)
-    X, memo = as_points(sample), {}
-    return _gram_deviation(*_finite(np.stack([k1.gram(X, memo), k2.gram(X, memo)]),
+    return _gram_deviation(*_finite(np.stack(list(grams((k1, k2), sample))),
                                     "kernel"), probe_budget)
 
 

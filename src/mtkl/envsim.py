@@ -135,6 +135,7 @@ class Distribution:
     def __post_init__(self):
         if not 0.0 <= self.flip_rate < 0.5:
             raise InputError("flip_rate must be in [0, 0.5)")
+        require_number(self.margin_gap, "margin_gap")
         if self.margin_gap < 0:
             raise InputError("margin_gap must be nonnegative")
         norm_sq = _rule_norm_sq(self.kernel, self.anchors, self.coeffs)

@@ -251,7 +251,11 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
                params: MarginParams, budget: SearchBudget = SearchBudget()
                ) -> tuple[MultiTaskSolution, list]:
     """``erm_fit`` together with its grid: returns (solution, fits), where
-    ``fits[k]`` is candidate k's (predictors, errors)."""
+    ``fits[k]`` is candidate k's (predictors, errors). Refinement moves
+    weights: a Gaussian family with ``refine_rounds > 0`` is an InputError."""
+    if budget.refine_rounds > 0 and family.variant not in COMBO_VARIANTS:
+        raise InputError(f"refine_rounds must be 0 for a {family.variant} "
+                         "family: refinement moves combination weights")
     candidates = enumerate_candidates(family, budget)
     fits = fit_candidates([c.kernel for c in candidates], sample, params)
     averages = [float(np.mean(errors)) for _, errors in fits]
@@ -261,8 +265,7 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
     avg_err, kernel, cand_params, label = \
         averages[pick], cand.kernel, cand.params, cand.label
 
-    weight_family = family.variant in COMBO_VARIANTS
-    if budget.refine_rounds > 0 and weight_family:
+    if budget.refine_rounds > 0:
         w, err, refined = _refine_weights(
             family, sample, params, budget, cand.params, avg_err)
         if refined is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -252,59 +252,29 @@ class Kernel:
         Z = as_points([np.atleast_1d(np.asarray(y, dtype=np.float64))])
         return float(self.cross(X, Z)[0, 0])
 
-    def gram(self, X: np.ndarray, memo: Optional[dict] = None) -> np.ndarray:
-        """The Gram of the rows of X: w1*G1 + w2*G2 + ... in term order.
-
-        ``memo`` shares base Grams between kernels on this one X. A caller
-        that builds several kernels' Grams of one point set passes one empty
-        dict to each call and drops it when the point set changes; the memo
-        then holds one read-only Gram per distinct base kernel, and a lone
-        weight-1 term's result is that array itself (see ``_weighted_sum``).
-        ``capacity`` keeps one per pool or cover task and ``margin.fit_stack``
-        one per task. The result is the same bits with or without a memo.
-        """
+    def gram(self, X: np.ndarray) -> np.ndarray:
+        """The Gram of the rows of X: w1*G1 + w2*G2 + ... in term order,
+        summed in place. ``grams`` builds several kernels' Grams of one
+        point set with the same bits and each shared base Gram built once."""
         X = as_points(X)
-        return self._weighted_sum(lambda base: base.gram(X), memo)
+        return self._weighted_sum(lambda base: base.gram(X))
 
-    def cross(self, X: np.ndarray, Z: np.ndarray,
-              memo: Optional[dict] = None) -> np.ndarray:
-        """The cross-Gram K(X, Z); ``memo`` as in ``gram``, for this one
-        pair of point sets."""
+    def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The cross-Gram K(X, Z), summed as in ``gram``."""
         X, Z = as_points(X), as_points(Z)
-        return self._weighted_sum(lambda base: base.cross(X, Z), memo)
+        return self._weighted_sum(lambda base: base.cross(X, Z))
 
-    def _weighted_sum(self, values, memo) -> np.ndarray:
-        # w1*g1 + w2*g2 + ... in term order; a weight of 1 multiplies
-        # nothing. Without a memo each term is computed, scaled and summed in
-        # place into the first term's array. With one, each base's values are
-        # taken from memo[base] or computed into it, read-only, so the memo
-        # holds one array per distinct base. A lone weight-1 term is then the
-        # memo's own array; otherwise the first term is copied (scaled) into
-        # a new array and each later term added into it SUM_BLOCK_BYTES at a
-        # time, with no full-size w*g temporary. Either way the products and
-        # sums are those of the out-of-place form, so the bits are the same.
-        if memo is None:
-            out = None
-            for w, base in self.terms:
-                g = values(base)
-                if w != 1.0:
-                    g *= w
-                if out is None:
-                    out = g
-                else:
-                    out += g
-            return out
-        (w, base), *rest = self.terms
-        g = _memo_values(memo, base, values)
-        if not rest and w == 1.0:
-            return g
-        out = g * w if w != 1.0 else g.copy()
-        step = max(1, SUM_BLOCK_BYTES // (8 * out[0].size))
-        for w, base in rest:
-            g = _memo_values(memo, base, values)
-            for r in range(0, len(out), step):
-                part = out[r:r + step]
-                part += g[r:r + step] if w == 1.0 else g[r:r + step] * w
+    def _weighted_sum(self, values) -> np.ndarray:
+        # w1*g1 + w2*g2 + ... in term order; a weight of 1 multiplies nothing
+        out = None
+        for w, base in self.terms:
+            g = values(base)
+            if w != 1.0:
+                g *= w
+            if out is None:
+                out = g
+            else:
+                out += g
         return out
 
     def expand(self, coeffs, S, X) -> np.ndarray:
@@ -316,27 +286,60 @@ class Kernel:
         return expand_each([(self, coeffs)], S, X)[0]
 
 
-def _memo_values(memo: dict, base: BaseKernel, values) -> np.ndarray:
-    """``values(base)``, computed once per memo and kept read-only in it."""
-    g = memo.get(base)
-    if g is None:
-        g = memo[base] = values(base)
-        g.flags.writeable = False
-    return g
+def grams(kernels: Sequence[Kernel], X) -> Iterator[np.ndarray]:
+    """Yield ``kernel.gram(X)`` for each of the kernels in order, the same
+    bits, each built when it is asked for. Two kernels or more share base
+    Grams: each distinct ``BaseKernel``'s Gram of X is built once and held
+    read-only while the generator lives, and a lone weight-1 term is yielded
+    as that array. One kernel takes ``kernel.gram(X)``'s faster sum."""
+    X = as_points(X)
+    return _shared_sums(kernels, lambda kernel: kernel.gram(X),
+                        lambda base: base.gram(X))
+
+
+def _shared_sums(kernels, own, values) -> Iterator[np.ndarray]:
+    """Yield ``own(kernel)`` for each kernel in order; for two kernels or
+    more, the same bits summed from one memo of ``values(base)`` per base."""
+    memo: dict = {}
+    for kernel in kernels:
+        yield own(kernel) if len(kernels) == 1 else _memo_sum(memo, kernel, values)
+
+
+def _memo_sum(memo: dict, kernel: Kernel, values) -> np.ndarray:
+    # The products and sums of Kernel._weighted_sum, adding SUM_BLOCK_BYTES
+    # at a time with no full-size w*g temporary. A function of its own, so
+    # that _shared_sums holds no result (nor a view of it) between yields.
+    out = None
+    for w, base in kernel.terms:
+        g = memo.get(base)
+        if g is None:
+            g = memo[base] = values(base)
+            g.flags.writeable = False
+        if out is None:
+            out = g * w if w != 1.0 else (g if len(kernel.terms) == 1 else g.copy())
+            continue
+        step = max(1, SUM_BLOCK_BYTES // (8 * out[0].size))
+        for r in range(0, len(out), step):
+            part = out[r:r + step]
+            part += g[r:r + step] if w == 1.0 else g[r:r + step] * w
+    return out
 
 
 def expand_each(expansions, S, X) -> np.ndarray:
     """Row i: ``Kernel.expand`` of the i-th (kernel, coeffs) pair on the one
     support S and rows X, in the same EVAL_BLOCK row blocks and so the same
-    bits. Two pairs or more share one memo per block (``Kernel.cross``), so
-    each distinct base kernel's cross-Gram of a block is computed once."""
+    bits. Two pairs or more share each block's base cross-Grams as
+    ``grams`` shares base Grams; one pair calls ``Kernel.cross``."""
     S, X = as_points(S), as_points(X)
+    kerns = [kernel for kernel, _ in expansions]
     out = np.empty((len(expansions), X.shape[0]))
     for start in range(0, X.shape[0], EVAL_BLOCK):
-        stop = start + EVAL_BLOCK
-        memo = {} if len(expansions) > 1 else None
-        for row, (kernel, coeffs) in zip(out, expansions):
-            row[start:stop] = coeffs @ kernel.cross(S, X[start:stop], memo)
+        block = X[start:start + EVAL_BLOCK]
+        crosses = _shared_sums(kerns, lambda kernel: kernel.cross(S, block),
+                               lambda base: base.cross(S, block))
+        # next() per row: zipping crosses in would keep the last cross-Gram
+        for row, (_, coeffs) in zip(out, expansions):
+            row[start:start + EVAL_BLOCK] = coeffs @ next(crosses)
     return out
 
 

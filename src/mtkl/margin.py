@@ -21,6 +21,7 @@ unit ball up to ``NORM_TOL``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InputError, NumericError, require_number
-from .kernels import Kernel, as_points, psd_defect
+from .kernels import Kernel, as_points, grams, psd_defect
 
 # The solver stops at the first accepted step that gains less than PGD_TOL,
 # or after PGD_MAX_ITERS steps.
@@ -152,10 +153,10 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
 
     The tasks must share one sample size. The pairs are solved in lockstep,
     in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
-    on its stack. Consecutive problems on one task (the same ``X`` array)
-    share base Grams: one memo (``Kernel.gram``) lives while they last and is
-    dropped at the next task, so it holds at most one Gram per distinct base
-    kernel of that task's kernels. List a task's problems together to share.
+    on its stack. Each run of consecutive problems on one task (the same
+    ``X`` array) takes its Grams from one ``kernels.grams`` call, one stack
+    at a time, so each distinct base kernel's Gram of that task is built
+    once. List a task's problems together to share.
 
     Raises InputError, before any Gram is built, for no pairs or more than
     one sample size. Raises NumericError naming the problem's index in
@@ -169,34 +170,31 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
     if len(sizes) != 1:
         raise InputError(f"fit_stack needs tasks of one sample size, got {sizes}")
     per_stack = max(1, STACK_BYTES // (8 * sizes[0] ** 2))
+    runs = (list(run) for _, run in itertools.groupby(problems, lambda p: id(p[1].X)))
+    built = itertools.chain.from_iterable(
+        grams([kernel for kernel, _ in run], run[0][1].X) for run in runs)
     predictors: list[Predictor] = []
-    points, memo = None, None
+    stack_grams: list = []
     for start in range(0, len(problems), per_stack):
         stack = problems[start:start + per_stack]
-        # a list: hinge_pgd_batch stacks it only for two problems or more,
-        # so a lone Gram is not held twice
-        grams = []
-        for index, (kernel, task) in enumerate(stack, start):
-            if task.X is not points:
-                # a new point set: drop the old base Grams. A memo would only
-                # cost a full-size buffer when the next problem does not share it.
-                points = task.X
-                memo = {} if (index + 1 < len(problems)
-                              and problems[index + 1][1].X is points) else None
-            grams.append(kernel.gram(task.X, memo))
-        for index, ((kernel, _), G) in enumerate(zip(stack, grams), start):
+        # a list, emptied before this stack's Grams are built: hinge_pgd_batch
+        # stacks it only for two problems or more, so a lone Gram is not held twice
+        stack_grams.clear()
+        stack_grams.extend(itertools.islice(built, len(stack)))
+        for index, ((kernel, _), G) in enumerate(zip(stack, stack_grams), start):
             if fault := _gram_fault(G, kernel.bound_b):
                 raise NumericError(
                     f"training Gram of problem {index} (m={len(G)}) {fault}")
+        del G  # else it holds the stack's last Gram while the next is built
         # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
         starts = np.stack([task.y / (task.m * np.sqrt(kernel.bound_b))
                            for kernel, task in stack])
         alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
-            grams, np.stack([task.y for _, task in stack]), params.gamma,
+            stack_grams, np.stack([task.y for _, task in stack]), params.gamma,
             starts, PGD_MAX_ITERS, PGD_TOL)
         finite = np.isfinite(alphas).all(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = [alpha @ G @ alpha for alpha, G in zip(alphas, grams)]
+            norms = [alpha @ G @ alpha for alpha, G in zip(alphas, stack_grams)]
         for index, (ok, norm_sq) in enumerate(zip(finite, norms), start):
             if not ok or not norm_sq <= 1.0 + NORM_TOL:
                 raise NumericError(

@@ -14,7 +14,7 @@ from mtkl import (BoundConstants, BoundInputs, InputError, lifelong_delta,
                   linear_kernel, load_multitask_sample, margin,
                   multitask_epsilon, psd_defect, svgplot)
 from mtkl.cli import build_parser, main
-from mtkl.kernels import family_to_dict, Kernel, KernelFamily, rbf_kernel
+from mtkl.kernels import BaseKernel, family_to_dict, KernelFamily, rbf_kernel
 
 
 @pytest.fixture()
@@ -311,6 +311,20 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert "error-category: input" in err and "gamma" in err
 
+    def test_refine_rounds_on_gaussian_family_exit2(self, data_file, tmp_path,
+                                                    capsys):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "gaussian_covariance",
+                                    "dimension": 2}))
+        out_dir = tmp_path / "o"
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--refine-rounds", "3",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err and "refine_rounds" in err
+        assert not out_dir.exists()
+
     def test_dims_past_data_width_exit2(self, tmp_path, capsys):
         # numpy indexing raises IndexError (exit 1) for an entry past the
         # data's width
@@ -525,16 +539,16 @@ class TestShatterCoverCommands:
 
     def test_cover_builds_distances_once(self, family_file, tmp_path, capsys,
                                          monkeypatch):
-        # every radius reads one distance matrix, so a run's Gram count does
-        # not grow with the number of radii
+        # every radius reads one distance matrix, so a run's base-Gram count
+        # does not grow with the number of radii
         calls = []
-        real_gram = Kernel.gram
+        real_gram = BaseKernel.gram
 
-        def gram(self, X, memo=None):
+        def gram(self, X):
             calls.append(1)
-            return real_gram(self, X, memo)
+            return real_gram(self, X)
 
-        monkeypatch.setattr(Kernel, "gram", gram)
+        monkeypatch.setattr(BaseKernel, "gram", gram)
         counts = []
         for radii in (["0.5"], ["0.5", "0.1", "0.02"]):
             calls.clear()

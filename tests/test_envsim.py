@@ -54,6 +54,16 @@ class TestDistributions:
         with pytest.raises(NumericError):
             hopeless.sample(100, np.random.default_rng(5))
 
+    @pytest.mark.parametrize("gap", [np.nan, np.inf, -np.inf, -0.1])
+    def test_margin_gap_validated(self, gap):
+        # NaN passes a `gap < 0` test, and would reach sample's rejection
+        # loop as a misleading NumericError
+        env = small_env()
+        dist = env.draw_task(np.random.default_rng(7))
+        with pytest.raises(InputError, match="margin_gap"):
+            make_planted_distribution(dist.input_law, dist.kernel, dist.anchors,
+                                      dist.coeffs, margin_gap=gap)
+
     def test_planted_rule_unit_norm(self):
         env = small_env()
         dist = env.draw_task(np.random.default_rng(6))

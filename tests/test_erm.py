@@ -246,6 +246,23 @@ class TestErmFit:
         assert w.tolist() == [0.0, 0.5, 1 / 6, 1 / 6, 1 / 6]
         assert err == 0.0
 
+    @pytest.mark.parametrize("variant,fields", [
+        ("gaussian_covariance", {"dimension": 2}),
+        ("gaussian_low_rank", {"dimension": 2, "max_rank": 1})])
+    def test_refinement_of_a_gaussian_family_rejected(self, monkeypatch,
+                                                      variant, fields):
+        # refinement moves combination weights, which a Gaussian family has
+        # not: a nonzero refine_rounds was silently ignored
+
+        def no_fit(*args):
+            raise AssertionError("a candidate was fitted")
+
+        monkeypatch.setattr(erm, "fit_stack", no_fit)
+        fam = KernelFamily(variant=variant, **fields)
+        sample = make_tasks(np.random.default_rng(10), n=2, m=8)
+        with pytest.raises(InputError, match="refine_rounds must be 0"):
+            erm_fit(fam, sample, PARAMS, SearchBudget(refine_rounds=1))
+
     def test_unequal_task_sizes_rejected(self):
         with pytest.raises(InputError):
             MultiTaskSample(tasks=(

@@ -15,7 +15,7 @@ from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
                   avg_true_error, check_kernel_invariants, empirical_margin_error,
                   fit_single_task, rbf_kernel, linear_kernel)
 from mtkl.kernels import Kernel, custom_kernel, gaussian_metric_kernel, poly_kernel
-from mtkl import _accel, envsim, margin
+from mtkl import _accel, envsim, kernels, margin
 
 import _oracles as orc
 
@@ -183,6 +183,23 @@ class TestFitSingleTask:
 
 
 class TestFitStack:
+    def test_one_stack_of_grams_in_memory(self, monkeypatch):
+        # m = 256 is one problem per stack; each task's Gram (512 KiB) is
+        # built only after the last stack's is dropped, so the peak is that
+        # Gram and the PSD check's copy of it, not a third
+        monkeypatch.setattr(margin, "PGD_MAX_ITERS", 3)  # the solve is not tested
+        rng = np.random.default_rng(13)
+        problems = [(rbf_kernel(0.8), TaskData(X=rng.uniform(-1, 1, (256, 2)),
+                                               y=np.resize([1.0, -1.0], 256)))
+                    for _ in range(3)]
+        tracemalloc.start()
+        try:
+            margin.fit_stack(problems, MarginParams(gamma=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 256 ** 2
+
     def test_split_stacks_match_scalar_solver(self, monkeypatch):
         # 9 problems in stacks of 4, 4 and 1; each fit must equal hinge_pgd
         # on its own problem, bit for bit
@@ -271,8 +288,8 @@ class TestFitStack:
         built, solved = [], []
         gram, pgd = Kernel.gram, _accel.hinge_pgd
 
-        def spy_gram(kernel, X, memo=None):
-            built.append(gram(kernel, X, memo))
+        def spy_gram(kernel, X):
+            built.append(gram(kernel, X))
             return built[-1]
 
         def spy_pgd(K, *args):
@@ -529,3 +546,28 @@ def test_evaluation_memory_stays_within_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_evaluation_makes_one_cross_call_per_block(monkeypatch):
+    # the traced kernels.cross layer counts Monte Carlo scoring blocks: a lone
+    # predictor's blocks each go through Kernel.cross once, never a shared path
+    rng = np.random.default_rng(5)
+    kernel = Kernel(terms=((0.25, rbf_kernel(0.6).terms[0][1]),
+                           (0.75, rbf_kernel(1.2).terms[0][1])), bound_b=1.0)
+    predictor = Predictor(alphas=rng.standard_normal(32),
+                          support_sample=rng.uniform(-1, 1, (32, 4)),
+                          kernel=kernel)
+    X = rng.uniform(-1, 1, (100_000, 4))
+    calls = []
+    cross = Kernel.cross
+
+    def spy(self, S, Z):
+        calls.append(len(Z))
+        return cross(self, S, Z)
+
+    monkeypatch.setattr(Kernel, "cross", spy)
+    scores = predictor.evaluate(X)
+    block = kernels.EVAL_BLOCK
+    assert calls == [min(block, len(X) - start)
+                     for start in range(0, len(X), block)]
+    assert scores.shape == (len(X),)

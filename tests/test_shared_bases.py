@@ -9,6 +9,8 @@ that uses it. These tests hold the shared sums to the term-by-term builds in
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import expansion_reference, weighted_sum_reference
 from mtkl import (KernelFamily, MarginParams, MultiTaskSample, SearchBudget,
@@ -16,7 +18,8 @@ from mtkl import (KernelFamily, MarginParams, MultiTaskSample, SearchBudget,
                   pseudodim_lower_bound, rbf_kernel)
 from mtkl import _accel, erm, margin
 from mtkl.capacity import _pool_pairs, _pool_values
-from mtkl.kernels import BaseKernel, _combine, expand_each, linear_kernel, poly_kernel
+from mtkl.kernels import (BaseKernel, Kernel, _combine, expand_each, grams,
+                          linear_kernel, poly_kernel)
 
 PARAMS = MarginParams(gamma=0.15)
 
@@ -46,45 +49,102 @@ def n_bases(kerns):
 # m = 300 rows of 8 * 300 bytes are summed in row blocks of SUM_BLOCK_BYTES
 # (109 rows), so the last block is short
 @pytest.mark.parametrize("m", [1, 7, 300])
-def test_shared_grams_equal_term_by_term_builds(m):
+def test_shared_grams_equal_term_by_term_builds(monkeypatch, m):
     X = np.random.default_rng(m).uniform(-1, 1, (m, 3))
-    kerns, memo = kernel_set(), {}
-    for kern in kerns:
-        G = kern.gram(X, memo)
+    kerns = kernel_set()
+    calls = count_base_calls(monkeypatch, "gram")
+    shared = list(grams(kerns, X))
+    assert len(calls) == n_bases(kerns) == 4
+    for kern, G in zip(kerns, shared):
         ref = weighted_sum_reference(kern, lambda base: base.gram(X))
         assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
         assert G.tobytes() == kern.gram(X).tobytes()  # and the unshared path
-    assert len(memo) == n_bases(kerns) == 4
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 5), (9, 2), (300, 40)])
-def test_shared_cross_grams_equal_term_by_term_builds(rows, cols):
+def test_shared_cross_grams_equal_term_by_term_builds(monkeypatch, rows, cols):
     rng = np.random.default_rng(rows)
     X, Z = rng.uniform(-1, 1, (rows, 3)), rng.uniform(-1, 1, (cols, 3))
-    kerns, memo = kernel_set(), {}
-    for kern in kerns:
-        K = kern.cross(X, Z, memo)
+    kerns = kernel_set()
+    calls = count_base_calls(monkeypatch, "cross")
+    shared = list(kernels._shared_sums(kerns, lambda kern: kern.cross(X, Z),
+                                       lambda base: base.cross(X, Z)))
+    assert len(calls) == 4
+    for kern, K in zip(kerns, shared):
         ref = weighted_sum_reference(kern, lambda base: base.cross(X, Z))
         assert K.shape == ref.shape and K.tobytes() == ref.tobytes()
         assert K.tobytes() == kern.cross(X, Z).tobytes()
-    assert len(memo) == 4
 
 
-def test_memoised_values_are_read_only():
+# Each kernel: 1-3 terms drawn from six bases, three of them reading `dims`
+# views, so a base may repeat within a kernel and across kernels; each weight
+# is 1.0 or a dyadic or arbitrary fraction.
+BASES = (BaseKernel(kind="rbf", bandwidth=0.5, dims=(0, 1)),
+         BaseKernel(kind="rbf", bandwidth=1.3),
+         BaseKernel(kind="linear", scale=0.5, dims=(2,), bound_b=0.5),
+         BaseKernel(kind="poly", scale=0.25, coef0=0.5, dims=(0, 2)),
+         BaseKernel(kind="linear", scale=0.3, bound_b=0.9),
+         BaseKernel(kind="poly", degree=3, scale=0.5, coef0=0.25))
+TERM = st.tuples(st.sampled_from([1.0, 0.5, 2.0, 0.3, 0.7071]),
+                 st.sampled_from(BASES))
+KERNEL = st.lists(TERM, min_size=1, max_size=3).map(
+    lambda terms: Kernel(terms=tuple(terms), bound_b=4.0))
+
+
+@given(kerns=st.lists(KERNEL, min_size=1, max_size=6), m=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_grams_equal_each_gram_and_the_reference(kerns, m, seed):
+    X = np.random.default_rng(seed).uniform(-1, 1, (m, 3))
+    shared = list(grams(kerns, X))
+    assert len(shared) == len(kerns)
+    for kern, G in zip(kerns, shared):
+        ref = weighted_sum_reference(kern, lambda base: base.gram(X))
+        assert G.shape == ref.shape == (m, m)
+        assert G.tobytes() == kern.gram(X).tobytes() == ref.tobytes()
+
+
+def test_grams_build_bases_only_when_asked(monkeypatch):
+    # fit_stack holds one stack's Grams at a time only because grams is lazy
+    X = np.random.default_rng(8).uniform(-1, 1, (5, 3))
+    kerns = kernel_set()
+    calls = count_base_calls(monkeypatch, "gram")
+    built = grams(kerns, X)
+    assert calls == []
+    next(built)
+    assert calls == [kerns[0].terms[0][1]]
+    next(built)
+    assert calls == [kerns[0].terms[0][1], kerns[1].terms[0][1]]
+    assert len(list(built)) == len(kerns) - 2 and len(calls) == 4
+
+
+def test_one_kernel_is_its_own_gram(monkeypatch):
+    # a lone kernel takes Kernel.gram's in-place sum, not the shared one
+    X = np.random.default_rng(9).uniform(-1, 1, (5, 3))
+    kern = kernel_set()[8]
+    calls = []
+    real = Kernel.gram
+    monkeypatch.setattr(Kernel, "gram",
+                        lambda self, X: calls.append(self) or real(self, X))
+    G, = grams([kern], X)
+    assert calls == [kern] and G.flags.writeable
+    assert G.tobytes() == weighted_sum_reference(
+        kern, lambda base: base.gram(X)).tobytes()
+
+
+def test_shared_base_values_are_read_only():
     X = np.random.default_rng(1).uniform(-1, 1, (6, 3))
-    kerns, memo = kernel_set(), {}
-    lone = kerns[0].gram(X, memo)  # a weight-1 single term is the memo's array
-    assert lone is memo[kerns[0].terms[0][1]]
-    for kern in kerns:
-        kern.gram(X, memo)
-    for values in list(memo.values()) + [lone]:
+    kerns = kernel_set()
+    shared = list(grams(kerns, X))
+    # a weight-1 single term is the shared base Gram itself
+    for values in shared[:4]:
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             values *= 2.0
     # a sum over more than one term, or a scaled one, is the caller's own
-    summed = kerns[4].gram(X, memo)
-    summed[0, 0] = 0.0
+    for summed in shared[4:]:
+        summed[0, 0] = 0.0
 
 
 def test_value_table_equals_term_by_term_builds():
