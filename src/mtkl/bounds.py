@@ -20,11 +20,14 @@ of :func:`cover_bound_fk`, which is base 2 as in its source.
 Degenerate log arguments (<= 1) clamp that log factor to 0 and add a warning
 instead of raising: a covering number is always >= 1, so clamping keeps the
 evaluated expression a valid upper bound in regimes the formulas were not
-meant for (tiny m, huge margins).
+meant for (tiny m, huge margins). Arithmetic that leaves the float range
+raises NumericError naming the function and its arguments.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -87,6 +90,21 @@ class DeltaResult:
     warnings: tuple[str, ...]
 
 
+def _in_float_range(fn):
+    """``fn``, raising NumericError that names it and its arguments where a
+    float operation raises ZeroDivisionError or OverflowError."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ZeroDivisionError, OverflowError) as exc:
+            bound = inspect.signature(fn).bind(*args, **kwargs).arguments
+            call = ", ".join(f"{k}={v!r}" for k, v in bound.items())
+            raise NumericError(f"{fn.__name__}({call}) leaves the float range: "
+                               f"{exc.args[-1]}") from exc
+    return checked
+
+
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
         require_number(value, name, positive=True)
@@ -127,6 +145,7 @@ def _hn_logs(n: int, m: int, B: float, d_phi: float, scale: float, k: int,
     return log_kernel, t_function
 
 
+@_in_float_range
 def cover_bound_hn(n: int, m: int, B: float, d_phi: float,
                    epsilon: float) -> LogBound:
     """Natural log of the sup-metric cover bound for n-tuples of unit-ball
@@ -142,6 +161,7 @@ def cover_bound_hn(n: int, m: int, B: float, d_phi: float,
                     warnings=tuple(warns))
 
 
+@_in_float_range
 def cover_bound_fk(m: int, B: float, epsilon: float) -> LogBound:
     """Natural log of the single-kernel function-class cover bound
     ``2 (4 m B / eps^2)^{(16 B / eps^2) log2(eps e m / (4 sqrt(B)))}``
@@ -155,6 +175,7 @@ def cover_bound_fk(m: int, B: float, epsilon: float) -> LogBound:
     return LogBound(log_value=value, warnings=tuple(warns))
 
 
+@_in_float_range
 def cover_bound_kernel_nm(n: int, m: int, B: float, d_phi: float,
                           epsilon: float) -> float:
     """Natural log of the sample-based kernel cover chain bound
@@ -173,6 +194,7 @@ def cover_bound_kernel_dn(n: int, d_phi: float, B: float, epsilon: float,
                     + 17.0 * math.log(math.sqrt(B) / epsilon))
 
 
+@_in_float_range
 def appendix_sample_size(d_phi: float, B: float, epsilon: float,
                          constants: BoundConstants = BoundConstants()) -> float:
     """Sample size ``c d_phi^2 B^{5/2} / eps^5`` sufficient for empirical
@@ -181,6 +203,7 @@ def appendix_sample_size(d_phi: float, B: float, epsilon: float,
     return constants.c * d_phi**2 * B**2.5 / epsilon**5
 
 
+@_in_float_range
 def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
     """Estimation-error radius for n tasks with m samples each, holding with
     probability at least ``1 - delta``:
@@ -226,6 +249,7 @@ def _lifelong_log_terms(inputs: BoundInputs, epsilon: float,
     return log_sample, log_env
 
 
+@_in_float_range
 def lifelong_delta(inputs: BoundInputs, epsilon: float,
                    constants: BoundConstants = BoundConstants()) -> DeltaResult:
     """Failure probability ``4 H e^{-n m eps^2/32} + 4 K e^{-n eps^2/128}``
@@ -253,6 +277,7 @@ def lifelong_delta(inputs: BoundInputs, epsilon: float,
     )
 
 
+@_in_float_range
 def invert_epsilon(inputs: BoundInputs, target: float,
                    constants: BoundConstants = BoundConstants()) -> float:
     """Solve ``lifelong_delta(inputs, eps, constants) = target`` for eps by

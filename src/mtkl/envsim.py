@@ -20,6 +20,7 @@ spawning, so a trial is bitwise reproducible from its seed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -46,9 +47,9 @@ INPUT_LAW_KEYS = {"uniform_cube": ("low", "high"),
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Accept an int, an entropy sequence, or an existing SeedSequence."""
+    """An int, an entropy sequence or a SeedSequence, copied: never advanced."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return copy.copy(seed)
     return np.random.SeedSequence(seed)
 
 
@@ -371,8 +372,7 @@ def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
     Per-task sample streams are spawned from ``seed`` exactly as in
     ``run_trial``, so a trial's Monte Carlo seed reproduces its ``er`` and
     ``er_2gamma``, and calls with the same int seed and different margins
-    share the exact same draws. Spawning advances a ``SeedSequence``, so
-    repeating draws from one takes a fresh copy per call.
+    share the exact same draws.
     """
     if len(distributions) != len(predictors):
         raise InputError(

@@ -4,8 +4,8 @@ For a fixed kernel the multi-task objective decomposes over tasks, so the
 search is: enumerate candidate kernels from the family in a canonical
 deterministic order, fit every task independently for each candidate, and
 keep the candidate with the lowest average empirical margin error (ties go
-to the lowest candidate index). The (candidate, task) problems of a search
-go to ``margin.fit_stack`` in one call, which decides how they are stacked.
+to the lowest candidate index). One ``margin.fit_stack`` call fits every
+candidate on every task and decides how that grid is stacked.
 
 Candidate enumeration is exhaustive for finite structures (dictionary
 vertices, sparse-support subsets) and grid-based for continuous parameters
@@ -28,33 +28,11 @@ from .errors import BudgetError, InputError, require_int
 from .kernels import COMBO_VARIANTS, Kernel, KernelFamily, expand_each, instantiate
 # fit_single_task is not called here: every fit goes through fit_stack.
 # perfbench/tracer.py wraps this binding.
-from .margin import MarginParams, Predictor, TaskData, fit_single_task, fit_stack, \
-    margin_error_rate
+from .margin import MarginParams, MultiTaskSample, Predictor, TaskData, \
+    fit_single_task, fit_stack, margin_error_rate
 
 LINEAR_COMBO_SCALES = (0.5, 1.0, 2.0)
 GAUSSIAN_AXIS_BOOST = 4.0
-
-
-@dataclass(frozen=True, eq=False)
-class MultiTaskSample:
-    """n tasks of m labeled examples each."""
-
-    tasks: tuple[TaskData, ...]
-
-    def __post_init__(self):
-        if not self.tasks:
-            raise InputError("need at least one task")
-        sizes = {t.m for t in self.tasks}
-        if len(sizes) != 1:
-            raise InputError(f"tasks must share one sample size, got {sorted(sizes)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def m(self) -> int:
-        return self.tasks[0].m
 
 
 @dataclass(frozen=True)
@@ -194,21 +172,14 @@ def searched_family_bound(family: KernelFamily) -> float:
 def fit_candidates(kernels: Sequence[Kernel], sample: MultiTaskSample,
                    params: MarginParams
                    ) -> list[tuple[tuple[Predictor, ...], tuple[float, ...]]]:
-    """Fit all tasks independently for each kernel: one (predictors, errors)
-    pair per kernel, in order. Every (kernel, task) problem goes to one
-    ``fit_stack`` call, task by task, so each task's base Grams are built
-    once; each task's training scores share base cross-Grams the same way
-    (``expand_each``)."""
-    n_kernels = len(kernels)
-    predictors = fit_stack(
-        [(kernel, task) for task in sample.tasks for kernel in kernels], params)
-    errors = []
-    for t, task in enumerate(sample.tasks):
-        preds = predictors[t * n_kernels:(t + 1) * n_kernels]
-        scores = expand_each([(p.kernel, p.alphas) for p in preds], task.X, task.X)
-        errors.append([margin_error_rate(task.y * h, params.gamma) for h in scores])
-    return [(tuple(predictors[k::n_kernels]), tuple(e[k] for e in errors))
-            for k in range(n_kernels)]
+    """Fit all tasks independently for each kernel, in one ``fit_stack``
+    call: one (predictors, errors) pair per kernel, in order. Each task's
+    training scores share base cross-Grams (``expand_each``)."""
+    fits = fit_stack(kernels, sample, params)
+    errors = [[margin_error_rate(task.y * h, params.gamma) for h in expand_each(
+                  [(p.kernel, p.alphas) for p in task_fits], task.X, task.X)]
+              for task, task_fits in zip(sample.tasks, zip(*fits))]
+    return list(zip(fits, zip(*errors)))
 
 
 def fit_candidate(kernel: Kernel, sample: MultiTaskSample,
@@ -217,14 +188,14 @@ def fit_candidate(kernel: Kernel, sample: MultiTaskSample,
     return fit_candidates([kernel], sample, params)[0]
 
 
-def _refine_weights(family, sample, params, budget, best_w, best_err):
+def _refine_weights(family, sample, params, budget, incumbent):
     """Coordinate-descent mass moves on the simplex around the grid argmin,
     in integer counts over ``grid_resolution * 2**refine_rounds`` (exact for
-    the grid's weights), so a weight moved to zero is exactly zero."""
+    the grid's weights), so a weight moved to zero is exactly zero. The
+    incumbent, taken and returned, is (weights, kernel, label, average
+    error, (predictors, errors)); zero rounds return it as it is."""
     denom = budget.grid_resolution * 2 ** budget.refine_rounds
-    counts = np.rint(np.asarray(best_w) * denom).astype(np.int64)
-    err = best_err
-    predictors = None
+    counts = np.rint(np.asarray(incumbent[0]) * denom).astype(np.int64)
     for round_idx in range(budget.refine_rounds):
         step = 2 ** (budget.refine_rounds - round_idx - 1)
         improved = False
@@ -237,14 +208,16 @@ def _refine_weights(family, sample, params, budget, best_w, best_err):
             if family.variant == "sparse_combo" and \
                     np.count_nonzero(c_try) > family.sparsity:
                 continue
-            kern = instantiate(family, c_try / denom)
-            preds, errs = fit_candidate(kern, sample, params)
-            avg = float(np.mean(errs))
-            if avg < err - 1e-15:
-                counts, err, predictors, improved = c_try, avg, (preds, errs), True
+            w = c_try / denom
+            kern = instantiate(family, w)
+            fit = fit_candidate(kern, sample, params)
+            avg = float(np.mean(fit[1]))
+            if avg < incumbent[3] - 1e-15:
+                counts, improved = c_try, True
+                incumbent = (w, kern, f"refined w={np.round(w, 6).tolist()}", avg, fit)
         if not improved:
             break
-    return counts / denom, err, predictors
+    return incumbent
 
 
 def erm_search(family: KernelFamily, sample: MultiTaskSample,
@@ -261,28 +234,13 @@ def erm_search(family: KernelFamily, sample: MultiTaskSample,
     averages = [float(np.mean(errors)) for _, errors in fits]
     pick = int(np.argmin(averages))  # ties go to the lowest index
     cand = candidates[pick]
-    predictors, errors = fits[pick]
-    avg_err, kernel, cand_params, label = \
-        averages[pick], cand.kernel, cand.params, cand.label
-
-    if budget.refine_rounds > 0:
-        w, err, refined = _refine_weights(
-            family, sample, params, budget, cand.params, avg_err)
-        if refined is not None:
-            cand_params, avg_err = w, err
-            kernel = instantiate(family, w)
-            predictors, errors = refined
-            label = f"refined w={np.round(w, 6).tolist()}"
-
+    incumbent = (cand.params, cand.kernel, cand.label, averages[pick], fits[pick])
+    kernel_params, kernel, label, avg_err, (predictors, errors) = _refine_weights(
+        family, sample, params, budget, incumbent)
     solution = MultiTaskSolution(
-        kernel_params=cand_params,
-        kernel=kernel,
-        predictors=predictors,
-        avg_empirical_margin_error=avg_err,
-        per_task_errors=errors,
-        candidate_index=cand.index,
-        candidate_label=label,
-    )
+        kernel_params=kernel_params, kernel=kernel, predictors=predictors,
+        avg_empirical_margin_error=avg_err, per_task_errors=errors,
+        candidate_index=cand.index, candidate_label=label)
     return solution, fits
 
 

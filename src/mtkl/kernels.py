@@ -183,13 +183,16 @@ class BaseKernel:
             object.__setattr__(self, "dims", tuple(self.dims))
 
     def _select(self, X: np.ndarray) -> np.ndarray:
-        if self.dims is None:
-            return X
-        try:
-            return np.ascontiguousarray(X[:, list(self.dims)])
-        except IndexError:
-            raise InputError(f"kernel dims entry {max(self.dims)} is out of "
-                             f"range for points of width {X.shape[1]}") from None
+        if self.dims is not None:
+            try:
+                X = np.ascontiguousarray(X[:, list(self.dims)])
+            except IndexError:
+                raise InputError(f"kernel dims entry {max(self.dims)} is out "
+                                 f"of range for points of width {X.shape[1]}") from None
+        if self.kind == "gaussian_metric" and len(self.metric) != X.shape[1]:
+            raise InputError(f"kernel metric of size {len(self.metric)} does "
+                             f"not fit points of width {X.shape[1]}")
+        return X
 
     def _values(self, Xs: np.ndarray, Zs: np.ndarray) -> np.ndarray:
         if self.kind == "rbf":

@@ -11,12 +11,12 @@ lives in the RKHS, not in coefficient space). Hinge is a surrogate: reported
 errors are always the 0-1 margin error of the achieved iterate, which is all
 the downstream deviation checks require.
 
-``fit_stack`` is the one function that turns (kernel, task) pairs into
-predictors; ``fit_single_task`` is its one-pair case. ``_gram_fault`` is the
-one check that a Gram can be fitted: ``fit_stack`` runs it on every training
-Gram before solving, and ``check_kernel_invariants`` adds exact symmetry.
-After solving, ``fit_stack`` checks that every fit is finite and inside its
-unit ball up to ``NORM_TOL``.
+``fit_stack`` fits every kernel of a list on every task of a
+``MultiTaskSample``; ``fit_single_task`` is its one-pair case. ``_gram_fault``
+is the one check that a Gram can be fitted: ``fit_stack`` runs it on every
+training Gram before solving, and ``check_kernel_invariants`` adds exact
+symmetry. After solving, ``fit_stack`` checks that every fit is finite and
+inside its unit ball up to ``NORM_TOL``.
 """
 
 from __future__ import annotations
@@ -78,6 +78,26 @@ class TaskData:
     @property
     def m(self) -> int:
         return self.X.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class MultiTaskSample:
+    """n tasks of m labeled examples each."""
+
+    tasks: tuple[TaskData, ...]
+
+    def __post_init__(self):
+        sizes = sorted({t.m for t in self.tasks})
+        if len(sizes) != 1:
+            raise InputError(f"need one or more tasks of one sample size, got {sizes}")
+
+    @property
+    def n(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def m(self) -> int:
+        return self.tasks[0].m
 
 
 @dataclass(frozen=True)
@@ -143,37 +163,32 @@ def check_kernel_invariants(kernel: Kernel, sample) -> None:
 
 
 def fit_single_task(kernel: Kernel, data: TaskData, params: MarginParams) -> Predictor:
-    """``fit_stack`` on one (kernel, task) pair."""
-    return fit_stack([(kernel, data)], params)[0]
+    """``fit_stack`` of one kernel on one task."""
+    return fit_stack([kernel], MultiTaskSample((data,)), params)[0][0]
 
 
-def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
-              params: MarginParams) -> list[Predictor]:
-    """Minimize hinge-at-gamma over each kernel's unit ball on its task.
+def fit_stack(kernels: Sequence[Kernel], sample: MultiTaskSample,
+              params: MarginParams) -> list[tuple[Predictor, ...]]:
+    """Minimize hinge-at-gamma over each kernel's unit ball on each task:
+    one tuple of predictors per kernel, in task order.
 
-    The tasks must share one sample size. The pairs are solved in lockstep,
-    in stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
-    on its stack. Each run of consecutive problems on one task (the same
-    ``X`` array) takes its Grams from one ``kernels.grams`` call, one stack
-    at a time, so each distinct base kernel's Gram of that task is built
-    once. List a task's problems together to share.
+    The (kernel, task) problems are solved task by task, in lockstep, in
+    stacks of at most ``STACK_BYTES`` of Gram; a predictor does not depend
+    on its stack. Each task's Grams come from one lazy ``kernels.grams``, so
+    each distinct base kernel's Gram of a task is built once.
 
-    Raises InputError, before any Gram is built, for no pairs or more than
-    one sample size. Raises NumericError naming the problem's index in
-    ``problems``: before its stack is solved, for a ``_gram_fault``; after,
-    for a fit with a non-finite coefficient or with alpha^T K alpha above
-    1 + ``NORM_TOL`` on the Gram it was solved on. A fit that exhausts
-    ``PGD_MAX_ITERS`` while still improving returns the best iterate with
-    ``converged=False``.
-    """
-    sizes = sorted({task.m for _, task in problems})
-    if len(sizes) != 1:
-        raise InputError(f"fit_stack needs tasks of one sample size, got {sizes}")
-    per_stack = max(1, STACK_BYTES // (8 * sizes[0] ** 2))
-    runs = (list(run) for _, run in itertools.groupby(problems, lambda p: id(p[1].X)))
+    Raises NumericError naming the kernel's index in ``kernels`` and the
+    task's index in ``sample``: before its stack is solved, for a
+    ``_gram_fault``; after, for a fit with a non-finite coefficient or with
+    alpha^T K alpha above 1 + ``NORM_TOL`` on the Gram it was solved on. A
+    fit that exhausts ``PGD_MAX_ITERS`` while still improving returns the
+    best iterate with ``converged=False``."""
+    per_stack = max(1, STACK_BYTES // (8 * sample.m ** 2))
+    problems = [(k, kernel, t, task) for t, task in enumerate(sample.tasks)
+                for k, kernel in enumerate(kernels)]
     built = itertools.chain.from_iterable(
-        grams([kernel for kernel, _ in run], run[0][1].X) for run in runs)
-    predictors: list[Predictor] = []
+        grams(kernels, task.X) for task in sample.tasks)
+    fits: list[list[Predictor]] = [[] for _ in kernels]
     stack_grams: list = []
     for start in range(0, len(problems), per_stack):
         stack = problems[start:start + per_stack]
@@ -181,28 +196,27 @@ def fit_stack(problems: Sequence[tuple[Kernel, TaskData]],
         # stacks it only for two problems or more, so a lone Gram is not held twice
         stack_grams.clear()
         stack_grams.extend(itertools.islice(built, len(stack)))
-        for index, ((kernel, _), G) in enumerate(zip(stack, stack_grams), start):
+        for (k, kernel, t, _), G in zip(stack, stack_grams):
             if fault := _gram_fault(G, kernel.bound_b):
                 raise NumericError(
-                    f"training Gram of problem {index} (m={len(G)}) {fault}")
+                    f"training Gram of kernel {k} on task {t} (m={len(G)}) {fault}")
         del G  # else it holds the stack's last Gram while the next is built
         # feasible starts: alpha^T K alpha <= B (sum_j |alpha_j|)^2 = 1
         starts = np.stack([task.y / (task.m * np.sqrt(kernel.bound_b))
-                           for kernel, task in stack])
+                           for _, kernel, _, task in stack])
         alphas, _obj, _iters, converged = _accel.hinge_pgd_batch(
-            stack_grams, np.stack([task.y for _, task in stack]), params.gamma,
+            stack_grams, np.stack([task.y for *_, task in stack]), params.gamma,
             starts, PGD_MAX_ITERS, PGD_TOL)
         finite = np.isfinite(alphas).all(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             norms = [alpha @ G @ alpha for alpha, G in zip(alphas, stack_grams)]
-        for index, (ok, norm_sq) in enumerate(zip(finite, norms), start):
+        for (k, _, t, _), ok, norm_sq in zip(stack, finite, norms):
             if not ok or not norm_sq <= 1.0 + NORM_TOL:
                 raise NumericError(
-                    f"fit of problem {index} (m={sizes[0]}) " + (
+                    f"fit of kernel {k} on task {t} (m={sample.m}) " + (
                         f"has RKHS norm² {float(norm_sq)!r} above 1 + {NORM_TOL}"
                         if ok else "has a non-finite coefficient"))
-        predictors.extend(
-            Predictor(alphas=alpha, support_sample=task.X, kernel=kernel,
-                      converged=bool(ok))
-            for (kernel, task), alpha, ok in zip(stack, alphas, converged))
-    return predictors
+        for (k, kernel, _, task), alpha, ok in zip(stack, alphas, converged):
+            fits[k].append(Predictor(alphas=alpha, support_sample=task.X,
+                                     kernel=kernel, converged=bool(ok)))
+    return [tuple(f) for f in fits]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtkl import (BoundConstants, BoundInputs, InputError,
+from mtkl import (BoundConstants, BoundInputs, InputError, NumericError,
                   appendix_sample_size, cover_bound_fk, cover_bound_hn,
                   cover_bound_kernel_dn, cover_bound_kernel_nm, invert_epsilon,
                   lifelong_delta, multitask_epsilon)
@@ -299,6 +299,40 @@ class TestProblemRecord:
         # with no warning
         with pytest.raises(InputError):
             call()
+
+
+class TestFloatRange:
+    """Finite inputs whose arithmetic leaves the float range: a radius that
+    squares to 0 divided by zero, one that squares past the largest float
+    overflowed; both raised past every error type the CLI maps."""
+
+    @pytest.mark.parametrize("call,needle", [
+        (lambda: cover_bound_fk(10, 1.0, 1e-200),
+         "cover_bound_fk(m=10, B=1.0, epsilon=1e-200)"),
+        (lambda: cover_bound_hn(2, 10, 1.0, 2.0, 1e200),
+         "cover_bound_hn(n=2, m=10, B=1.0, d_phi=2.0, epsilon=1e+200)"),
+        (lambda: multitask_epsilon(make_inputs(gamma=1e-200), 0.05),
+         "multitask_epsilon(inputs=BoundInputs(n=4, m=64, d_phi=3.0, B=1.0, "
+         "gamma=1e-200), delta=0.05)"),
+        (lambda: multitask_epsilon(make_inputs(gamma=1e200), 0.05),
+         "gamma=1e+200), delta=0.05)"),
+        (lambda: lifelong_delta(make_inputs(), epsilon=1e-200),
+         "lifelong_delta(inputs=BoundInputs(n=4, m=64, d_phi=3.0, B=1.0, "
+         "gamma=0.25), epsilon=1e-200)"),
+        (lambda: invert_epsilon(make_inputs(gamma=1e200), 0.05),
+         "invert_epsilon(inputs=BoundInputs("),
+        (lambda: appendix_sample_size(1.0, 1.0, 1e-100),
+         "appendix_sample_size(d_phi=1.0, B=1.0, epsilon=1e-100)"),
+        (lambda: cover_bound_kernel_nm(4, 32, 1.0, 1e-200, 1e-200),
+         "cover_bound_kernel_nm("),
+    ], ids=["fk_tiny_epsilon", "hn_huge_epsilon", "multitask_tiny_gamma",
+            "multitask_huge_gamma", "lifelong_tiny_epsilon", "invert_huge_gamma",
+            "appendix_tiny_epsilon", "nm_tiny_product"])
+    def test_raises_numeric_error_naming_function_and_input(self, call, needle):
+        with pytest.raises(NumericError, match="leaves the float range") as exc:
+            call()
+        assert needle in str(exc.value)
+        assert isinstance(exc.value.__cause__, (ZeroDivisionError, OverflowError))
 
 
 def clamped_values(warnings):

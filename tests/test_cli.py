@@ -365,11 +365,11 @@ class TestLearnCommand:
         assert f"error-category: {category}\n" in err
         assert not out_dir.exists()
         if category == "numeric":
-            # the first problem is task t0's 10 points
+            # candidate 0 on task t0, the data file's first task, of 10 points
             X = load_multitask_sample(data_file).tasks[0].X
             defect = psd_defect(linear_kernel(scale=-1.0).gram(X))
-            assert (f"training Gram of problem 0 (m=10) is indefinite beyond "
-                    f"tolerance: PSD defect {defect!r}\n") in err
+            assert (f"training Gram of kernel 0 on task 0 (m=10) is indefinite "
+                    f"beyond tolerance: PSD defect {defect!r}\n") in err
 
     # a degree-3 poly kernel of scale 1e110 overflows to inf while the Gram
     # is built; eigvalsh then raised LinAlgError, a traceback and exit 1
@@ -384,7 +384,7 @@ class TestLearnCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "error-category: numeric\n" in err
-        assert "training Gram of problem 0 (m=10) has a non-finite entry" in err
+        assert "training Gram of kernel 0 on task 0 (m=10) has a non-finite entry" in err
         assert not out_dir.exists()
 
     def test_gram_diagonal_above_declared_bound_exit_3(self, tmp_path, capsys):
@@ -408,10 +408,27 @@ class TestLearnCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "error-category: numeric\n" in err
-        assert (f"training Gram of problem 0 (m=12) has diagonal entry {row} = "
+        assert (f"training Gram of kernel 0 on task 0 (m=12) has diagonal entry "
+                f"{row} = "
                 in err)
         assert "above B=1.0\n" in err
         assert not out_dir.exists()
+
+    def test_gram_fault_names_the_task_in_file_order(self, tmp_path, capsys):
+        # task "zeta" comes first in the file and fits; task "alpha", second,
+        # has a point of squared norm 4 under a degree-1 poly kernel, which
+        # declares B=1
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+            {"type": "poly", "degree": 1}]}))
+        data = tmp_path / "data.csv"
+        data.write_text("zeta,0.5,0,1\nzeta,-0.5,0,-1\n"
+                        "alpha,0.5,0,1\nalpha,-2,0,-1\n")
+        rc = main(["learn", "--family", str(path), "--data", str(data),
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert ("training Gram of kernel 0 on task 1 (m=2) has diagonal entry "
+                "1 = 4.0 above B=1.0\n") in capsys.readouterr().err
 
 class TestShatterCoverCommands:
     def test_shatter_outputs(self, family_file, tmp_path, capsys):
@@ -566,6 +583,59 @@ class TestShatterCoverCommands:
                   "--epsilon", "0.5", "--dim", "2",
                   "--out-dir", str(tmp_path / "cv")])
         assert exc.value.code == 2
+
+
+BOUND_PROBLEM = ["--n", "3", "--m", "32", "--dphi", "4"]
+
+
+# Finite but extreme inputs that once ended in a traceback and exit 1. Each
+# row: argv ({family} and {data} stand for the files the test writes), the
+# mapped exit code, and a part of the message. A new unmapped exception on
+# one of these paths fails here.
+EDGE_INVOCATIONS = {
+    "bound_multitask_tiny_gamma": (
+        ["bound", "--mode", "multitask", *BOUND_PROBLEM, "--gamma", "1e-200",
+         "--delta", "0.05"], 3, "multitask_epsilon(inputs=BoundInputs("),
+    "bound_multitask_huge_gamma": (
+        ["bound", "--mode", "multitask", *BOUND_PROBLEM, "--gamma", "1e200",
+         "--delta", "0.05"], 3, "gamma=1e+200"),
+    "bound_invert_huge_gamma": (
+        ["bound", "--mode", "invert", *BOUND_PROBLEM, "--gamma", "1e200",
+         "--delta", "0.05"], 3, "invert_epsilon("),
+    "bound_lifelong_tiny_epsilon": (
+        ["bound", "--mode", "lifelong", *BOUND_PROBLEM, "--gamma", "0.1",
+         "--epsilon", "1e-200"], 3, "epsilon=1e-200"),
+    "learn_metric_narrower_than_points": (
+        ["learn", "--family", "{family}", "--data", "{data}", "--gamma", "0.1"],
+        2, "metric of size 2 does not fit points of width 3"),
+    "shatter_metric_narrower_than_points": (
+        ["shatter", "--family", "{family}", "--dim", "3"],
+        2, "metric of size 2 does not fit points of width 3"),
+    "cover_metric_narrower_than_points": (
+        ["cover", "--family", "{family}", "--dim", "3", "--epsilon", "0.5"],
+        2, "metric of size 2 does not fit points of width 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INVOCATIONS))
+def test_edge_invocation_exits_with_its_mapped_code(tmp_path, capsys, name):
+    argv, code, needle = EDGE_INVOCATIONS[name]
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"variant": "gaussian_covariance", "dimension": 2}))
+    data = tmp_path / "data.csv"
+    data.write_text("t0,0.1,0.2,0.3,1\nt0,-0.1,0.2,0.3,-1\n"
+                    "t1,0.5,0.2,0.3,1\nt1,-0.4,0.2,0.1,-1\n")
+    out_dir = tmp_path / "o"
+    argv = [a.format(family=family, data=data) for a in argv]
+    if argv[0] != "bound":
+        argv += ["--out-dir", str(out_dir)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    category = {2: "input", 3: "numeric"}[code]
+    assert f"error-category: {category}\n" in captured.err
+    assert needle in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
 class TestManifests:

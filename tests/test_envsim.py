@@ -11,7 +11,7 @@ from mtkl import (InputError, InputLaw, Kernel, KernelFamily, MarginParams,
                   TaskEnvironment, avg_true_error, empirical_margin_error,
                   fit_single_task, make_planted_distribution, overhead_curve,
                   rbf_kernel, run_trial, sample_lifelong, sample_multitask)
-from mtkl.envsim import Distribution, environment_from_dict
+from mtkl.envsim import Distribution, as_seed_sequence, environment_from_dict
 from mtkl.kernels import BaseKernel, custom_kernel, kernel_to_dict
 
 import _oracles as orc
@@ -232,6 +232,25 @@ class TestSampling:
             np.testing.assert_array_equal(da.anchors, db.anchors)
             np.testing.assert_array_equal(da.coeffs, db.coeffs)
 
+    def test_seed_sequence_is_not_used_up(self):
+        # spawning advanced the caller's SeedSequence: a second call with the
+        # same object drew other anchors. Each call now draws what a fresh
+        # SeedSequence(5), and so the int seed 5, draws.
+        env = small_env()
+        ss = np.random.SeedSequence(5)
+        first, second = (sample_lifelong(env, 2, ss) for _ in range(2))
+        for a, b, c in zip(first, second, sample_lifelong(env, 2, seed=5)):
+            np.testing.assert_array_equal(a.anchors, b.anchors)
+            np.testing.assert_array_equal(a.anchors, c.anchors)
+        assert ss.n_children_spawned == 0
+        # a spawned child keeps its key and spawn count
+        child = np.random.SeedSequence(5).spawn(3)[1]
+        child.spawn(2)
+        copied = as_seed_sequence(child)
+        assert (copied.entropy, copied.spawn_key, copied.pool_size,
+                copied.n_children_spawned) == (5, (1,), 4, 2)
+        assert copied.spawn(1)[0].spawn_key == (1, 2)
+
     def test_per_task_streams_follow_spawn_rule(self):
         # oracle: task i draws from default_rng(SeedSequence(seed).spawn(n)[i])
         env = small_env(flip=0.1)
@@ -290,6 +309,15 @@ class TestTrials:
         a = run_trial(self.env, self.family, **kwargs).report
         b = run_trial(self.env, self.family, **kwargs).report
         assert a == b
+
+    def test_rerun_from_one_seed_sequence_identical(self):
+        # one SeedSequence object passed twice gave er 0.0155, then 0.0
+        kwargs = dict(n=2, m=16, gamma=0.1, delta=0.05, mc_samples=2_000,
+                      evaluate_guarantee=False)
+        ss = np.random.SeedSequence(5)
+        a = run_trial(self.env, self.family, seed=ss, **kwargs).report
+        b = run_trial(self.env, self.family, seed=ss, **kwargs).report
+        assert a == b == run_trial(self.env, self.family, seed=5, **kwargs).report
 
     def test_tiny_m_reports_invalid_flag(self):
         report = run_trial(self.env, self.family, n=2, m=2, gamma=2.5,

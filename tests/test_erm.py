@@ -226,6 +226,17 @@ class TestErmFit:
         assert refined.avg_empirical_margin_error <= \
             base.avg_empirical_margin_error
 
+    def test_refined_solution_holds_the_kernel_its_predictors_hold(self):
+        # erm_search rebuilt the refined kernel from its weights, so the
+        # solution's kernel was equal to, but not, the predictors' kernel
+        sample = make_tasks(np.random.default_rng(10), n=2, m=16, flip=0.1)
+        fam = KernelFamily(variant="convex_combo", dictionary=DICT3)
+        sol = erm_fit(fam, sample, PARAMS,
+                      SearchBudget(grid_resolution=2, refine_rounds=2))
+        assert sol.candidate_label == "refined w=[0.75, 0.25, 0.0]"
+        assert sol.kernel_params.tolist() == [0.75, 0.25, 0.0]
+        assert all(p.kernel is sol.kernel for p in sol.predictors)
+
     @pytest.mark.parametrize("variant", ["convex_combo", "sparse_combo"])
     def test_refinement_moves_leave_no_float_residue(self, monkeypatch, variant):
         # four 1/6 moves off a weight of 2/3 leave 5.55e-17 in floats; the
@@ -240,11 +251,14 @@ class TestErmFit:
             return (), (sum(w for w, base in kernel.terms if base is first),)
 
         monkeypatch.setattr(erm, "fit_candidate", fake_fit)
-        w, err, _ = erm._refine_weights(
+        w, kernel, label, err, fit = erm._refine_weights(
             fam, None, PARAMS, SearchBudget(grid_resolution=3, refine_rounds=1),
-            np.array([2, 1, 0, 0, 0]) / 3, 2 / 3)
+            (np.array([2, 1, 0, 0, 0]) / 3, None, "grid", 2 / 3, None))
         assert w.tolist() == [0.0, 0.5, 1 / 6, 1 / 6, 1 / 6]
-        assert err == 0.0
+        assert err == 0.0 and fit == ((), (0.0,))
+        # the incumbent is the move's own kernel, not a rebuilt one
+        assert all(base is not first for _, base in kernel.terms)
+        assert label == f"refined w={np.round(w, 6).tolist()}"
 
     @pytest.mark.parametrize("variant,fields", [
         ("gaussian_covariance", {"dimension": 2}),

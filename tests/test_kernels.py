@@ -1,6 +1,7 @@
 """Kernel, family, and Gram-matrix contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -511,6 +512,32 @@ class TestMetricValidation:
     def test_bad_metric_rejected(self, metric, needle):
         with pytest.raises(InputError, match=needle):
             gaussian_metric_kernel(metric)
+
+    @pytest.mark.parametrize("dims,width", [(None, 3), (None, 1), ((0, 2, 1), 3)],
+                             ids=["wider_points", "narrower_points", "wider_dims"])
+    @pytest.mark.parametrize("build", [
+        lambda k, X: k.gram(X), lambda k, X: k.cross(X[:1], X),
+        lambda k, X: k.expand(np.ones(len(X)), X, X)],
+        ids=["gram", "cross", "expand"])
+    def test_metric_of_another_width_rejected(self, dims, width, build):
+        # a 2x2 metric on 3-wide (or 1-wide) points: einsum raised a bare
+        # ValueError that the CLI did not map
+        k = Kernel(terms=((1.0, BaseKernel(kind="gaussian_metric", dims=dims,
+                                           metric=np.eye(2))),), bound_b=1.0)
+        X = np.linspace(-1, 1, 4 * width).reshape(4, width)
+        with pytest.raises(InputError, match=re.escape(
+                f"metric of size 2 does not fit points of width {width}")):
+            build(k, X)
+        if dims is None:  # points of the metric's width on one side only
+            with pytest.raises(InputError, match=re.escape(f"width {width}")):
+                k.cross(np.zeros((1, 2)), X)
+
+    def test_metric_of_the_selected_width_accepted(self):
+        k = Kernel(terms=((1.0, BaseKernel(kind="gaussian_metric", dims=(2, 0),
+                                           metric=np.eye(2))),), bound_b=1.0)
+        X = np.linspace(-1, 1, 12).reshape(4, 3)
+        expected = gaussian_metric_kernel(np.eye(2)).gram(X[:, [2, 0]])
+        np.testing.assert_array_equal(k.gram(X), expected)
 
 
 def _inverse_quadratic(a, b):

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mtkl import (InputError, MarginParams, NumericError, Predictor, TaskData,
-                  avg_true_error, check_kernel_invariants, empirical_margin_error,
-                  fit_single_task, rbf_kernel, linear_kernel)
+from mtkl import (InputError, MarginParams, MultiTaskSample, NumericError,
+                  Predictor, TaskData, avg_true_error, check_kernel_invariants,
+                  empirical_margin_error, fit_single_task, rbf_kernel,
+                  linear_kernel)
 from mtkl.kernels import Kernel, custom_kernel, gaussian_metric_kernel, poly_kernel
 from mtkl import _accel, envsim, kernels, margin
 
@@ -122,13 +123,14 @@ class TestFitSingleTask:
 
     def test_norm_feasible_on_random_problems(self, monkeypatch):
         # rbf, linear and poly kernels, each declared with its true bound on
-        # [-1, 1]^3, fitted in one call: 29 problems in stacks of 4 end in a
-        # lone problem, which the scalar solver fits
+        # [-1, 1]^3, fitted on one task in one call: 29 problems in stacks of
+        # 4 end in a lone problem, which the scalar solver fits
         rng = np.random.default_rng(4)
-        m, problems = 20, []
+        m, kerns = 20, []
+        X = rng.uniform(-1, 1, (m, 3))
+        sample = MultiTaskSample((TaskData(
+            X=X, y=np.where(rng.random(m) < 0.5, 1.0, -1.0)),))
         for trial in range(29):
-            X = rng.uniform(-1, 1, (m, 3))
-            y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
             scale = float(rng.uniform(0.1, 2.0))
             kind = trial % 3
             if kind == 0:
@@ -139,7 +141,7 @@ class TestFitSingleTask:
                 degree, coef0 = int(rng.integers(1, 4)), float(rng.uniform(0, 1))
                 k = poly_kernel(degree=degree, scale=scale, coef0=coef0,
                                 bound_b=(3.0 * scale + coef0) ** degree)
-            problems.append((k, TaskData(X=X, y=y)))
+            kerns.append(k)
         monkeypatch.setattr(margin, "STACK_BYTES", 4 * 8 * m * m)
         sizes = []
         batch = _accel.hinge_pgd_batch
@@ -149,9 +151,9 @@ class TestFitSingleTask:
             return batch(K, *args)
 
         monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
-        fits = margin.fit_stack(problems, MarginParams(gamma=0.2))
-        assert sizes == [4] * 7 + [1]
-        for pred in fits:
+        fits = margin.fit_stack(kerns, sample, MarginParams(gamma=0.2))
+        assert sizes == [4] * 7 + [1] and len(fits) == 29
+        for (pred,) in fits:
             assert pred.norm_sq() <= 1.0 + 1e-8
 
     def test_objective_descent_prefix(self):
@@ -189,28 +191,29 @@ class TestFitStack:
         # Gram and the PSD check's copy of it, not a third
         monkeypatch.setattr(margin, "PGD_MAX_ITERS", 3)  # the solve is not tested
         rng = np.random.default_rng(13)
-        problems = [(rbf_kernel(0.8), TaskData(X=rng.uniform(-1, 1, (256, 2)),
-                                               y=np.resize([1.0, -1.0], 256)))
-                    for _ in range(3)]
+        sample = MultiTaskSample(tuple(
+            TaskData(X=rng.uniform(-1, 1, (256, 2)), y=np.resize([1.0, -1.0], 256))
+            for _ in range(3)))
         tracemalloc.start()
         try:
-            margin.fit_stack(problems, MarginParams(gamma=0.1))
+            margin.fit_stack([rbf_kernel(0.8)], sample, MarginParams(gamma=0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * 256 ** 2
 
     def test_split_stacks_match_scalar_solver(self, monkeypatch):
-        # 9 problems in stacks of 4, 4 and 1; each fit must equal hinge_pgd
-        # on its own problem, bit for bit
+        # 3 kernels on 3 tasks: 9 problems in stacks of 4, 4 and 1, two of
+        # which span tasks; each fit must equal hinge_pgd on its own problem,
+        # bit for bit
         rng = np.random.default_rng(12)
         m, params = 14, MarginParams(gamma=0.15)
-        problems = []
-        for _ in range(9):
+        tasks = []
+        for _ in range(3):
             X = rng.uniform(-1, 1, (m, 2))
             y = np.where(X[:, 0] + 0.4 * rng.standard_normal(m) >= 0, 1.0, -1.0)
-            kernel = rbf_kernel(float(rng.uniform(0.3, 2.0)))
-            problems.append((kernel, TaskData(X=X, y=y)))
+            tasks.append(TaskData(X=X, y=y))
+        kerns = [rbf_kernel(float(rng.uniform(0.3, 2.0))) for _ in range(3)]
         monkeypatch.setattr(margin, "STACK_BYTES", 4 * 8 * m * m + 7)
         sizes = []
         batch = _accel.hinge_pgd_batch
@@ -220,16 +223,18 @@ class TestFitStack:
             return batch(K, *args)
 
         monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
-        fits = margin.fit_stack(problems, params)
+        fits = margin.fit_stack(kerns, MultiTaskSample(tuple(tasks)), params)
         assert sizes == [4, 4, 1]
-        for (kernel, task), pred in zip(problems, fits):
-            alpha, _, _, converged = _accel.hinge_pgd(
-                kernel.gram(task.X), task.y, params.gamma,
-                task.y / (m * np.sqrt(kernel.bound_b)),
-                margin.PGD_MAX_ITERS, margin.PGD_TOL)
-            assert pred.alphas.tobytes() == alpha.tobytes()
-            assert pred.converged == converged
-            assert pred.kernel is kernel and pred.support_sample is task.X
+        assert [len(f) for f in fits] == [3, 3, 3]
+        for kernel, preds in zip(kerns, fits):
+            for task, pred in zip(tasks, preds):
+                alpha, _, _, converged = _accel.hinge_pgd(
+                    kernel.gram(task.X), task.y, params.gamma,
+                    task.y / (m * np.sqrt(kernel.bound_b)),
+                    margin.PGD_MAX_ITERS, margin.PGD_TOL)
+                assert pred.alphas.tobytes() == alpha.tobytes()
+                assert pred.converged == converged
+                assert pred.kernel is kernel and pred.support_sample is task.X
 
     @pytest.mark.parametrize("stack_bytes", [None, 8 * 2 * 2],
                              ids=["one_stack", "one_problem_per_stack"])
@@ -256,10 +261,38 @@ class TestFitStack:
 
         monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
         with pytest.raises(NumericError, match=re.escape(
-                f"training Gram of problem 2 (m=2) {fault}")):
-            margin.fit_stack([(rbf_kernel(0.5), task), (rbf_kernel(1.0), task),
-                              (bad, task)], MarginParams(gamma=0.2))
+                f"training Gram of kernel 2 on task 0 (m=2) {fault}")):
+            margin.fit_stack([rbf_kernel(0.5), rbf_kernel(1.0), bad],
+                             MultiTaskSample((task,)), MarginParams(gamma=0.2))
         assert all(np.isfinite(K).all() for K in solved)
+
+    @pytest.mark.parametrize("stack_bytes", [None, 8 * 2 * 2],
+                             ids=["one_stack", "one_problem_per_stack"])
+    def test_fault_names_kernel_and_task_on_a_multi_task_sample(
+            self, monkeypatch, stack_bytes):
+        # the kernel at index 1 is non-finite only on task 2's points; five
+        # problems (tasks 0 and 1, then kernel 0 on task 2) come before it
+        def value(a, b):
+            return math.nan if max(a[0], b[0]) > 1.5 else math.exp(-(a[0] - b[0]) ** 2)
+
+        sample = MultiTaskSample(tuple(
+            TaskData(X=np.array([[0.0], [x]]), y=np.array([1.0, -1.0]))
+            for x in (0.5, 1.0, 2.0)))
+        if stack_bytes is not None:
+            monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
+        solved = []
+        batch = _accel.hinge_pgd_batch
+
+        def spy(K, *args):
+            solved.extend(K)
+            return batch(K, *args)
+
+        monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
+        with pytest.raises(NumericError, match=re.escape(
+                "training Gram of kernel 1 on task 2 (m=2) has a non-finite entry")):
+            margin.fit_stack([rbf_kernel(0.5), custom_kernel(value, bound_b=1.0)],
+                             sample, MarginParams(gamma=0.2))
+        assert len(solved) == (0 if stack_bytes is None else 5)
 
     @pytest.mark.parametrize("sizes,stack_bytes,needle", [
         ((), None, r"got \[\]"),
@@ -269,10 +302,8 @@ class TestFitStack:
     def test_input_checked_before_any_gram(self, monkeypatch, sizes,
                                            stack_bytes, needle):
         rng = np.random.default_rng(3)
-        problems = [(rbf_kernel(0.5),
-                     TaskData(X=rng.uniform(-1, 1, (m, 2)),
-                              y=np.resize([1.0, -1.0], m)))
-                    for m in sizes]
+        tasks = tuple(TaskData(X=rng.uniform(-1, 1, (m, 2)),
+                               y=np.resize([1.0, -1.0], m)) for m in sizes)
         if stack_bytes is not None:
             monkeypatch.setattr(margin, "STACK_BYTES", stack_bytes)
 
@@ -281,7 +312,8 @@ class TestFitStack:
 
         monkeypatch.setattr(Kernel, "gram", no_gram)
         with pytest.raises(InputError, match=needle):
-            margin.fit_stack(problems, MarginParams(gamma=0.2))
+            margin.fit_stack([rbf_kernel(0.5)], MultiTaskSample(tasks),
+                             MarginParams(gamma=0.2))
 
     def test_one_problem_stack_solves_the_gram_it_built(self, monkeypatch):
         # a lone Gram goes to hinge_pgd as built, not copied into a stack
@@ -331,21 +363,22 @@ class TestFitStack:
 
         monkeypatch.setattr(_accel, "hinge_pgd_batch", planted)
         with pytest.raises(NumericError, match=re.escape(
-                f"fit of problem 1 (m=2) {fault}")):
-            margin.fit_stack([(rbf_kernel(0.5), task), (rbf_kernel(1.0), task),
-                              (rbf_kernel(2.0), task)], MarginParams(gamma=0.9))
+                f"fit of kernel 1 on task 0 (m=2) {fault}")):
+            margin.fit_stack([rbf_kernel(0.5), rbf_kernel(1.0), rbf_kernel(2.0)],
+                             MultiTaskSample((task,)), MarginParams(gamma=0.9))
 
-    @given(seed=st.integers(0, 2**32 - 1), n_problems=st.integers(1, 12),
-           m=st.integers(1, 16), per_stack=st.integers(1, 5),
-           gamma=st.floats(0.01, 1.0))
+    @given(seed=st.integers(0, 2**32 - 1), n_kernels=st.integers(1, 4),
+           n_tasks=st.integers(1, 3), m=st.integers(1, 16),
+           per_stack=st.integers(1, 5), gamma=st.floats(0.01, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_every_fit_stays_in_its_unit_ball(self, seed, n_problems, m,
-                                              per_stack, gamma):
+    def test_every_fit_stays_in_its_unit_ball(self, seed, n_kernels, n_tasks,
+                                              m, per_stack, gamma):
         # rbf, linear and poly kernels, each declared with its true bound on
-        # [-1, 1]^3, in stacks of per_stack problems: every norm² <= 1 + tol
+        # [-1, 1]^3, on 1 to 12 problems in stacks of per_stack problems:
+        # every norm² <= 1 + tol
         rng = np.random.default_rng(seed)
-        problems = []
-        for _ in range(n_problems):
+        kerns = []
+        for _ in range(n_kernels):
             scale = float(rng.uniform(0.05, 3.0))
             kind = int(rng.integers(3))
             if kind == 0:
@@ -356,15 +389,19 @@ class TestFitStack:
                 degree, coef0 = int(rng.integers(1, 5)), float(rng.uniform(0, 2))
                 k = poly_kernel(degree=degree, scale=scale, coef0=coef0,
                                 bound_b=(3.0 * scale + coef0) ** degree)
-            problems.append((k, TaskData(X=rng.uniform(-1, 1, (m, 3)),
-                                         y=np.where(rng.random(m) < 0.5, 1.0, -1.0))))
+            kerns.append(k)
+        sample = MultiTaskSample(tuple(
+            TaskData(X=rng.uniform(-1, 1, (m, 3)),
+                     y=np.where(rng.random(m) < 0.5, 1.0, -1.0))
+            for _ in range(n_tasks)))
         stack_bytes = margin.STACK_BYTES
         try:
             margin.STACK_BYTES = per_stack * 8 * m * m
-            fits = margin.fit_stack(problems, MarginParams(gamma=gamma))
+            fits = margin.fit_stack(kerns, sample, MarginParams(gamma=gamma))
         finally:
             margin.STACK_BYTES = stack_bytes
-        for pred in fits:
+        assert [len(preds) for preds in fits] == [n_tasks] * n_kernels
+        for pred in (p for preds in fits for p in preds):
             assert np.isfinite(pred.alphas).all()
             assert pred.norm_sq() <= 1.0 + margin.NORM_TOL
 
@@ -433,12 +470,11 @@ class TestGramFault:
 
         monkeypatch.setattr(_accel, "hinge_pgd_batch", spy)
         with pytest.raises(NumericError, match=re.escape(
-                "training Gram of problem 1 (m=4) has diagonal entry 0 = 2.0 "
-                "above B=1.0")):
-            margin.fit_stack([(linear_kernel(bound_b=2.0), task),
-                              (linear_kernel(bound_b=1.0), task)],
-                             MarginParams(gamma=0.2))
-        # only problem 0, in a stack of its own, reaches the solver
+                "training Gram of kernel 1 on task 0 (m=4) has diagonal entry "
+                "0 = 2.0 above B=1.0")):
+            margin.fit_stack([linear_kernel(bound_b=2.0), linear_kernel(bound_b=1.0)],
+                             MultiTaskSample((task,)), MarginParams(gamma=0.2))
+        # only kernel 0, in a stack of its own, reaches the solver
         assert len(solved) == (0 if stack_bytes is None else 1)
 
 
