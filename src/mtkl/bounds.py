@@ -213,7 +213,8 @@ def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
     with ``H`` the log of :func:`cover_bound_hn` at radius ``gamma/2`` on
     ``2m`` points, divided by n term by term. The self-referential validity
     condition ``m > 2/eps^2`` is evaluated on the computed eps and surfaced
-    as ``valid``, never silently.
+    as ``valid``, never silently. An eps that is not finite is not valid,
+    and a warning names the terms that are not finite.
     """
     _require_probability(delta, "delta")
     n, m = inputs.n, inputs.m
@@ -223,15 +224,20 @@ def multitask_epsilon(inputs: BoundInputs, delta: float) -> EpsilonResult:
     t_confidence = (2.0 * math.log(2.0) - math.log(delta)) / n
     t_patterns = math.log(2.0)
     t_kernel = (inputs.d_phi / n) * log_kernel
-    total = t_confidence + t_patterns + t_kernel + t_function
-    epsilon = math.sqrt(8.0 * total / m)
-    valid = epsilon > 0 and m > 2.0 / epsilon**2
+    terms = {"confidence": t_confidence, "patterns": t_patterns,
+             "kernel_overhead": t_kernel, "function_cover": t_function}
+    epsilon = math.sqrt(8.0 * sum(terms.values()) / m)
+    finite = math.isfinite(epsilon)
+    if not finite:
+        bad = [f"{name} = {value!r}" for name, value in terms.items()
+               if not math.isfinite(value)]
+        warns.append(f"epsilon = {epsilon!r} is not finite, so not valid: "
+                     + (", ".join(bad) or "the terms' sum leaves the float range"))
     return EpsilonResult(
         epsilon=epsilon,
-        valid=valid,
+        valid=finite and epsilon > 0 and m > 2.0 / epsilon**2,
         warnings=tuple(warns),
-        terms={"confidence": t_confidence, "patterns": t_patterns,
-               "kernel_overhead": t_kernel, "function_cover": t_function},
+        terms=terms,
     )
 
 

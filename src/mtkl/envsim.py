@@ -156,8 +156,10 @@ class Distribution:
         scores with. When every planted term reads ``dims`` of a uniform
         cube, together fewer than ``dim`` columns, these are the block's law,
         the kernel with ``dims`` renumbered into the block and the anchors
-        cut to it: each term selects the values it selects on full rows. In
-        any other case (dims out of range included) columns is None."""
+        cut to it: each term selects the values it selects on full rows. A
+        term whose renumbered dims are the whole block in order gets
+        ``dims=None`` and reads the block in place. In any other case (dims
+        out of range included) columns is None."""
         law = self.input_law
         dims = [base.dims for _, base in self.kernel.terms]
         view = [] if None in dims else sorted(set().union(*dims))
@@ -165,9 +167,14 @@ class Distribution:
                 or view[-1] >= law.dim:
             return law, self.kernel, self.anchors, None
         column = {d: i for i, d in enumerate(view)}
-        kernel = Kernel(terms=tuple(
-            (w, replace(base, dims=tuple(column[d] for d in base.dims)))
-            for w, base in self.kernel.terms), bound_b=self.kernel.bound_b)
+        whole = tuple(range(len(view)))
+        terms = []
+        for w, base in self.kernel.terms:
+            # dims that read the whole block in order become None: the term
+            # then reads the block in place, not a copy of the same columns
+            dims = tuple(column[d] for d in base.dims)
+            terms.append((w, replace(base, dims=None if dims == whole else dims)))
+        kernel = Kernel(terms=tuple(terms), bound_b=self.kernel.bound_b)
         return (InputLaw(dim=len(view), low=law.low, high=law.high), kernel,
                 as_points(self.anchors)[:, view], view)
 
@@ -360,6 +367,15 @@ def _mc_scores(predictors, mc_data):
     return [y * pred.evaluate(X) for pred, (X, y) in zip(predictors, mc_data)]
 
 
+def _same_scores(a: Predictor, b: Predictor) -> bool:
+    """Whether ``a.evaluate`` and ``b.evaluate`` return the same bits on any
+    rows: equal term weights on the same BaseKernel objects (a BaseKernel
+    equals only itself), the same support sample and equal alphas."""
+    return (a.support_sample is b.support_sample
+            and a.kernel.terms == b.kernel.terms
+            and np.array_equal(a.alphas, b.alphas))
+
+
 def _avg_error(scores, margin):
     return float(np.mean([margin_error_rate(s, margin) for s in scores]))
 
@@ -459,7 +475,11 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
 
     The oracle learner fits the same per-task problems with the environment's
     planted kernel; its true errors are estimated on the same Monte Carlo
-    draws as the ERM learner's, so the excess is a paired comparison.
+    draws as the ERM learner's, so the excess is a paired comparison. When
+    on every task the oracle's fit and ERM's have the same kernel terms
+    (equal weights, the same ``BaseKernel`` objects), the same support
+    sample and equal alphas, they score every draw with the same bits, and
+    the oracle's error is ERM's, not scored a second time.
     """
     for n in n_grid:
         require_int(n, "n_grid entry", 1)
@@ -481,7 +501,10 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
                                  for t in sample.tasks)
             mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
             erm_er = _avg_error(_mc_scores(solution.predictors, mc_data), 0.0)
-            oracle_er = _avg_error(_mc_scores(oracle_preds, mc_data), 0.0)
+            if all(map(_same_scores, solution.predictors, oracle_preds)):
+                oracle_er = erm_er
+            else:
+                oracle_er = _avg_error(_mc_scores(oracle_preds, mc_data), 0.0)
             points.append(OverheadPoint(
                 n=n, trial=trial, erm_error=erm_er, oracle_error=oracle_er,
                 excess_error=erm_er - oracle_er,

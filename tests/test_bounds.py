@@ -129,6 +129,19 @@ class TestMultitaskEpsilon:
         assert res.valid
         assert res.epsilon > 1
 
+    @pytest.mark.parametrize("problem, named", [
+        (dict(n=3, m=32, d_phi=4.0, B=1e300), "kernel_overhead = inf"),
+        # every term finite, 8 * their sum not
+        (dict(n=1, m=10**100, d_phi=1e307, B=1e6),
+         "the terms' sum leaves the float range")])
+    def test_infinite_radius_is_not_valid(self, problem, named):
+        # m > 2/eps^2 holds for eps = inf; a vacuous radius is not valid
+        res = multitask_epsilon(make_inputs(gamma=0.1, **problem), 0.05)
+        assert res.epsilon == math.inf and not res.valid
+        warning = res.warnings[-1]
+        assert warning.startswith("epsilon = inf is not finite, so not valid: ")
+        assert warning.endswith(named) and "function_cover" not in warning
+
     def test_sqrt_m_log_normalization_bounded(self):
         ms = [2 ** k for k in range(6, 21)]
         ratios = []

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, manifests, reproducibility."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -82,6 +84,16 @@ class TestBoundCommand:
             n=4, m=64, d_phi=3.0, B=1.0, gamma=0.25), 0.05)
         assert float(row[1]) == expected.epsilon
         assert row[2] == "True"
+
+    def test_multitask_infinite_radius_not_valid(self, capsys):
+        rc = main(["bound", "--mode", "multitask", "--n", "3", "--m", "32",
+                   "--dphi", "4", "--gamma", "0.1", "--delta", "0.05",
+                   "--B", "1e300"])
+        assert rc == 0
+        row = next(csv.reader(io.StringIO(
+            capsys.readouterr().out.splitlines()[-1])))
+        assert row[1:3] == ["inf", "False"] and row[6] == "inf"
+        assert "kernel_overhead = inf" in row[-1]
 
     def test_lifelong_requires_epsilon(self, capsys):
         rc = main(["bound", "--mode", "lifelong", "--n", "4", "--m", "64",

@@ -9,8 +9,9 @@ from scipy import stats
 from mtkl import (InputError, InputLaw, Kernel, KernelFamily, MarginParams,
                   NumericError, Predictor, SearchBudget, TaskCluster,
                   TaskEnvironment, avg_true_error, empirical_margin_error,
-                  fit_single_task, make_planted_distribution, overhead_curve,
-                  rbf_kernel, run_trial, sample_lifelong, sample_multitask)
+                  envsim, fit_single_task, make_planted_distribution,
+                  overhead_curve, rbf_kernel, run_trial, sample_lifelong,
+                  sample_multitask)
 from mtkl.envsim import Distribution, as_seed_sequence, environment_from_dict
 from mtkl.kernels import BaseKernel, custom_kernel, kernel_to_dict
 
@@ -189,6 +190,28 @@ class TestViewSampling:
         X_old, y_old = orc.full_width_sample(dist, 300,
                                              np.random.default_rng(46))
         assert X.tobytes() == X_old.tobytes() and y.tobytes() == y_old.tobytes()
+
+    @pytest.mark.parametrize("dims, block_dims", [
+        (((2, 3),), (None,)),
+        (((0, 2), (2, 3)), ((0, 1), (1, 2)))])
+    def test_block_kernel_reads_the_block_in_place(self, dims, block_dims):
+        # a term reading the whole block in order takes dims=None; terms
+        # reading parts of it keep their renumbered dims. Either way the
+        # block kernel scores the block as the rule scores full rows.
+        kernel = Kernel(terms=tuple(
+            (w, BaseKernel(kind="rbf", bandwidth=0.7, dims=d))
+            for w, d in zip((0.6, 0.4), dims)), bound_b=1.0)
+        law = InputLaw(dim=6)
+        rng = np.random.default_rng(49)
+        dist = make_planted_distribution(law, kernel, law.sample(5, rng),
+                                         rng.standard_normal(5))
+        block_law, block_kernel, anchors, view = dist._rejection_rule
+        assert [b.dims for _, b in block_kernel.terms] == list(block_dims)
+        X = law.sample(300, rng)
+        block = np.ascontiguousarray(X[:, view])
+        assert block_law.dim == len(view) == block.shape[1]
+        assert block_kernel.expand(dist.coeffs, anchors, block).tobytes() \
+            == kernel.expand(dist.coeffs, dist.anchors, X).tobytes()
 
     def test_dims_outside_the_cube_still_rejected(self):
         # anchors wide enough for dims (3,), but the cube has only 2 columns
@@ -416,18 +439,51 @@ class TestTrials:
             run_trial(dists, self.family, n=3, **kwargs)
 
 
+def scoring_spy(monkeypatch):
+    """Patch ``envsim._mc_scores`` to call through and record each call's
+    Monte Carlo sample; returns a function giving the number of calls made
+    on each sample, in order. The recorded samples are held, so two points'
+    samples are never the same object."""
+    real = envsim._mc_scores
+    scored = []
+
+    def spy(predictors, mc_data):
+        scored.append(mc_data)
+        return real(predictors, mc_data)
+
+    monkeypatch.setattr(envsim, "_mc_scores", spy)
+
+    def calls_per_sample():
+        counts = []
+        for i, data in enumerate(scored):
+            if i and data is scored[i - 1]:
+                counts[-1] += 1
+            else:
+                counts.append(1)
+        return counts
+    return calls_per_sample
+
+
 class TestOverheadCurve:
-    def test_equally_good_dictionary_flat_zero(self):
-        # every dictionary kernel is the same kernel: no selection overhead
+    @pytest.mark.parametrize("planted, scorings", [(0, 1), (2, 2)])
+    def test_equally_good_dictionary_flat_zero(self, monkeypatch, planted,
+                                               scorings):
+        # every dictionary kernel is the same kernel: no selection overhead.
+        # ERM's tie goes to vertex 0; planted there, the oracle's fits use
+        # its BaseKernel and reuse ERM's scores; planted at vertex 2, an
+        # equal but distinct object, they are scored and score the same
         dictionary = tuple(rbf_kernel(0.6, dims=(0, 1)) for _ in range(3))
         env = TaskEnvironment(dictionary=dictionary, input_law=InputLaw(dim=4),
-                              clusters=(TaskCluster(weight=1.0, kernel_index=0,
+                              clusters=(TaskCluster(weight=1.0,
+                                                    kernel_index=planted,
                                                     margin_gap=0.25),))
         fam = KernelFamily(variant="convex_combo", dictionary=dictionary)
+        calls_per_sample = scoring_spy(monkeypatch)
         pts = overhead_curve(env, fam, m=12, n_grid=[1, 2], trials=3, seed=9,
                              gamma=0.1, mc_samples=2_000)
+        assert calls_per_sample() == [scorings] * len(pts)
         for p in pts:
-            assert p.excess_error == pytest.approx(0.0, abs=1e-12)
+            assert p.excess_error == 0.0
 
     def test_oracle_error_flat_in_n(self):
         env = small_env(flip=0.0)
@@ -438,35 +494,46 @@ class TestOverheadCurve:
         hi = np.mean([p.oracle_error for p in pts if p.n == 4])
         assert abs(lo - hi) < 0.05  # independent per-task problems
 
-    def test_oracle_fits_with_the_planted_kernel(self):
+    def test_oracle_fits_with_the_planted_kernel(self, monkeypatch):
         # each trial's oracle error is the planted kernel's fits scored on
         # the trial's Monte Carlo stream; on some trial ERM picks another
-        # kernel whose fits score differently, so the check can fail
-        from mtkl.envsim import as_seed_sequence
+        # kernel whose fits score differently, so the check can fail. A
+        # trial whose ERM fits are the oracle's (the planted kernel's terms,
+        # equal alphas) scores its sample once, any other trial twice.
         from mtkl.erm import erm_fit
         env = small_env(n_kernels=3, dim=6, true_index=2, slack=0.2)
         fam = KernelFamily(variant="convex_combo", dictionary=env.dictionary)
         params = MarginParams(gamma=0.1)
-        trials, m, mc = 6, 8, 2_000
-        points = overhead_curve(env, fam, m=m, n_grid=[1], trials=trials,
+        trials, n, m, mc = 6, 2, 8, 2_000
+        calls_per_sample = scoring_spy(monkeypatch)
+        points = overhead_curve(env, fam, m=m, n_grid=[n], trials=trials,
                                 seed=10, gamma=0.1, mc_samples=mc)
-        differs = []
+        scored = calls_per_sample()  # before the checks below score more
+        differs, scorings = [], []
         for t, point in enumerate(points):
             # trial t spawns children 3t, 3t+1 and 3t+2 of the root
             def stream(k):
                 return as_seed_sequence(10).spawn(3 * t + 3)[3 * t + k]
-            dists = sample_lifelong(env, 1, stream(0))
+            dists = sample_lifelong(env, n, stream(0))
             sample = sample_multitask(dists, m, stream(1))
 
-            def error(kernel):
-                preds = [fit_single_task(kernel, task, params)
-                         for task in sample.tasks]
-                return avg_true_error(preds, dists, 0.0, mc, stream(2))
+            def fits(kernel):
+                return [fit_single_task(kernel, task, params)
+                        for task in sample.tasks]
 
-            assert error(env.dictionary[2]) == point.oracle_error
-            differs.append(error(erm_fit(fam, sample, params).kernel)
-                           != point.oracle_error)
-        assert any(differs)
+            oracle = fits(env.dictionary[2])
+            assert avg_true_error(oracle, dists, 0.0, mc, stream(2)) \
+                == point.oracle_error
+            erm = erm_fit(fam, sample, params)
+            # BaseKernel compares by identity, weights as floats
+            reused = erm.kernel.terms == env.dictionary[2].terms and all(
+                np.array_equal(e.alphas, o.alphas)
+                for e, o in zip(erm.predictors, oracle))
+            scorings.append(1 if reused else 2)
+            differs.append(avg_true_error(fits(erm.kernel), dists, 0.0, mc,
+                                          stream(2)) != point.oracle_error)
+        assert scored == scorings
+        assert set(scorings) == {1, 2} and any(differs)
 
     def test_n_grid_validated(self):
         env = small_env()
