@@ -13,6 +13,13 @@ coordinates, rejection draws just that block; the kept rows then get one
 full-width draw with the kept block written over it. The cube's coordinates
 are independent, so the law of (x, y) is that of full-width rejection.
 
+A Monte Carlo-size draw from an RBF rule on a block of at most two
+coordinates first screens the block's cells: a cell where a certified
+bound puts the planted rule inside the margin gap holds no row that
+rejection keeps, so rounds draw only from the other cells and still test
+every row. Rows are then uniform on the live cells, conditioned on the gap,
+which is the same law; the bits differ from unscreened rounds.
+
 An environment is a mixture of task clusters over a shared kernel
 dictionary. Everything is seeded through ``numpy.random.SeedSequence``
 spawning, so a trial is bitwise reproducible from its seed.
@@ -41,6 +48,32 @@ from .erm import (MultiTaskSample, MultiTaskSolution, SearchBudget,
                   searched_family_bound)
 
 MAX_REJECTION_ROUNDS = 1000
+# The cell screen of rejection sampling (Distribution._screen). It splits a
+# planted RBF rule's block of at most SCREEN_MAX_DIMS columns into
+# SCREEN_CELLS cells per axis, and rounds draw only the cells that can hold
+# a kept row. It is built for calls of at least SCREEN_MIN_ROWS draws, and
+# used when its live cells cover at most SCREEN_MAX_LIVE of the block.
+# Measured on 2026-10-20 (2-vCPU Xeon, one OpenBLAS thread), median over 12
+# rules of the benchmark's overhead environment (2-D block, bandwidth 0.2):
+# - cells per axis: a 20k-draw sample, screen build included, took 7.7 ms
+#   at 8, 5.2-5.4 ms from 16 to 64 and 6.2 ms at 128 (build 0.4 ms up to
+#   64, 1.0 ms at 128), against 9.1-11 ms unscreened. At 32 the live cells
+#   cover 19 % of the block and keep 72 % of their rows, so one round of 2m
+#   rows keeps m; at 16 they keep 56 %, barely enough.
+# - rows: screened against unscreened took 0.55 / 0.39 ms at m = 256,
+#   0.75 / 0.80 ms at 1024, 1.03 / 1.13 ms at 2048, 1.63 / 2.19 ms at 4096.
+# - live share: over 48 rules of bandwidths 0.2 to 0.6 at m = 20k and 100k,
+#   screening took 0.45-0.92 of the unscreened time up to a share of 0.59,
+#   and 1.1-1.6 of it above, where one unscreened round already keeps m.
+# - columns: on 3-column blocks (24 rules of 6 anchors, bandwidths 0.2 to
+#   0.6, gap 0.2) the 32^3-cell build took 2.2-3.4 ms, and screening took
+#   more than the unscreened time above a live share of about 0.05 at
+#   m = 4096, 0.15 at 20k and 0.3 at 100k. No workload plants a rule on
+#   more than 2 columns, so the screen stops at 2.
+SCREEN_MAX_DIMS = 2
+SCREEN_CELLS = 32
+SCREEN_MIN_ROWS = 4096
+SCREEN_MAX_LIVE = 0.5
 # The input_law keys each kind reads beside kind and dim; it reads no other.
 INPUT_LAW_KEYS = {"uniform_cube": ("low", "high"),
                   "gaussian_mixture": ("means", "scales", "weights")}
@@ -121,6 +154,56 @@ def _rule_norm_sq(kernel: Kernel, anchors, coeffs) -> float:
     return float(coeffs @ kernel.gram(anchors) @ coeffs)
 
 
+def _cell_bounds(kernel: Kernel, coeffs, anchors, low: float, width: float,
+                 cells: int):
+    """(lower, upper): bounds on the RBF rule sum_j coeffs[j] k(anchors[j], x)
+    over each cell of a grid of ``cells`` cells per axis, of side ``width``,
+    from ``low``; arrays of shape ``(cells,) * d``. Each cell is padded by a
+    few ulps. An anchor's term factors per axis, and on an interval a factor
+    is largest at the point nearest the anchor and smallest at the farthest;
+    each term is then bounded by the sign of its coefficient."""
+    d = anchors.shape[1]
+    edges = low + width * np.arange(cells)
+    pad = 4.0 * np.spacing(max(abs(low), abs(edges[-1] + width)))
+    lo, hi = edges - pad, edges + width + pad
+    lower, upper = np.zeros((cells,) * d), np.zeros((cells,) * d)
+    # anchors in chunks, so that the factor products hold 2^16 cells at most
+    step = max(1, (1 << 16) // cells ** d)
+    for w, base in kernel.terms:
+        scale = -0.5 / (base.bandwidth * base.bandwidth)
+        for start in range(0, len(anchors), step):
+            a, s = anchors[start:start + step], w * coeffs[start:start + step]
+            near = far = np.ones((len(a),) + (1,) * d)
+            for axis in range(d) if base.dims is None else base.dims:
+                at = a[:, axis, None]
+                nearest = np.maximum(np.maximum(lo - at, at - hi), 0.0)
+                farthest = np.maximum(at - lo, hi - at)
+                shape = [len(a)] + [1] * d
+                shape[1 + axis] = cells
+                near = near * np.exp(scale * nearest * nearest).reshape(shape)
+                far = far * np.exp(scale * farthest * farthest).reshape(shape)
+            pos, neg = np.maximum(s, 0.0), np.minimum(s, 0.0)
+            upper += np.tensordot(pos, near, 1) + np.tensordot(neg, far, 1)
+            lower += np.tensordot(pos, far, 1) + np.tensordot(neg, near, 1)
+    return lower, upper
+
+
+def _value_tolerance(kernel: Kernel, coeffs, anchors, low: float,
+                     high: float) -> float:
+    """A bound, with room to spare, on the float error of an RBF rule's
+    computed value on a cube row, and of ``_cell_bounds``' own sums: the
+    error of a squared distance grows with the squared norms, which the
+    smallest bandwidth scales into the exponent."""
+    reads = max(anchors.shape[1] if base.dims is None else len(base.dims)
+                for _, base in kernel.terms)
+    norms = reads * (max(low * low, high * high) + float(np.max(anchors ** 2)))
+    bandwidth = min(base.bandwidth for _, base in kernel.terms)
+    weight = sum(w for w, _ in kernel.terms) * float(np.sum(np.abs(coeffs)))
+    return 16.0 * np.finfo(float).eps * weight * (
+        2 + len(anchors) + len(kernel.terms)
+        + (reads + 2) * norms / (bandwidth * bandwidth))
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A labeled-data distribution with a planted unit-norm decision rule."""
@@ -178,6 +261,34 @@ class Distribution:
         return (InputLaw(dim=len(view), low=law.low, high=law.high), kernel,
                 as_points(self.anchors)[:, view], view)
 
+    @cached_property
+    def _screen(self):
+        """(cell law, live corners): the law of a row's offset in its cell,
+        uniform on ``[0, width)`` per axis, and the lower corners of the
+        block's live cells, one row each in C order. None when the rule
+        cannot be screened (not the block of a uniform cube, more than
+        SCREEN_MAX_DIMS columns, a term that is not RBF, no gap) or its live
+        cells cover more than SCREEN_MAX_LIVE of the block.
+
+        A cell is dead when ``_cell_bounds`` puts the rule inside the gap,
+        less ``_value_tolerance``, on the whole cell: then no row in it has a
+        computed |h*(x)| >= margin_gap, and rejection would keep none."""
+        law, kernel, anchors, view = self._rejection_rule
+        if view is None or law.dim > SCREEN_MAX_DIMS or self.margin_gap <= 0 \
+                or any(base.kind != "rbf" for _, base in kernel.terms):
+            return None
+        coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        width = law._span() / SCREEN_CELLS
+        lower, upper = _cell_bounds(kernel, coeffs, anchors, law.low, width,
+                                    SCREEN_CELLS)
+        reach = self.margin_gap - _value_tolerance(kernel, coeffs, anchors,
+                                                   law.low, law.high)
+        live = (upper >= reach) | (lower <= -reach)
+        if live.mean() > SCREEN_MAX_LIVE:
+            return None
+        return (InputLaw(dim=law.dim, low=0.0, high=width),
+                law.low + width * np.argwhere(live))
+
     def sample(self, m: int, rng: np.random.Generator):
         """Draw m labeled points; rejection keeps |h*(x)| >= margin_gap.
 
@@ -187,12 +298,34 @@ class Distribution:
         uniform cube (``_rejection_rule``), rounds draw that block alone and
         one ``(m, dim)`` draw then fills the kept rows' other columns. Label
         flips are drawn last.
+
+        A call of at least SCREEN_MIN_ROWS draws whose rule has a screen
+        (``_screen``) draws each round's rows as offsets in a cell, then,
+        SCREEN_MIN_ROWS rows at a time, a live cell for each row, uniformly.
+        Rows are then uniform on the live cells, and every row is still tested:
+        the law of (x, y) is that of unscreened rounds, but not the bits.
+        Every other call draws the bits of unscreened rounds. With no live
+        cell, the call raises NumericError before any draw.
         """
         law, kernel, anchors, view = self._rejection_rule
+        screen = self._screen if m >= SCREEN_MIN_ROWS else None
+        if screen is not None:
+            law, corners = screen
+            if not len(corners):
+                raise NumericError(f"margin gap {self.margin_gap} rejects "
+                                   "every input: the rule is inside it on "
+                                   "every cell")
         xs, vs = [], []
         kept = 0
         for _ in range(MAX_REJECTION_ROUNDS):
             batch = law.sample(max(2 * m, 64), rng)
+            if screen is not None:
+                for start in range(0, len(batch), SCREEN_MIN_ROWS):
+                    part = batch[start:start + SCREEN_MIN_ROWS]
+                    # take, not corners[...]: 0.29 against 0.68 ms per 40k
+                    # rows of 2 columns (2-vCPU Xeon)
+                    part += corners.take(rng.integers(len(corners),
+                                                      size=len(part)), axis=0)
             vals = kernel.expand(self.coeffs, anchors, batch)
             good = np.abs(vals) >= self.margin_gap
             if good.any():
@@ -294,20 +427,22 @@ class TaskEnvironment:
             norm_sq = _rule_norm_sq(kernel, anchors, coeffs)
             if norm_sq <= 1e-10:
                 continue
-            dist = Distribution(
-                input_law=self.input_law, kernel=kernel, anchors=anchors,
-                coeffs=coeffs / np.sqrt(norm_sq), margin_gap=cluster.margin_gap,
-                flip_rate=cluster.flip_rate, component=idx)
+            coeffs /= np.sqrt(norm_sq)
+            # the balance probe scores the rule as Distribution.decision_values
+            # would; only an accepted rule builds one, which checks its norm
             if cluster.balance_slack < 0.5:
                 probe = self.input_law.sample(512, rng)
-                vals = dist.decision_values(probe)
+                vals = kernel.expand(coeffs, anchors, probe)
                 kept = vals[np.abs(vals) >= cluster.margin_gap]
                 if len(kept) < 64:
                     continue
                 positive = float(np.mean(kept >= 0.0))
                 if abs(positive - 0.5) > cluster.balance_slack:
                     continue
-            return dist
+            return Distribution(
+                input_law=self.input_law, kernel=kernel, anchors=anchors,
+                coeffs=coeffs, margin_gap=cluster.margin_gap,
+                flip_rate=cluster.flip_rate, component=idx)
         raise NumericError("could not draw a planted rule satisfying the cluster "
                            "constraints (norm / label balance)")
 

@@ -15,7 +15,10 @@ package's must equal byte for byte. The scalar hinge solver is the
 one-problem, one-trial-step-at-a-time loop that the vectorised solver in
 ``mtkl._accel`` must reproduce bit for bit. The full-width sampler draws
 every coordinate of every rejection round, as ``Distribution.sample`` did
-before it drew only the planted rule's columns. The PSD defect is the
+before it drew only the planted rule's columns; the block sampler draws
+only those columns in every round, as ``Distribution.sample`` does where it
+does not screen cells; the task-rule draw builds a distribution for every
+attempt, as ``TaskEnvironment.draw_task`` did. The PSD defect is the
 smallest ``eigvalsh`` eigenvalue against the tolerance, with no Cholesky
 certificate in front of it.
 """
@@ -497,6 +500,68 @@ def full_width_sample(dist, m, rng):
     if dist.flip_rate > 0.0:
         y = np.where(rng.random(m) < dist.flip_rate, -y, y)
     return X, y
+
+
+def block_sample(dist, m, rng):
+    """m labeled draws from ``dist`` on a uniform cube whose planted kernel
+    has ``dims`` on every term, together fewer than ``dim`` columns: each
+    rejection round of max(2m, 64) inputs draws those columns alone, in
+    sorted order (``rng.uniform``), and scores them as full rows with zeros
+    in the other columns; one ``(m, dim)`` draw then fills the kept rows'
+    other columns, and the label flips come last."""
+    law = dist.input_law
+    view = sorted({d for _, base in dist.kernel.terms for d in base.dims})
+    xs, vs, kept = [], [], 0
+    for _ in range(1000):
+        block = rng.uniform(law.low, law.high, (max(2 * m, 64), len(view)))
+        rows = np.zeros((len(block), law.dim))
+        rows[:, view] = block
+        vals = dist.decision_values(rows)
+        good = np.abs(vals) >= dist.margin_gap
+        xs.append(block[good])
+        vs.append(vals[good])
+        kept += int(good.sum())
+        if kept >= m:
+            break
+    else:
+        raise AssertionError("margin gap rejects nearly all inputs")
+    X = rng.uniform(law.low, law.high, (m, law.dim))
+    X[:, view] = np.concatenate(xs)[:m]
+    y = np.where(np.concatenate(vs)[:m] >= 0.0, 1.0, -1.0)
+    if dist.flip_rate > 0.0:
+        y = np.where(rng.random(m) < dist.flip_rate, -y, y)
+    return X, y
+
+
+def draw_task_rule(env, rng):
+    """(anchors, coeffs, attempts) of ``env.draw_task(rng)``, drawn as it
+    drew them before it built one distribution per task: every attempt with
+    a norm above 1e-10 builds a ``Distribution`` of the normalized
+    coefficients, and the balance probe scores it."""
+    from mtkl.envsim import Distribution
+
+    weights = np.array([c.weight for c in env.clusters])
+    idx = int(rng.choice(len(env.clusters), p=weights / weights.sum()))
+    cluster = env.clusters[idx]
+    kernel = env.dictionary[cluster.kernel_index]
+    for attempt in range(1, 201):
+        anchors = env.input_law.sample(cluster.n_anchors, rng)
+        coeffs = rng.standard_normal(cluster.n_anchors)
+        norm_sq = float(coeffs @ kernel.gram(anchors) @ coeffs)
+        if norm_sq <= 1e-10:
+            continue
+        dist = Distribution(
+            input_law=env.input_law, kernel=kernel, anchors=anchors,
+            coeffs=coeffs / np.sqrt(norm_sq), margin_gap=cluster.margin_gap,
+            flip_rate=cluster.flip_rate, component=idx)
+        if cluster.balance_slack < 0.5:
+            vals = dist.decision_values(env.input_law.sample(512, rng))
+            kept = vals[np.abs(vals) >= cluster.margin_gap]
+            if len(kept) < 64 or \
+                    abs(float(np.mean(kept >= 0.0)) - 0.5) > cluster.balance_slack:
+                continue
+        return dist.anchors, dist.coeffs, attempt
+    raise AssertionError("no planted rule satisfies the cluster constraints")
 
 
 # ---------------------------------------------------------------------------

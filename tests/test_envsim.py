@@ -1,9 +1,12 @@
 """Synthetic environments, seeding, and end-to-end trials."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mtkl import (InputError, InputLaw, Kernel, KernelFamily, MarginParams,
@@ -54,6 +57,18 @@ class TestDistributions:
             margin_gap=50.0)
         with pytest.raises(NumericError):
             hopeless.sample(100, np.random.default_rng(5))
+        # a Monte Carlo-size call on a screenable rule finds no live cell and
+        # raises at once, instead of running every empty round
+        dist = screened_distribution()
+        hopeless = make_planted_distribution(
+            dist.input_law, dist.kernel, dist.anchors, dist.coeffs,
+            margin_gap=50.0)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(NumericError, match="every cell"):
+            hopeless.sample(envsim.SCREEN_MIN_ROWS, rng)
+        assert rng.bit_generator.state == state
+        assert len(hopeless._screen[1]) == 0
 
     @pytest.mark.parametrize("gap", [np.nan, np.inf, -np.inf, -0.1])
     def test_margin_gap_validated(self, gap):
@@ -148,11 +163,17 @@ class TestViewSampling:
             < self.ALPHA
 
     def test_kept_planted_values_clear_the_gap(self):
-        dist = view_distribution(flip=0.0, gap=0.3)
-        X, y = dist.sample(5_000, np.random.default_rng(43))
-        vals = dist.decision_values(X)
-        assert np.all(np.abs(vals) >= 0.3)
-        np.testing.assert_array_equal(y, np.where(vals >= 0, 1.0, -1.0))
+        # the second rule's 20k draws come from its live cells alone
+        screened = screened_distribution(flip=0.0, gap=0.3)
+        assert screened._screen is not None
+        for dist, m, seed in ((view_distribution(flip=0.0, gap=0.3), 5_000, 43),
+                              (screened, 20_000, 51)):
+            X, y = dist.sample(m, np.random.default_rng(seed))
+            vals = dist.decision_values(X)
+            assert np.all(np.abs(vals) >= 0.3)
+            np.testing.assert_array_equal(y, np.where(vals >= 0, 1.0, -1.0))
+            law = dist.input_law
+            assert law.low <= X.min() and X.max() <= law.high
 
     def test_off_view_columns_uniform_and_independent_of_y(self):
         dist = view_distribution()
@@ -223,7 +244,204 @@ class TestViewSampling:
             dist.sample(10, np.random.default_rng(48))
 
 
+def screened_distribution(flip=0.1, gap=0.25):
+    """A planted rule of two bandwidth-0.25 RBF terms on columns (4, 1) and
+    (1,) of a 6-wide cube, with an anchor in each quadrant of the block and
+    coefficients of both signs and similar size. Its screen keeps 29 % of
+    the block's cells, and without any one anchor the rule has another sign
+    on 17-33 % of its kept rows."""
+    kernel = Kernel(terms=(
+        (0.6, BaseKernel(kind="rbf", bandwidth=0.25, dims=(4, 1))),
+        (0.4, BaseKernel(kind="rbf", bandwidth=0.25, dims=(1,)))), bound_b=1.0)
+    anchors = np.zeros((4, 6))
+    anchors[:, [1, 4]] = [[-0.5, -0.5], [0.5, 0.5], [0.5, -0.5], [-0.5, 0.5]]
+    return make_planted_distribution(
+        InputLaw(dim=6), kernel, anchors, [1.0, 0.9, -1.0, -0.9],
+        margin_gap=gap, flip_rate=flip)
+
+
+def cell_probes(corners, width, per_axis, rng):
+    """Rows in each cell, cell by cell: a grid of ``per_axis`` points per
+    axis that includes every corner, then as many uniform points."""
+    d = corners.shape[1]
+    ticks = np.linspace(0.0, 1.0, per_axis)
+    grid = np.stack(np.meshgrid(*[ticks] * d, indexing="ij"), -1).reshape(-1, d)
+    offsets = np.concatenate([grid, rng.random(grid.shape)])
+    return (corners[:, None, :] + width * offsets[None]).reshape(-1, d)
+
+
+class TestCellScreen:
+    """A Monte Carlo-size draw skips the cells where a certified bound puts
+    the planted rule inside the gap. The dropped cells must hold no row that
+    rejection keeps, and the draws must follow the full-width sampler's law."""
+
+    N = 100_000
+    ALPHA = 1e-3  # per seeded check
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_dropped_cells_hold_no_kept_row(self, data):
+        block = data.draw(st.integers(1, envsim.SCREEN_MAX_DIMS),
+                          label="block columns")
+        width = block + data.draw(st.integers(1, 2))
+        view = data.draw(st.permutations(range(width)))[:block]
+        dims = [tuple(data.draw(st.permutations(view)))]
+        if data.draw(st.booleans(), label="two terms"):
+            dims.append(tuple(data.draw(st.lists(
+                st.sampled_from(view), min_size=1, max_size=3))))
+        unit = st.floats(0.0, 1.0)
+        kernel = Kernel(terms=tuple(
+            (0.1 + data.draw(unit), BaseKernel(
+                kind="rbf", dims=d, bandwidth=0.05 + 1.5 * data.draw(unit)))
+            for d in dims), bound_b=1.0)
+        low = -2.0 + 3.0 * data.draw(unit)
+        law = InputLaw(dim=width, low=low, high=low + 0.3 + 3.0 * data.draw(unit))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_anchors = data.draw(st.integers(1, 8))
+        span = law.high - law.low
+        anchors = rng.uniform(law.low - 0.5 * span, law.high + 0.5 * span,
+                              (n_anchors, width))
+        rule = make_planted_distribution(law, kernel, anchors,
+                                         rng.standard_normal(n_anchors))
+        top = float(np.max(np.abs(rule.decision_values(law.sample(512, rng)))))
+        dist = make_planted_distribution(
+            law, kernel, anchors, rule.coeffs,
+            margin_gap=max(1e-3, top * (0.05 + 1.2 * data.draw(unit))))
+        cells = data.draw(st.sampled_from((2, 5, 8, 32)), label="cells")
+        with mock.patch.multiple(envsim, SCREEN_CELLS=cells,
+                                 SCREEN_MAX_LIVE=1.0):
+            cell_law, live = dist._screen
+        block_law, block_kernel, block_anchors, _ = dist._rejection_rule
+        side = block_law._span() / cells
+        assert cell_law.low == 0.0 and cell_law.high == side
+        every = block_law.low + side * np.argwhere(np.ones((cells,) * block))
+        kept = {tuple(c) for c in live}
+        dead = np.array([c for c in every if tuple(c) not in kept])
+        if not len(dead):
+            return
+        probes = cell_probes(dead, side, 5, rng)
+        vals = block_kernel.expand(dist.coeffs, block_anchors, probes)
+        assert np.all(np.abs(vals) < dist.margin_gap)
+
+    def test_screen_drops_most_of_the_block(self):
+        _, live = screened_distribution()._screen
+        assert len(live) == 296 and envsim.SCREEN_CELLS ** 2 == 1024
+
+    def test_draws_match_the_full_width_sampler(self):
+        dist = screened_distribution()
+        assert dist._screen is not None
+        X, y = dist.sample(self.N, np.random.default_rng(52))
+        X_old, y_old = orc.full_width_sample(dist, self.N,
+                                             np.random.default_rng(53))
+        # the checks can see labels taken from a rule one anchor short: such
+        # a rule has another sign on a sixth of the rows at least
+        vals = dist.decision_values(X)
+        for j in range(4):
+            short = np.delete(np.arange(4), j)
+            assert np.mean((dist.kernel.expand(dist.coeffs[short],
+                                               dist.anchors[short], X) >= 0)
+                           != (vals >= 0)) > 1 / 6
+        # block columns
+        for col in (1, 4):
+            assert stats.ks_2samp(X[:, col], X_old[:, col]).pvalue > self.ALPHA
+        # labels
+        p, p_old = np.mean(y > 0), np.mean(y_old > 0)
+        pooled = 0.5 * (p + p_old)
+        assert abs(p - p_old) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / self.N)
+        # (block, label) pairs: counts on 8 x 8 bins of the block by label
+        table = np.array([
+            np.bincount(((rows[:, 1] + 1) * 4).astype(int) * 16
+                        + ((rows[:, 4] + 1) * 4).astype(int) * 2
+                        + (labels > 0), minlength=128)
+            for rows, labels in ((X, y), (X_old, y_old))])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > self.ALPHA
+        # the filled off-view columns: the full-width law, and independent of y
+        for col in (0, 2, 3, 5):
+            assert stats.ks_2samp(X[:, col], X_old[:, col]).pvalue > self.ALPHA
+            assert stats.ks_2samp(X[y > 0, col], X[y < 0, col]).pvalue \
+                > self.ALPHA
+
+    def test_list_coefficients_screen_as_an_array(self):
+        dist = screened_distribution()
+        listed = Distribution(
+            input_law=dist.input_law, kernel=dist.kernel, anchors=dist.anchors,
+            coeffs=dist.coeffs.tolist(), margin_gap=dist.margin_gap,
+            flip_rate=dist.flip_rate)
+        assert isinstance(listed.coeffs, list)
+        assert listed._screen[1].tobytes() == dist._screen[1].tobytes()
+        m = envsim.SCREEN_MIN_ROWS
+        X, y = listed.sample(m, np.random.default_rng(56))
+        X_arr, y_arr = dist.sample(m, np.random.default_rng(56))
+        assert X.tobytes() == X_arr.tobytes() and y.tobytes() == y_arr.tobytes()
+
+    def test_below_the_row_cut_off_draws_unscreened_bits(self):
+        dist = screened_distribution()
+        m = envsim.SCREEN_MIN_ROWS - 1
+        X, y = dist.sample(m, np.random.default_rng(54))
+        X_old, y_old = orc.block_sample(dist, m, np.random.default_rng(54))
+        assert X.tobytes() == X_old.tobytes() and y.tobytes() == y_old.tobytes()
+        # at the cut-off, the screen changes the bits
+        m += 1
+        X, _ = dist.sample(m, np.random.default_rng(54))
+        assert X.tobytes() != orc.block_sample(
+            dist, m, np.random.default_rng(54))[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["wide_live_share", "linear_term",
+                                      "three_columns", "five_columns"])
+    def test_unscreened_rules_draw_unscreened_bits(self, case):
+        if case == "wide_live_share":
+            dist = view_distribution()
+        else:
+            second = {"linear_term": BaseKernel(kind="linear", dims=(1,)),
+                      "three_columns": BaseKernel(kind="rbf", bandwidth=0.25,
+                                                  dims=(0,)),
+                      "five_columns": BaseKernel(kind="rbf", bandwidth=0.25,
+                                                 dims=(0, 2, 3))}[case]
+            base = screened_distribution()
+            kernel = Kernel(terms=(base.kernel.terms[0], (0.4, second)),
+                            bound_b=2.0)
+            dist = make_planted_distribution(
+                base.input_law, kernel, base.anchors, base.coeffs,
+                margin_gap=0.25, flip_rate=0.1)
+        assert dist._screen is None
+        m = envsim.SCREEN_MIN_ROWS
+        X, y = dist.sample(m, np.random.default_rng(55))
+        X_old, y_old = orc.block_sample(dist, m, np.random.default_rng(55))
+        assert X.tobytes() == X_old.tobytes() and y.tobytes() == y_old.tobytes()
+
+
 class TestSampling:
+    def test_draw_task_keeps_the_attempt_order(self):
+        # draw_task builds one Distribution per task, not one per attempt;
+        # the rules, the stream and so every digest stay as they were
+        views = [(2 * i, 2 * i + 1) for i in range(4)]
+        env = TaskEnvironment(
+            dictionary=tuple(rbf_kernel(0.2, dims=v) for v in views),
+            input_law=InputLaw(dim=8),
+            clusters=(TaskCluster(kernel_index=3, margin_gap=0.25,
+                                  balance_slack=0.15),))
+        norms = []
+
+        def count(*args):
+            norms.append(1)
+            return rule_norm_sq(*args)
+
+        rule_norm_sq = envsim._rule_norm_sq
+        attempts = []
+        for seed in range(6):
+            rng, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            norms.clear()
+            with mock.patch.object(envsim, "_rule_norm_sq", count):
+                dist = env.draw_task(rng)
+            anchors, coeffs, tries = orc.draw_task_rule(env, rng_old)
+            assert dist.anchors.tobytes() == anchors.tobytes()
+            assert dist.coeffs.tobytes() == coeffs.tobytes()
+            assert rng.bit_generator.state == rng_old.bit_generator.state
+            assert len(norms) == tries + 1
+            attempts.append(tries)
+        assert max(attempts) > 3
+
     def test_multitask_bitwise_deterministic(self):
         env = small_env(flip=0.1)
         dists = sample_lifelong(env, 3, seed=11)
