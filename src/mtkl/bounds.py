@@ -125,8 +125,16 @@ def _clog(x: float, label: str, warnings: list[str], base2: bool = False) -> flo
 
 
 def _log_add(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow."""
+    """log(e^a + e^b) without overflow; log(e^inf + e^inf) is inf."""
+    if a == b and math.isinf(a):
+        return a
     return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _clamped_product(*factors: float) -> float:
+    """The factors' product in order, but 0 if one is 0: a log clamped to 0
+    zeroes its term even where another factor overflowed to inf."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
 
 
 def _hn_logs(n: int, m: int, B: float, d_phi: float, scale: float, k: int,
@@ -139,9 +147,9 @@ def _hn_logs(n: int, m: int, B: float, d_phi: float, scale: float, k: int,
     cover = f" of hn(m={m}, eps={eps:g})"
     log_kernel = _clog(4.0 * math.e * n**2 * m**3 * B / (eps2 * d_phi),
                        "4en^2m^3B/(eps^2 d_phi)" + cover, warns)
-    t_function = (64.0 * B * exponent_n / eps2) * _clog(
+    t_function = _clamped_product(64.0 * B * exponent_n / eps2, _clog(
         math.e * eps * m / (8.0 * math.sqrt(B)), "e*eps*m/(8 sqrt(B))" + cover,
-        warns) * _clog(16.0 * m * B / eps2, "16mB/eps^2" + cover, warns)
+        warns), _clog(16.0 * m * B / eps2, "16mB/eps^2" + cover, warns))
     return log_kernel, t_function
 
 
@@ -170,8 +178,9 @@ def cover_bound_fk(m: int, B: float, epsilon: float) -> LogBound:
     warns: list[str] = []
     exp_log2 = _clog(epsilon * math.e * m / (4.0 * math.sqrt(B)),
                      "eps*e*m/(4 sqrt(B))", warns, base2=True)
-    value = math.log(2.0) + (16.0 * B / epsilon**2) * exp_log2 * _clog(
-        4.0 * m * B / epsilon**2, "4mB/eps^2", warns)
+    value = math.log(2.0) + _clamped_product(
+        16.0 * B / epsilon**2, exp_log2,
+        _clog(4.0 * m * B / epsilon**2, "4mB/eps^2", warns))
     return LogBound(log_value=value, warnings=tuple(warns))
 
 
@@ -289,13 +298,18 @@ def invert_epsilon(inputs: BoundInputs, target: float,
     """Solve ``lifelong_delta(inputs, eps, constants) = target`` for eps by
     bisection on the bracket [1e-6, 2] (the failure probability is
     continuous and strictly decreasing in eps), until the bracket closes.
-    Raises InputError when the target is not bracketed at this scale."""
+    Raises InputError when the target is not bracketed at this scale, and
+    NumericError where the failure probability's log is NaN."""
     _require_probability(target, "target")
     log_target = math.log(target)
     warns: list[str] = []
 
     def log_total(eps: float) -> float:
-        return _log_add(*_lifelong_log_terms(inputs, eps, constants, warns))
+        value = _log_add(*_lifelong_log_terms(inputs, eps, constants, warns))
+        if math.isnan(value):  # a NaN would pass every bracket test below
+            raise NumericError(f"lifelong failure probability at eps={eps!r} "
+                               "is NaN")
+        return value
 
     lo, hi = EPSILON_BRACKET
     f_lo = log_total(lo) - log_target

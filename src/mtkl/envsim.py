@@ -148,10 +148,15 @@ class InputLaw:
 
 def _rule_norm_sq(kernel: Kernel, anchors, coeffs) -> float:
     """K-norm^2 of the rule sum_j coeffs[j] K(anchors[j], .); an anchor or
-    coefficient that is NaN or infinite raises InputError first."""
+    coefficient that is NaN or infinite, or a coefficient count other than
+    one per anchor, raises InputError first."""
     if not (np.isfinite(anchors).all() and np.isfinite(coeffs).all()):
         raise InputError("planted anchors and coefficients must be finite")
-    return float(coeffs @ kernel.gram(anchors) @ coeffs)
+    G = kernel.gram(anchors)
+    if np.shape(coeffs) != (len(G),):
+        raise InputError(f"planted coefficients of shape {np.shape(coeffs)} "
+                         f"for {len(G)} anchors")
+    return float(coeffs @ G @ coeffs)
 
 
 def _cell_bounds(kernel: Kernel, coeffs, anchors, low: float, width: float,
@@ -217,6 +222,7 @@ class Distribution:
     component: int = 0
 
     def __post_init__(self):
+        require_number(self.flip_rate, "flip_rate")
         if not 0.0 <= self.flip_rate < 0.5:
             raise InputError("flip_rate must be in [0, 0.5)")
         require_number(self.margin_gap, "margin_gap")
@@ -305,8 +311,12 @@ class Distribution:
         Rows are then uniform on the live cells, and every row is still tested:
         the law of (x, y) is that of unscreened rounds, but not the bits.
         Every other call draws the bits of unscreened rounds. With no live
-        cell, the call raises NumericError before any draw.
+        cell, the call raises NumericError before any draw. m = 0 draws
+        nothing and returns empty arrays.
         """
+        require_int(m, "sample size m", 0)
+        if m == 0:  # no round: one that kept no row has nothing to join
+            return np.empty((0, self.input_law.dim)), np.empty(0)
         law, kernel, anchors, view = self._rejection_rule
         screen = self._screen if m >= SCREEN_MIN_ROWS else None
         if screen is not None:
@@ -498,10 +508,6 @@ class TrialOutcome:
     solution: MultiTaskSolution
 
 
-def _mc_scores(predictors, mc_data):
-    return [y * pred.evaluate(X) for pred, (X, y) in zip(predictors, mc_data)]
-
-
 def _same_scores(a: Predictor, b: Predictor) -> bool:
     """Whether ``a.evaluate`` and ``b.evaluate`` return the same bits on any
     rows: equal term weights on the same BaseKernel objects (a BaseKernel
@@ -511,26 +517,40 @@ def _same_scores(a: Predictor, b: Predictor) -> bool:
             and np.array_equal(a.alphas, b.alphas))
 
 
-def _avg_error(scores, margin):
-    return float(np.mean([margin_error_rate(s, margin) for s in scores]))
+def _mc_risks(predictor_sets, distributions, margins, mc_samples, seed):
+    """Each set's mean over tasks of the Monte Carlo P(y h(x) < margin), one
+    list per set, at each of ``margins``. Every set is scored on the same
+    draws, task i's from child i of ``seed`` (``_draw_per_task``). A set
+    that ``_same_scores`` matches with an earlier set on every task takes
+    that set's risks unscored; at most one set's scores are held at once."""
+    mc_data = _draw_per_task(distributions, mc_samples, seed)
+    risks = []
+    for preds in predictor_sets:
+        risk = next((r for r, done in zip(risks, predictor_sets)
+                     if all(map(_same_scores, preds, done))), None)
+        if risk is None:
+            rates = []  # per task, per margin
+            for h, (X, y) in zip(preds, mc_data):
+                scores = y * h.evaluate(X)
+                rates.append([margin_error_rate(scores, g) for g in margins])
+            risk = [float(np.mean(r)) for r in zip(*rates)]
+        risks.append(risk)
+    return risks
 
 
 def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
                    gamma: float, mc_samples: int, seed) -> float:
-    """Mean over tasks of the Monte Carlo estimate of P(y h(x) < gamma);
-    one task's risk is ``avg_true_error([h], [dist], ...)``.
-
-    Per-task sample streams are spawned from ``seed`` exactly as in
-    ``run_trial``, so a trial's Monte Carlo seed reproduces its ``er`` and
-    ``er_2gamma``, and calls with the same int seed and different margins
-    share the exact same draws.
+    """Mean over tasks of the Monte Carlo estimate of P(y h(x) < gamma), by
+    ``_mc_risks``: ``run_trial`` and ``overhead_curve`` draw the same
+    per-task streams, so a trial's Monte Carlo seed reproduces its ``er``
+    and ``er_2gamma``. One task's risk is ``avg_true_error([h], [dist], ...)``.
     """
     if len(distributions) != len(predictors):
         raise InputError(
             f"{len(distributions)} distributions for {len(predictors)} tasks")
     require_int(mc_samples, "mc_samples", 1)
-    mc_data = _draw_per_task(distributions, mc_samples, seed)
-    return _avg_error(_mc_scores(predictors, mc_data), gamma)
+    return _mc_risks([predictors], distributions, (gamma,), mc_samples,
+                     seed)[0][0]
 
 
 def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
@@ -542,7 +562,8 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     ``delta`` fails before any draw), sample tasks and data, run ERM (the
     same search as ``erm_fit``), Monte Carlo the true risks, and check the
     two-sided sandwich (and optionally the ERM guarantee against the best
-    grid candidate under the double-margin risk)."""
+    grid candidate under the double-margin risk). One ``_mc_risks`` call
+    scores the chosen set and the grid's sets at margins 0 and 2 gamma."""
     eps_res = multitask_epsilon(BoundInputs(
         n=n, m=m, d_phi=max(1.0, pd_upper_bound(family)),
         B=searched_family_bound(family), gamma=gamma), delta)
@@ -559,12 +580,10 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
     sample = sample_multitask(distributions, m, ss_data)
 
     solution, grid_fits = erm_search(family, sample, params, budget)
-    predictors = solution.predictors
-
-    mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
-    chosen_scores = _mc_scores(predictors, mc_data)
-    er = _avg_error(chosen_scores, 0.0)
-    er_2g = _avg_error(chosen_scores, 2.0 * gamma)
+    grid_sets = [preds for preds, _ in grid_fits] if evaluate_guarantee else []
+    (er, er_2g), *grid_risks = _mc_risks(
+        [solution.predictors, *grid_sets], distributions, (0.0, 2.0 * gamma),
+        mc_samples, ss_mc)
 
     eps = eps_res.epsilon
     er_hat = solution.avg_empirical_margin_error
@@ -575,12 +594,7 @@ def run_trial(source: Union[TaskEnvironment, Sequence[Distribution]],
 
     guarantee = None
     if evaluate_guarantee:
-        # the grid argmin's predictors are the solution's own unless
-        # refinement replaced them; its scores are then already known
-        best_2g = min(
-            er_2g if preds is predictors
-            else _avg_error(_mc_scores(preds, mc_data), 2.0 * gamma)
-            for preds, _ in grid_fits)
+        best_2g = min(risk_2g for _, risk_2g in grid_risks)
         guarantee = ErmGuaranteeReport(
             er_2gamma_best=best_2g, holds=bool(er <= best_2g + 2.0 * eps))
     return TrialOutcome(report=report, guarantee=guarantee, solution=solution)
@@ -609,12 +623,10 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
     and its estimation gap, for each task count in ``n_grid``.
 
     The oracle learner fits the same per-task problems with the environment's
-    planted kernel; its true errors are estimated on the same Monte Carlo
-    draws as the ERM learner's, so the excess is a paired comparison. When
-    on every task the oracle's fit and ERM's have the same kernel terms
-    (equal weights, the same ``BaseKernel`` objects), the same support
-    sample and equal alphas, they score every draw with the same bits, and
-    the oracle's error is ERM's, not scored a second time.
+    planted kernel; one ``_mc_risks`` call scores ERM's fits, then the
+    oracle's, on the same Monte Carlo draws, so the excess is a paired
+    comparison. Oracle fits that score as ERM's do (``_same_scores``) take
+    ERM's error and are not scored a second time.
     """
     for n in n_grid:
         require_int(n, "n_grid entry", 1)
@@ -634,12 +646,9 @@ def overhead_curve(env: TaskEnvironment, family: KernelFamily, m: int,
             solution = erm_fit(family, sample, params, budget)
             oracle_preds = tuple(fit_single_task(oracle_kernel, t, params)
                                  for t in sample.tasks)
-            mc_data = _draw_per_task(distributions, mc_samples, ss_mc)
-            erm_er = _avg_error(_mc_scores(solution.predictors, mc_data), 0.0)
-            if all(map(_same_scores, solution.predictors, oracle_preds)):
-                oracle_er = erm_er
-            else:
-                oracle_er = _avg_error(_mc_scores(oracle_preds, mc_data), 0.0)
+            (erm_er,), (oracle_er,) = _mc_risks(
+                (solution.predictors, oracle_preds), distributions, (0.0,),
+                mc_samples, ss_mc)
             points.append(OverheadPoint(
                 n=n, trial=trial, erm_error=erm_er, oracle_error=oracle_er,
                 excess_error=erm_er - oracle_er,

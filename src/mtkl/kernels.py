@@ -231,7 +231,11 @@ class BaseKernel:
         return G
 
     def cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        return self._values(self._select(X), self._select(Z))
+        Xs, Zs = self._select(X), self._select(Z)
+        if Xs.shape[1] != Zs.shape[1]:
+            raise InputError(f"{self.kind} kernel cannot pair points of width "
+                             f"{Xs.shape[1]} with points of width {Zs.shape[1]}")
+        return self._values(Xs, Zs)
 
 
 @dataclass(frozen=True, eq=False)

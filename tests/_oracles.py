@@ -103,6 +103,14 @@ def _float_clog(x, clamped):
     return math.log(x)
 
 
+def _float_term(coef, log_a, log_b):
+    """coef * log_a * log_b, or 0 when a log was clamped to 0 (coef may be
+    inf), which is the exact product's value."""
+    if log_a == 0.0 or log_b == 0.0:
+        return 0.0
+    return coef * log_a * log_b
+
+
 def float_multitask_epsilon(n, m, d_phi, B, gamma, delta):
     """The multi-task radius in floats, with the cover constants multiplied
     in: (epsilon, valid, terms, clamped log arguments in order)."""
@@ -111,9 +119,9 @@ def float_multitask_epsilon(n, m, d_phi, B, gamma, delta):
     t_patterns = math.log(2.0)
     t_kernel = (d_phi / n) * _float_clog(
         128.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi), clamped)
-    t_function = (256.0 * B / gamma**2) * _float_clog(
-        gamma * math.e * m / (8.0 * math.sqrt(B)), clamped) * _float_clog(
-        128.0 * m * B / gamma**2, clamped)
+    t_function = _float_term(256.0 * B / gamma**2, _float_clog(
+        gamma * math.e * m / (8.0 * math.sqrt(B)), clamped), _float_clog(
+        128.0 * m * B / gamma**2, clamped))
     epsilon = math.sqrt(
         8.0 * (t_confidence + t_patterns + t_kernel + t_function) / m)
     terms = {"confidence": t_confidence, "patterns": t_patterns,
@@ -128,10 +136,10 @@ def float_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C, clamped):
                   + d_phi * _float_clog(
                       512.0 * math.e * n**2 * m**3 * B / (gamma**2 * d_phi),
                       clamped)
-                  + (1024.0 * B * n / gamma**2)
-                  * _float_clog(math.e * gamma * m / (16.0 * math.sqrt(B)),
-                                clamped)
-                  * _float_clog(512.0 * m * B / gamma**2, clamped)
+                  + _float_term(1024.0 * B * n / gamma**2,
+                                _float_clog(math.e * gamma * m
+                                            / (16.0 * math.sqrt(B)), clamped),
+                                _float_clog(512.0 * m * B / gamma**2, clamped))
                   - n * m * epsilon**2 / 32.0)
     log_env = (math.log(4.0)
                + d_phi * (math.log(32.0 * C) + 5.0 * math.log(n)
@@ -143,6 +151,8 @@ def float_lifelong_log_terms(n, m, d_phi, B, gamma, epsilon, C, clamped):
 
 
 def _float_log_add(a, b):
+    if a == b == math.inf:
+        return math.inf
     return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtkl import bounds
 from mtkl import (BoundConstants, BoundInputs, InputError, NumericError,
                   appendix_sample_size, cover_bound_fk, cover_bound_hn,
                   cover_bound_kernel_dn, cover_bound_kernel_nm, invert_epsilon,
@@ -346,6 +347,68 @@ class TestFloatRange:
             call()
         assert needle in str(exc.value)
         assert isinstance(exc.value.__cause__, (ZeroDivisionError, OverflowError))
+
+
+class TestClampedOverflow:
+    """A log factor clamped to 0 zeroes its term, as in the mpmath oracle,
+    even where the exponent beside it overflowed to inf: inf * 0 was NaN."""
+
+    TINY = dict(n=1, m=10, d_phi=1.0)
+
+    def test_fk_term_is_zero(self):
+        res = cover_bound_fk(10**6, 1e300, 1e-3)
+        assert res.log_value == math.log(2.0)
+        assert res.log_value == float(orc.mp_cover_bound_fk(10**6, 1e300, 1e-3))
+
+    def test_hn_term_is_zero(self):
+        # 64 B n / eps^2 overflows, the kernel log's argument does not
+        res = cover_bound_hn(1, 10, 1e301, 1e6, 1e-3)
+        want = orc.mp_cover_bound_hn(1, 10, 1e301, 1e6, 1e-3)
+        assert math.isfinite(res.log_value)
+        assert orc.rel_err(res.log_value, want) < 1e-12
+        # here the kernel log's argument overflows too: inf, not NaN
+        assert cover_bound_hn(1, 10, 1e308, 1.0, 1e-10).log_value == math.inf
+
+    def test_lifelong_overflow_is_probability_one(self):
+        res = lifelong_delta(BoundInputs(B=1e300, gamma=1e-100, **self.TINY),
+                             0.5)
+        assert res.delta == 1.0 and res.overflow
+        assert res.log_sample_term == math.inf
+
+    def test_multitask_overflow_is_an_invalid_infinite_radius(self):
+        res = multitask_epsilon(
+            BoundInputs(B=1e300, gamma=1e-10, **self.TINY), 0.05)
+        assert res.epsilon == math.inf and not res.valid
+        assert res.terms["function_cover"] == 0.0
+        assert res.warnings[-1].endswith("kernel_overhead = inf")
+
+    def test_invert_with_both_logs_infinite_is_not_bracketed(self):
+        with pytest.raises(InputError, match="not bracketed"):
+            invert_epsilon(BoundInputs(B=1e308, gamma=1e-150, **self.TINY),
+                           0.5)
+
+    def test_float_oracles_follow_the_clamp_rule(self):
+        got = lifelong_delta(BoundInputs(B=1e300, gamma=1e-100, **self.TINY),
+                             0.5)
+        *want, _ = orc.float_lifelong_delta(1, 10, 1.0, 1e300, 1e-100, 0.5)
+        assert [got.delta, got.log_sample_term, got.log_environment_term,
+                got.overflow, got.valid] == want
+        res = multitask_epsilon(
+            BoundInputs(B=1e300, gamma=1e-10, **self.TINY), 0.05)
+        eps, _, terms, _ = orc.float_multitask_epsilon(1, 10, 1.0, 1e300,
+                                                       1e-10, 0.05)
+        assert (res.epsilon, res.terms) == (eps, terms)
+        assert orc.float_invert_epsilon(1, 10, 1.0, 1e308, 1e-150, 0.5) is None
+
+    def test_log_add_of_two_infinities(self):
+        assert bounds._log_add(math.inf, math.inf) == math.inf
+        assert bounds._log_add(-math.inf, -math.inf) == -math.inf
+
+    def test_invert_raises_on_a_nan(self, monkeypatch):
+        # a NaN fails every comparison: it would pass the bracket check
+        monkeypatch.setattr(bounds, "_log_add", lambda a, b: math.nan)
+        with pytest.raises(NumericError, match="is NaN"):
+            invert_epsilon(make_inputs(), 0.5)
 
 
 def clamped_values(warnings):

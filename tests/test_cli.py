@@ -95,6 +95,22 @@ class TestBoundCommand:
         assert row[1:3] == ["inf", "False"] and row[6] == "inf"
         assert "kernel_overhead = inf" in row[-1]
 
+    @pytest.mark.parametrize("flags, row", [
+        (["--mode", "lifelong", "--B", "1e300", "--gamma", "1e-100",
+          "--epsilon", "0.5"], ["lifelong", "1.0", "False", "True", "inf"]),
+        (["--mode", "multitask", "--B", "1e300", "--gamma", "1e-10",
+          "--delta", "0.05"], ["multitask", "inf", "False", ""]),
+    ], ids=["lifelong", "multitask"])
+    def test_overflowing_exponent_prints_no_nan(self, capsys, flags, row):
+        # a log clamped to 0 beside an exponent that overflowed to inf
+        # once printed nan
+        assert main(["bound", "--n", "1", "--m", "10", "--dphi", "1",
+                     *flags]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        printed = next(csv.reader(io.StringIO(out.splitlines()[-1])))
+        assert printed[:len(row)] == row
+
     def test_lifelong_requires_epsilon(self, capsys):
         rc = main(["bound", "--mode", "lifelong", "--n", "4", "--m", "64",
                    "--dphi", "3", "--gamma", "0.25"])
@@ -614,6 +630,11 @@ EDGE_INVOCATIONS = {
     "bound_invert_huge_gamma": (
         ["bound", "--mode", "invert", *BOUND_PROBLEM, "--gamma", "1e200",
          "--delta", "0.05"], 3, "invert_epsilon("),
+    # both lifelong logs are inf; a NaN once passed the bracket check
+    "bound_invert_overflowing_covers": (
+        ["bound", "--mode", "invert", "--n", "1", "--m", "10", "--dphi", "1",
+         "--B", "1e308", "--gamma", "1e-150", "--delta", "0.5"], 2,
+        "not bracketed"),
     "bound_lifelong_tiny_epsilon": (
         ["bound", "--mode", "lifelong", *BOUND_PROBLEM, "--gamma", "0.1",
          "--epsilon", "1e-200"], 3, "epsilon=1e-200"),

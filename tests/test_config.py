@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from mtkl import (CoverRequest, InputError, InputLaw, Kernel, KernelFamily,
-                  MarginParams, PseudodimBudget, SearchBudget, TaskCluster,
-                  TaskEnvironment, instantiate, kernel_from_dict,
-                  kernel_to_dict, linear_kernel, overhead_curve, poly_kernel,
-                  rbf_kernel, run_trial)
-from mtkl.envsim import environment_from_dict
-from mtkl.kernels import family_from_dict, gaussian_metric_kernel
+                  MarginParams, PseudodimBudget, SearchBudget, ShatterInstance,
+                  TaskCluster, TaskData, TaskEnvironment, instantiate,
+                  kernel_from_dict, kernel_to_dict, linear_kernel,
+                  load_multitask_sample, overhead_curve, poly_kernel,
+                  pseudodim_lower_bound, rbf_kernel, run_trial)
+from mtkl.envsim import environment_from_dict, make_planted_distribution
+from mtkl.kernels import (BaseKernel, custom_kernel, family_from_dict,
+                          gaussian_metric_kernel)
 
 FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
 NAN, INF = float("nan"), float("inf")
@@ -28,6 +30,8 @@ COVARIANCE = KernelFamily(variant="gaussian_covariance", dimension=1)
 BASE = DICTIONARY[0].terms[0][1]
 TRIAL = dict(n=2, m=8, gamma=0.1, delta=0.05, seed=0)
 CURVE = dict(m=8, n_grid=[1], trials=1, seed=0, gamma=0.1)
+PLANTED = make_planted_distribution(InputLaw(dim=4), DICTIONARY[0],
+                                    [[0.5, 0.5, 0.0, 0.0]], [1.0])
 
 # One wrong value per constructor field that a JSON file or CLI flag sets.
 # Without the constructor's check, each would be coerced, truncated or
@@ -87,6 +91,13 @@ WRONG = {
                                                   **{**CURVE, "trials": "1"}),
     "curve_n_grid_entry_string": lambda: overhead_curve(
         ENV, FAMILY, **{**CURVE, "n_grid": [1, "2"]}),
+    "planted_flip_rate_string": lambda: make_planted_distribution(
+        InputLaw(dim=4), DICTIONARY[0], [[0.5, 0.5, 0.0, 0.0]], [1.0],
+        flip_rate="0.1"),
+    "planted_one_coefficient_two_anchors": lambda: make_planted_distribution(
+        InputLaw(dim=4), DICTIONARY[0], np.eye(2, 4), [1.0]),
+    "sample_m_negative": lambda: PLANTED.sample(-1, np.random.default_rng(0)),
+    "sample_m_float": lambda: PLANTED.sample(1.5, np.random.default_rng(0)),
 }
 
 
@@ -94,6 +105,73 @@ WRONG = {
 def test_constructor_rejects_wrong_type(case):
     with pytest.raises(InputError):
         WRONG[case]()
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+# Input checks that no other test reaches: each row is a call, given a
+# scratch directory, and the start of the message it raises.
+GUARDS = {
+    "base_kernel_kind": (lambda tmp: BaseKernel(kind="sigmoid"),
+                         "unknown base kernel kind 'sigmoid'"),
+    "kernel_no_terms": (lambda tmp: Kernel(terms=(), bound_b=1.0),
+                        "kernel needs at least one term"),
+    "kernel_negative_weight": (
+        lambda tmp: Kernel(terms=((-0.5, BASE),), bound_b=1.0),
+        "kernel combination weights must be nonnegative"),
+    "family_variant": (lambda tmp: KernelFamily(variant="sum"),
+                       "unknown family variant 'sum'"),
+    "family_sparsity_above_dictionary": (
+        lambda tmp: KernelFamily(variant="sparse_combo",
+                                 dictionary=DICTIONARY, sparsity=3),
+        "sparsity exceeds dictionary size"),
+    "family_rank_above_dimension": (
+        lambda tmp: KernelFamily(variant="gaussian_low_rank", dimension=2,
+                                 max_rank=3),
+        "gaussian_low_rank requires max_rank <= dimension"),
+    "weights_all_zero": (lambda tmp: instantiate(LINEAR, [0.0, 0.0]),
+                         "all combination weights are zero"),
+    "kernel_spec_type": (lambda tmp: kernel_from_dict({"type": "sigmoid"}),
+                         "unknown kernel type 'sigmoid'"),
+    "custom_kernel_to_dict": (
+        lambda tmp: kernel_to_dict(custom_kernel(min, bound_b=1.0)),
+        "custom kernels cannot be serialized"),
+    "environment_no_dictionary": (
+        lambda tmp: TaskEnvironment(dictionary=(), input_law=InputLaw()),
+        "environment needs a kernel dictionary"),
+    "environment_two_planted_kernels": (
+        lambda tmp: TaskEnvironment(
+            dictionary=DICTIONARY, input_law=InputLaw(dim=4),
+            clusters=(TaskCluster(kernel_index=0),
+                      TaskCluster(kernel_index=1))).shared_kernel_index,
+        "clusters do not share one planted kernel"),
+    "task_labels_count": (
+        lambda tmp: TaskData(X=np.zeros((3, 2)), y=np.ones(2)),
+        "3 points but 2 labels"),
+    "data_row_without_features": (
+        lambda tmp: load_multitask_sample(_written(tmp / "d.csv", "t0,1\n")),
+        "data row needs features and a label: ['t0', '1']"),
+    "data_file_without_rows": (
+        lambda tmp: load_multitask_sample(_written(tmp / "d.csv", "# x\n\n")),
+        "no data rows in "),
+    "shatter_no_members": (
+        lambda tmp: ShatterInstance(pairs=np.zeros((1, 2, 2)), members=()),
+        "need at least one family member"),
+    "pseudodim_no_members": (
+        lambda tmp: pseudodim_lower_bound([], np.eye(2)),
+        "need at least one family member"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_input_check_raises_its_message(case, tmp_path):
+    call, message = GUARDS[case]
+    with pytest.raises(InputError) as exc:
+        call(tmp_path)
+    assert str(exc.value).startswith(message)
 
 
 def _message(call) -> str:

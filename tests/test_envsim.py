@@ -80,6 +80,15 @@ class TestDistributions:
             make_planted_distribution(dist.input_law, dist.kernel, dist.anchors,
                                       dist.coeffs, margin_gap=gap)
 
+    def test_zero_draws_are_empty_arrays(self):
+        # a 64-row round can keep no row under a wide gap, so m = 0 must
+        # not depend on a round
+        wide = make_planted_distribution(InputLaw(dim=2), rbf_kernel(0.3),
+                                         [[0.0, 0.0]], [1.0], margin_gap=0.9)
+        for dist in (small_env().draw_task(np.random.default_rng(6)), wide):
+            X, y = dist.sample(0, np.random.default_rng(0))
+            assert X.shape == (0, dist.input_law.dim) and y.shape == (0,)
+
     def test_planted_rule_unit_norm(self):
         env = small_env()
         dist = env.draw_task(np.random.default_rng(6))
@@ -647,6 +656,23 @@ class TestTrials:
             assert avg_true_error(predictors, dists, margin, 2_000,
                                   ss_mc) == expected
 
+    @pytest.mark.parametrize("refine_rounds", [0, 1])
+    def test_guarantee_scores_each_distinct_set_once(self, monkeypatch,
+                                                     refine_rounds):
+        # one Monte Carlo sample scores the chosen set and every grid set.
+        # Without refinement the chosen set is the grid argmin's, scored
+        # once; at seed 91 refinement replaces it, which adds one set
+        from mtkl.erm import enumerate_candidates
+        budget = SearchBudget(grid_resolution=2, refine_rounds=refine_rounds)
+        grid = len(enumerate_candidates(self.family, budget))
+        calls_per_sample = scoring_spy(monkeypatch)
+        outcome = run_trial(self.env, self.family, n=3, m=16, gamma=0.1,
+                            delta=0.05, seed=91, mc_samples=1_000,
+                            budget=budget)
+        refined = outcome.solution.candidate_label.startswith("refined")
+        assert refined == bool(refine_rounds)
+        assert calls_per_sample() == [grid + refined]
+
     def test_distribution_list_source(self):
         dists = sample_lifelong(self.env, 2, seed=82)
         kwargs = dict(m=12, gamma=0.1, delta=0.05, seed=83, mc_samples=1_000,
@@ -658,28 +684,29 @@ class TestTrials:
 
 
 def scoring_spy(monkeypatch):
-    """Patch ``envsim._mc_scores`` to call through and record each call's
-    Monte Carlo sample; returns a function giving the number of calls made
-    on each sample, in order. The recorded samples are held, so two points'
-    samples are never the same object."""
-    real = envsim._mc_scores
-    scored = []
+    """Patch ``envsim._mc_risks`` to call through and record, for each call
+    (one Monte Carlo sample), how many predictor sets it scored: its
+    ``Predictor.evaluate`` calls, one per task of a scored set. Returns a
+    function giving those counts in call order."""
+    real, evaluate = envsim._mc_risks, Predictor.evaluate
+    counts = []
 
-    def spy(predictors, mc_data):
-        scored.append(mc_data)
-        return real(predictors, mc_data)
+    def spy(predictor_sets, distributions, *args):
+        scored = []
 
-    monkeypatch.setattr(envsim, "_mc_scores", spy)
+        def counting(self, X):
+            scored.append(self)
+            return evaluate(self, X)
 
-    def calls_per_sample():
-        counts = []
-        for i, data in enumerate(scored):
-            if i and data is scored[i - 1]:
-                counts[-1] += 1
-            else:
-                counts.append(1)
-        return counts
-    return calls_per_sample
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Predictor, "evaluate", counting)
+            risks = real(predictor_sets, distributions, *args)
+        assert len(scored) % len(distributions) == 0
+        counts.append(len(scored) // len(distributions))
+        return risks
+
+    monkeypatch.setattr(envsim, "_mc_risks", spy)
+    return lambda: list(counts)
 
 
 class TestOverheadCurve:

@@ -587,3 +587,27 @@ class TestExpand:
         X = rng.uniform(-1, 1, (2 * EVAL_BLOCK + 37, 3))
         assert np.array_equal(dist.decision_values(X),
                               dist.planted_predictor().evaluate(X))
+
+
+class TestPointWidths:
+    @pytest.mark.parametrize("name", sorted(EXPANSION_KERNELS))
+    def test_widths_that_differ_are_an_input_error(self, name):
+        # 3-wide support, 2-wide rows: the metric's own check names the
+        # width it does not fit, combo_dims's dims [0, 2] are out of range
+        # on 2-wide rows, and every other kind names both widths
+        kernel = EXPANSION_KERNELS[name]
+        S, X = np.ones((3, 3)), np.ones((5, 2))
+        predictor = Predictor(alphas=np.ones(3), support_sample=S,
+                              kernel=kernel)
+        for call in (lambda: kernel.cross(S, X), lambda: predictor.evaluate(X),
+                     lambda: kernel(S[0], X[0])):
+            with pytest.raises(InputError, match="width 2"):
+                call()
+
+    def test_message_names_both_selected_widths(self):
+        with pytest.raises(InputError, match=r"^rbf kernel cannot pair points "
+                           r"of width 2 with points of width 3$"):
+            rbf_kernel(0.5).cross(np.zeros((2, 2)), np.zeros((3, 3)))
+        # the widths compared are the selected ones: equal dims, no error
+        assert rbf_kernel(0.5, dims=(0,)).cross(
+            np.zeros((2, 2)), np.zeros((4, 3))).shape == (2, 4)

@@ -59,10 +59,20 @@ class TestEmpiricalMarginError:
         # the Monte Carlo risk reads margins through the same rule: a score
         # equal to the margin is no error there either
         scores = [np.array([0.25, 0.3, 0.125]), np.array([0.0, 0.5])]
-        assert envsim._avg_error(scores, 0.25) == (1 / 3 + 1 / 2) / 2
-        assert envsim._avg_error(scores[1:], 0.0) == 0.0
-        for s in scores:
-            assert envsim._avg_error([s], 0.25) == self._error(s, 0.25)
+        pred, _ = predictor_with_scores([])
+        # a task whose every draw is its scores as 1-D rows labeled +1
+        tasks = [SimpleNamespace(sample=lambda m, rng, s=s: (s[:, None],
+                                                             np.ones(len(s))))
+                 for s in scores]
+
+        def risk(tasks, margin):
+            [[value]] = envsim._mc_risks([[pred] * len(tasks)], tasks,
+                                         (margin,), 1, 0)
+            return value
+        assert risk(tasks, 0.25) == (1 / 3 + 1 / 2) / 2
+        assert risk(tasks[1:], 0.0) == 0.0
+        for s, task in zip(scores, tasks):
+            assert risk([task], 0.25) == self._error(s, 0.25)
 
     def test_label_validation(self):
         with pytest.raises(InputError, match="labels"):
