@@ -42,7 +42,7 @@ TIE_RTOL = 1e-12
 # The value table's pairs (i, j), i <= j, built once per pool size; read only.
 _pool_pairs = functools.cache(np.triu_indices)
 METRICS = ("predictor_sup", "kernel_sup", "kernel_mean_dev")
-# Dual directions kernel_deviation_distance probes when no budget is given.
+# Dual directions a kernel_mean_dev request probes when it names no budget.
 PROBE_BUDGET = 16
 
 
@@ -340,16 +340,25 @@ def _candidate_values(request: CoverRequest) -> np.ndarray:
 
 def pairwise_distances(request: CoverRequest) -> np.ndarray:
     """The candidates' distance matrix under the request's metric; every
-    cover of one candidate set reads this one matrix."""
+    cover of one candidate set reads this one matrix. For kernel_mean_dev,
+    each candidate's probes (``_unit_probes``) are built once, and a pair's
+    distance is the largest ``_unit_ball_l1_gap`` of either one's probes in
+    the other's ball (0.0 when there is none)."""
     if request.metric == "kernel_mean_dev":
         sample = as_points(np.concatenate(_task_list(request.evaluation_sample)))
         Gs = _finite(np.stack(list(grams(request.candidates, sample))), "candidate")
-        n = len(Gs)
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                D[i, j] = D[j, i] = _gram_deviation(Gs[i], Gs[j],
-                                                    request.probe_budget)
+        # one block of scrambled Sobol directions (seed 7) for every
+        # candidate: draw a power of two (Sobol balance), keep the budget
+        budget = request.probe_budget
+        u01 = qmc.Sobol(d=len(sample), scramble=True, seed=7).random(
+            1 << max(0, int(np.ceil(np.log2(budget)))))[:budget]
+        directions = ndtri(np.clip(u01, 1e-12, 1.0 - 1e-12))
+        probes = [_unit_probes(G, directions) for G in Gs]
+        D = np.zeros((len(Gs), len(Gs)))
+        for i, j in itertools.combinations(range(len(Gs)), 2):
+            D[i, j] = D[j, i] = max([0.0] + [
+                _unit_ball_l1_gap(u, Gs[b])
+                for a, b in ((i, j), (j, i)) for u in probes[a]])
         return D
     V = _candidate_values(request)
     return cdist(V, V, "chebyshev")
@@ -415,23 +424,19 @@ def _unit_ball_l1_gap(u: np.ndarray, G: np.ndarray) -> float:
     return max(0.0, -float(res.fun)) / m
 
 
-def _deviation_one_way(G_from: np.ndarray, G_to: np.ndarray,
-                       directions: np.ndarray) -> float:
-    worst = 0.0
-    for d in directions:
-        q = float(d @ G_from @ d)
-        if q <= 1e-14:
-            continue
-        u = G_from @ (d / np.sqrt(q))
-        worst = max(worst, _unit_ball_l1_gap(u, G_to))
-    return worst
+def _unit_probes(G: np.ndarray, directions: np.ndarray) -> list[np.ndarray]:
+    """The points G d / sqrt(d'G d) of the unit ball of the Gram G that the
+    directions d probe; a direction with d'G d <= 1e-14 probes none."""
+    qs = [float(d @ G @ d) for d in directions]
+    return [G @ (d / np.sqrt(q)) for d, q in zip(directions, qs) if q > 1e-14]
 
 
 def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
-                              probe_budget: int = PROBE_BUDGET
-                              ) -> float:
+                              probe_budget: Optional[int] = None) -> float:
     """Approximate max-min mean absolute deviation between the unit balls of
-    two kernels on a sample, symmetrized over both directions.
+    two kernels on a sample, symmetrized over both directions: the
+    kernel_mean_dev ``pairwise_distances`` entry of the pair, so a list or
+    tuple sample groups points per task, as in a ``CoverRequest``.
 
     The outer max is probed with a deterministic low-discrepancy set of
     unit-norm dual directions; the inner min over the other ball is the
@@ -439,17 +444,6 @@ def kernel_deviation_distance(k1: Kernel, k2: Kernel, sample,
     with no certificate. Both approximations can only underestimate the
     distance. A Gram with a NaN or infinite entry raises NumericError.
     """
-    require_int(probe_budget, "probe_budget", 1)
-    return _gram_deviation(*_finite(np.stack(list(grams((k1, k2), sample))),
-                                    "kernel"), probe_budget)
-
-
-def _gram_deviation(G1: np.ndarray, G2: np.ndarray, probe_budget: int) -> float:
-    """``kernel_deviation_distance`` between the kernels of the Grams G1, G2."""
-    sob = qmc.Sobol(d=len(G1), scramble=True, seed=7)
-    # draw a power-of-two block (Sobol balance), keep the requested count
-    n_draw = 1 << max(0, int(np.ceil(np.log2(probe_budget))))
-    u01 = np.clip(sob.random(n_draw)[:probe_budget], 1e-12, 1.0 - 1e-12)
-    directions = ndtri(u01)
-    return max(_deviation_one_way(G1, G2, directions),
-               _deviation_one_way(G2, G1, directions))
+    return float(pairwise_distances(CoverRequest(
+        metric="kernel_mean_dev", candidates=(k1, k2),
+        evaluation_sample=sample, probe_budget=probe_budget))[0, 1])

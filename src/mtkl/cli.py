@@ -230,16 +230,16 @@ def _cmd_cover(args) -> int:
     # kernel_mean_dev alone reads --probe-budget, and its manifest records the
     # budget used; every radius is checked before the distances are built
     config = _flag_config(args)
-    if args.metric == "kernel_mean_dev":
-        config.setdefault("probe_budget", PROBE_BUDGET)
-    elif "probe_budget" in config:
+    if args.metric != "kernel_mean_dev" and "probe_budget" in config:
         raise InputError(f"--metric {args.metric} does not read --probe-budget")
     for eps in args.epsilon:
         require_number(eps, "--epsilon", positive=True)
     _, members, sample = _family_pool(args)
     request = CoverRequest(metric=args.metric, candidates=tuple(members),
                            evaluation_sample=sample,
-                           **_present(config, ("probe_budget",)))
+                           probe_budget=args.probe_budget)
+    if request.probe_budget is not None:
+        config["probe_budget"] = request.probe_budget
     D = pairwise_distances(request)
     results = [greedy_cover(D, eps) for eps in args.epsilon]
 

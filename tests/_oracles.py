@@ -20,7 +20,9 @@ only those columns in every round, as ``Distribution.sample`` does where it
 does not screen cells; the task-rule draw builds a distribution for every
 attempt, as ``TaskEnvironment.draw_task`` did. The PSD defect is the
 smallest ``eigvalsh`` eigenvalue against the tolerance, with no Cholesky
-certificate in front of it.
+certificate in front of it. The kernel_mean_dev distance matrix is computed
+pair by pair, drawing the probe directions and building the probe points
+again for every pair, around the package's inner solve.
 """
 
 import itertools
@@ -28,6 +30,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 mp.mp.dps = 60
 
@@ -454,6 +458,40 @@ def grid_kernel_deviation(G1: np.ndarray, G2: np.ndarray,
         return max(inner_min(u, Bm, m) for u in shell @ A.T)
 
     return max(one_way(G1, G2), one_way(G2, G1))
+
+
+def _deviation_one_way(G_from, G_to, directions, gap):
+    worst = 0.0
+    for d in directions:
+        q = float(d @ G_from @ d)
+        if q <= 1e-14:
+            continue
+        u = G_from @ (d / np.sqrt(q))
+        worst = max(worst, gap(u, G_to))
+    return worst
+
+
+def _gram_deviation(G1, G2, probe_budget, gap):
+    sob = qmc.Sobol(d=len(G1), scramble=True, seed=7)
+    # draw a power-of-two block (Sobol balance), keep the requested count
+    n_draw = 1 << max(0, int(np.ceil(np.log2(probe_budget))))
+    u01 = np.clip(sob.random(n_draw)[:probe_budget], 1e-12, 1.0 - 1e-12)
+    directions = ndtri(u01)
+    return max(_deviation_one_way(G1, G2, directions, gap),
+               _deviation_one_way(G2, G1, directions, gap))
+
+
+def pairwise_mean_dev_reference(Gs, probe_budget, gap) -> np.ndarray:
+    """The kernel_mean_dev distance matrix of the Grams ``Gs``, pair by pair:
+    each pair draws the Sobol directions again and builds both Grams' probe
+    points again, in the order of each direction. ``gap`` is the inner
+    solve (``capacity._unit_ball_l1_gap``), which this does not reproduce."""
+    n = len(Gs)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = _gram_deviation(Gs[i], Gs[j], probe_budget, gap)
+    return D
 
 
 def grid_best_margin_error(K: np.ndarray, y: np.ndarray, gamma: float,

@@ -586,21 +586,90 @@ class TestNonFiniteKernelValues:
             pseudodim_lower_bound((rbf_kernel(0.5), combo), self.pool)
 
     def test_kernel_distance_names_the_kernel(self):
-        with pytest.raises(NumericError, match="kernel 0 has a non-finite"):
+        # the pair is candidates 0 and 1 of a kernel_mean_dev request
+        with pytest.raises(NumericError, match="candidate 0 has a non-finite"):
             kernel_deviation_distance(self.nan_kernel, rbf_kernel(0.5),
                                       self.pool)
 
     def test_mean_dev_matrix_matches_pairwise_distances_bit_for_bit(self):
-        # pairwise_distances builds each candidate's Gram once; every entry
-        # is the pair's kernel_deviation_distance
-        ks = (rbf_kernel(0.5), rbf_kernel(1.0), linear_kernel(bound_b=2.0))
-        D = pairwise_distances(CoverRequest(
-            metric="kernel_mean_dev", candidates=ks, evaluation_sample=self.pool,
-            probe_budget=4))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = kernel_deviation_distance(ks[i], ks[j], self.pool, 4)
-                assert D[i, j] == D[j, i] == d
+        # pairwise_distances builds each candidate's Gram and probes once;
+        # every entry is the pair-by-pair reference's
+        request = CoverRequest(
+            metric="kernel_mean_dev", evaluation_sample=self.pool,
+            candidates=(rbf_kernel(0.5), rbf_kernel(1.0),
+                        linear_kernel(bound_b=2.0)), probe_budget=4)
+        D = pairwise_distances(request)
+        assert D.tobytes() == mean_dev_reference(request).tobytes()
+
+
+def mean_dev_reference(request):
+    """``orc.pairwise_mean_dev_reference`` on the request's Grams."""
+    tasks = request.evaluation_sample
+    sample = np.concatenate(tasks) if isinstance(tasks, list) else tasks
+    return orc.pairwise_mean_dev_reference(
+        [k.gram(sample) for k in request.candidates], request.probe_budget,
+        capacity._unit_ball_l1_gap)
+
+
+MEAN_DEV_POOL = np.random.default_rng(22).uniform(-1, 1, (9, 2))
+MEAN_DEV_REQUESTS = {
+    # on a line of points, q = d'Gd of a tiny linear kernel is c (d.t)^2,
+    # so the q <= 1e-14 filter drops some of the directions, not all
+    "tiny_linear_drops_directions": dict(
+        candidates=(rbf_kernel(0.5), rbf_kernel(1.0),
+                    linear_kernel(scale=1e-15, bound_b=2.0)),
+        evaluation_sample=np.outer(np.linspace(-1, 1, 6), [1.0, 0.5]),
+        probe_budget=8),
+    "task_list_budget_5": dict(
+        candidates=(rbf_kernel(0.4), rbf_kernel(0.8), rbf_kernel(2.0),
+                    rbf_kernel(3.0, dims=(1,))),
+        evaluation_sample=[MEAN_DEV_POOL[:4], MEAN_DEV_POOL[4:]],
+        probe_budget=5),
+    "combos_budget_3": dict(
+        candidates=tuple(instantiate(KernelFamily(
+            variant="convex_combo",
+            dictionary=(rbf_kernel(0.4), rbf_kernel(1.6))), [w, 1 - w])
+            for w in (0.0, 0.3, 1.0)),
+        evaluation_sample=MEAN_DEV_POOL, probe_budget=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEAN_DEV_REQUESTS))
+def test_mean_dev_matrix_matches_the_pairwise_reference_bit_for_bit(case):
+    # one set of probe points per candidate gives the bytes that drawing the
+    # directions and building the probes again for every pair gave
+    request = CoverRequest(metric="kernel_mean_dev", **MEAN_DEV_REQUESTS[case])
+    D = pairwise_distances(request)
+    assert D.tobytes() == mean_dev_reference(request).tobytes()
+
+
+def spy_probes(monkeypatch):
+    """The (directions, probes) count of every ``_unit_probes`` call."""
+    built = []
+    real = capacity._unit_probes
+
+    def unit_probes(G, directions):
+        probes = real(G, directions)
+        built.append((len(directions), len(probes)))
+        return probes
+
+    monkeypatch.setattr(capacity, "_unit_probes", unit_probes)
+    return built
+
+
+def test_each_candidate_builds_its_probes_once(monkeypatch):
+    built = spy_probes(monkeypatch)
+    pairwise_distances(CoverRequest(metric="kernel_mean_dev",
+                                    **MEAN_DEV_REQUESTS["task_list_budget_5"]))
+    assert built == [(5, 5)] * 4  # 4 candidates, not one set per pair side
+
+
+def test_tiny_linear_kernel_drops_some_directions(monkeypatch):
+    built = spy_probes(monkeypatch)
+    pairwise_distances(CoverRequest(
+        metric="kernel_mean_dev",
+        **MEAN_DEV_REQUESTS["tiny_linear_drops_directions"]))
+    assert built[:2] == [(8, 8)] * 2 and 0 < built[2][1] < 8
 
 
 class TestKernelDeviationDistance:
@@ -647,6 +716,16 @@ class TestKernelDeviationDistance:
             for j in range(3):
                 for k in range(3):
                     assert D[i, j] <= D[i, k] + D[k, j] + 1e-6
+
+    def test_task_list_is_the_pairwise_entry(self):
+        # a per-task sample is the tasks' points together, as in a request
+        k1, k2 = rbf_kernel(0.6), rbf_kernel(1.4)
+        tasks = [self.sample16[:5], self.sample16[5:9]]
+        d = kernel_deviation_distance(k1, k2, tasks, probe_budget=6)
+        assert d == pairwise_distances(CoverRequest(
+            metric="kernel_mean_dev", candidates=(k1, k2),
+            evaluation_sample=tasks, probe_budget=6))[0, 1]
+        assert d == kernel_deviation_distance(k1, k2, self.sample16[:9], 6)
 
     def test_probe_budget_validated(self):
         with pytest.raises(InputError):
