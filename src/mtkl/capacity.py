@@ -411,7 +411,8 @@ def _unit_ball_l1_gap(u: np.ndarray, G: np.ndarray) -> float:
 
     def neg_gap(lam):
         Gl = G @ lam
-        nrm = np.sqrt(lam @ Gl + ridge)
+        # lam'G lam of a rank-deficient G can round below 0 (and below -ridge)
+        nrm = np.sqrt(max(lam @ Gl, 0.0) + ridge)
         val = lam @ u - nrm
         grad = u - Gl / nrm
         return -val, -grad

@@ -625,6 +625,12 @@ MEAN_DEV_REQUESTS = {
                     rbf_kernel(3.0, dims=(1,))),
         evaluation_sample=[MEAN_DEV_POOL[:4], MEAN_DEV_POOL[4:]],
         probe_budget=5),
+    # rank-deficient Grams: lam'G lam rounds below 0 in the inner solve
+    "rank_deficient_task_list_budget_7": dict(
+        candidates=(rbf_kernel(0.5), poly_kernel(degree=2),
+                    linear_kernel(bound_b=2.0)),
+        evaluation_sample=[MEAN_DEV_POOL[:3], MEAN_DEV_POOL[3:]],
+        probe_budget=7),
     "combos_budget_3": dict(
         candidates=tuple(instantiate(KernelFamily(
             variant="convex_combo",
@@ -716,6 +722,15 @@ class TestKernelDeviationDistance:
             for j in range(3):
                 for k in range(3):
                     assert D[i, j] <= D[i, k] + D[k, j] + 1e-6
+
+    def test_rank_deficient_gram_has_a_real_inner_norm(self):
+        # the linear Gram has rank 2 on 16 points: lam'G lam rounded below
+        # -1e-18, its square root was NaN, and L-BFGS-B stopped on a NaN
+        # objective at 0.27609, 11 % under the distance
+        X = np.random.default_rng(4).uniform(-1, 1, (16, 2))
+        d = kernel_deviation_distance(linear_kernel(bound_b=2.0),
+                                      rbf_kernel(0.4), X, 16)
+        assert d == pytest.approx(0.30919, abs=1e-5)
 
     def test_task_list_is_the_pairwise_entry(self):
         # a per-task sample is the tasks' points together, as in a request

@@ -647,6 +647,12 @@ EDGE_INVOCATIONS = {
     "cover_metric_narrower_than_points": (
         ["cover", "--family", "{family}", "--dim", "3", "--epsilon", "0.5"],
         2, "metric of size 2 does not fit points of width 3"),
+    # the linear term's Gram on 2-D points has rank 2, so the inner solve's
+    # lam'G lam rounds below 0; its square root once warned and gave NaN
+    "cover_mean_dev_rank_deficient_linear": (
+        ["cover", "--family", "{linear_rbf}", "--metric", "kernel_mean_dev",
+         "--dim", "2", "--grid-resolution", "2", "--pool-size", "6",
+         "--epsilon", "0.5"], 0, "epsilon=0.5: cover size 1"),
 }
 
 
@@ -658,12 +664,19 @@ def test_edge_invocation_exits_with_its_mapped_code(tmp_path, capsys, name):
     data = tmp_path / "data.csv"
     data.write_text("t0,0.1,0.2,0.3,1\nt0,-0.1,0.2,0.3,-1\n"
                     "t1,0.5,0.2,0.3,1\nt1,-0.4,0.2,0.1,-1\n")
+    linear_rbf = tmp_path / "linear_rbf.json"
+    linear_rbf.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+        {"type": "linear", "bound": 2.0}, {"type": "rbf", "bandwidth": 0.4}]}))
     out_dir = tmp_path / "o"
-    argv = [a.format(family=family, data=data) for a in argv]
+    argv = [a.format(family=family, data=data, linear_rbf=linear_rbf)
+            for a in argv]
     if argv[0] != "bound":
         argv += ["--out-dir", str(out_dir)]
     assert main(argv) == code
     captured = capsys.readouterr()
+    if code == 0:
+        assert needle in captured.out and captured.err == ""
+        return
     category = {2: "input", 3: "numeric"}[code]
     assert f"error-category: {category}\n" in captured.err
     assert needle in captured.err
