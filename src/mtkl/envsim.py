@@ -548,6 +548,7 @@ def avg_true_error(predictors: Sequence[Predictor], distributions: Sequence,
     if len(distributions) != len(predictors):
         raise InputError(
             f"{len(distributions)} distributions for {len(predictors)} tasks")
+    require_number(gamma, "gamma")
     require_int(mc_samples, "mc_samples", 1)
     return _mc_risks([predictors], distributions, (gamma,), mc_samples,
                      seed)[0][0]

@@ -122,7 +122,7 @@ def _rbf_cross(X, Z, bandwidth):
 
 
 # The number fields each base kernel kind reads; every kind declares a bound
-# on K(x, x). The bound and an rbf bandwidth must be positive.
+# on K(x, x). The bound, an rbf bandwidth and its square must be positive.
 _NUMBER_FIELDS = {"rbf": ("bandwidth", "bound_b"), "linear": ("scale", "bound_b"),
                   "poly": ("scale", "coef0", "bound_b"),
                   "gaussian_metric": ("bound_b",), "custom": ("bound_b",)}
@@ -157,6 +157,9 @@ class BaseKernel:
             require_number(value, f"{self.kind} kernel {name}",
                            positive=name in ("bandwidth", "bound_b"))
             object.__setattr__(self, name, float(value))
+        if self.kind == "rbf" and self.bandwidth * self.bandwidth == 0.0:
+            raise InputError(f"rbf kernel bandwidth {self.bandwidth!r} is too "
+                             "small: its square underflows to 0")
         if self.kind == "poly":
             require_int(self.degree, "poly kernel degree")
             object.__setattr__(self, "degree", int(self.degree))

@@ -71,7 +71,7 @@ class TaskData:
             raise InputError(f"{X.shape[0]} points but {len(y)} labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             bad = y[~np.isin(y, (-1.0, 1.0))][0]
-            raise InputError(f"labels must be -1 or +1, got {bad!r}")
+            raise InputError(f"labels must be -1 or +1, got {float(bad)!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -136,6 +136,7 @@ def margin_error_rate(margins: np.ndarray, gamma: float) -> float:
 
 def empirical_margin_error(predictor: Predictor, data: TaskData, gamma: float) -> float:
     """``margin_error_rate`` of the predictor on the sample."""
+    require_number(gamma, "gamma")
     return margin_error_rate(data.y * predictor.evaluate(data.X), gamma)
 
 

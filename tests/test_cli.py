@@ -287,7 +287,9 @@ class TestLearnCommand:
         ({0: "t0,0.5,inf,1"}, "non-finite"),
         ({1: "t0,-0.5,0.3,0.9,-1"}, "line 2"),
         ({2: "t1,0.1,0.2,0.7,1", 3: "t1,-0.3,0.4,0.1,-1"}, "line 3"),
-    ], ids=["nan", "inf", "ragged_task", "tasks_differ"])
+        # the label is named as a Python float, not as np.float64(inf)
+        ({0: "t0,0.5,-0.2,inf"}, "labels must be -1 or +1, got inf\n"),
+    ], ids=["nan", "inf", "ragged_task", "tasks_differ", "label_inf"])
     def test_bad_data_file_exit2(self, family_file, tmp_path, capsys, changes,
                                  needle):
         rows = [changes.get(i, row) for i, row in enumerate(self.ROWS)]
@@ -327,6 +329,23 @@ class TestLearnCommand:
                    "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "error-category: input" in capsys.readouterr().err
+
+    def test_rbf_bandwidth_whose_square_underflows_exit2(self, data_file,
+                                                        tmp_path, capsys):
+        # bandwidth**2 == 0: the cross-Gram divided by -0.0, a NaN margin on
+        # coincident points never counted as an error, and the broken
+        # candidate 0 was selected with exit 0
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"variant": "convex_combo", "dictionary": [
+            {"type": "rbf", "bandwidth": 1e-200},
+            {"type": "rbf", "bandwidth": 1.0}]}))
+        rc = main(["learn", "--family", str(path), "--data", data_file,
+                   "--gamma", "0.1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error-category: input" in err
+        assert "rbf kernel bandwidth 1e-200 is too small" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma_exit2(self, family_file, data_file, tmp_path,

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mtkl import (CoverRequest, InputError, InputLaw, Kernel, KernelFamily,
-                  MarginParams, PseudodimBudget, SearchBudget, ShatterInstance,
-                  TaskCluster, TaskData, TaskEnvironment, instantiate,
+                  MarginParams, Predictor, PseudodimBudget, SearchBudget,
+                  ShatterInstance, TaskCluster, TaskData, TaskEnvironment,
+                  avg_true_error, empirical_margin_error, instantiate,
                   kernel_from_dict, kernel_to_dict, linear_kernel,
                   load_multitask_sample, overhead_curve, poly_kernel,
                   pseudodim_lower_bound, rbf_kernel, run_trial)
@@ -32,6 +33,9 @@ TRIAL = dict(n=2, m=8, gamma=0.1, delta=0.05, seed=0)
 CURVE = dict(m=8, n_grid=[1], trials=1, seed=0, gamma=0.1)
 PLANTED = make_planted_distribution(InputLaw(dim=4), DICTIONARY[0],
                                     [[0.5, 0.5, 0.0, 0.0]], [1.0])
+PREDICTOR = Predictor(alphas=np.ones(1), support_sample=np.zeros((1, 4)),
+                      kernel=DICTIONARY[0])
+TASK = TaskData(X=np.zeros((2, 4)), y=[1.0, -1.0])
 
 # One wrong value per constructor field that a JSON file or CLI flag sets.
 # Without the constructor's check, each would be coerced, truncated or
@@ -39,6 +43,9 @@ PLANTED = make_planted_distribution(InputLaw(dim=4), DICTIONARY[0],
 WRONG = {
     "rbf_bandwidth_string": lambda: rbf_kernel("0.6"),
     "rbf_bandwidth_nan": lambda: rbf_kernel(NAN),
+    # positive, but bandwidth * bandwidth is 0
+    "rbf_bandwidth_square_underflows": lambda: rbf_kernel(1.5e-162),
+    "rbf_bandwidth_1e-200": lambda: rbf_kernel(1e-200),
     "rbf_dims_float": lambda: rbf_kernel(dims=[0.5]),
     "rbf_dims_negative": lambda: rbf_kernel(dims=[-1]),
     "linear_scale_string": lambda: linear_kernel(scale="2"),
@@ -163,6 +170,20 @@ GUARDS = {
     "pseudodim_no_members": (
         lambda tmp: pseudodim_lower_bound([], np.eye(2)),
         "need at least one family member"),
+    # no score is < nan, so both read 0.0; a string margin ended in
+    # numpy's UFuncTypeError
+    "true_error_gamma_nan": (
+        lambda tmp: avg_true_error([PREDICTOR], [PLANTED], NAN, 1000, 0),
+        "gamma must be a finite number, got nan"),
+    "true_error_gamma_string": (
+        lambda tmp: avg_true_error([PREDICTOR], [PLANTED], "0.1", 1000, 0),
+        "gamma must be a finite number, got '0.1'"),
+    "empirical_error_gamma_nan": (
+        lambda tmp: empirical_margin_error(PREDICTOR, TASK, NAN),
+        "gamma must be a finite number, got nan"),
+    "empirical_error_gamma_string": (
+        lambda tmp: empirical_margin_error(PREDICTOR, TASK, "0.1"),
+        "gamma must be a finite number, got '0.1'"),
 }
 
 
